@@ -17,6 +17,7 @@ import itertools
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateInputError,
@@ -281,12 +282,21 @@ def log(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
+    """max(x, 0) with NaN -> 0 and -0.0 -> +0.0; saves only its output.
 
-    def bwd(g, m=mask):
-        return (g * m,)
+    The backward mask is ``y > 0`` on the saved output, which equals
+    ``x > 0`` on the input.
+    """
+    y = np.fmax(x.data, 0.0)
+    # fmax's pick between -0.0 and +0.0 differs between numpy's vector and
+    # scalar loops, so it depends on the array's length; adding +0.0 turns
+    # any -0.0 into +0.0
+    y += 0.0
 
-    return _emit("relu", (x,), np.where(mask, x.data, 0.0), bwd)
+    def bwd(g, yd=y):
+        return (g * (yd > 0.0),)
+
+    return _emit("relu", (x,), y, bwd)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -429,8 +439,20 @@ def _pool_geometry(h: int, w: int, size, stride) -> tuple[int, int, int, int, in
     return sh, sw, th, tw, (h - sh) // th + 1, (w - sw) // tw + 1
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """[N, C*kh*kw, ho*wo] patch matrix of a padded [N,C,H,W] input, rows in
+    (channel, kernel row, kernel column) order."""
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank."""
+    """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank.
+
+    Saves the padded input for backward, which rebuilds the patch matrix
+    from it instead of keeping a copy kh*kw times the input's size.
+    """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects 4-D input and kernel, got {x.shape}, {k.shape}")
     n, c, h, w = x.shape
@@ -446,19 +468,15 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wp - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = np.empty((n, c, kh, kw, ho * wo), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            patch = xp[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride]
-            cols[:, :, di, dj, :] = patch.reshape(n, c, ho * wo)
-    cols = cols.reshape(n, c * kh * kw, ho * wo)
     k2 = k.data.reshape(f, c * kh * kw)
-    out = np.matmul(k2, cols).reshape(n, f, ho, wo)
+    out = np.matmul(k2, _im2col(xp, kh, kw, stride, ho, wo)).reshape(n, f, ho, wo)
 
-    def bwd(g, cols_saved=cols, k2d=k2, geom=(n, c, h, w, f, kh, kw, ho, wo, stride, pad)):
+    def bwd(g, xp_saved=xp, k2d=k2, geom=(n, c, h, w, f, kh, kw, ho, wo, stride, pad)):
         n_, c_, h_, w_, f_, kh_, kw_, ho_, wo_, s_, p_ = geom
         g2 = g.reshape(n_, f_, ho_ * wo_)
-        dk = np.matmul(g2, cols_saved.transpose(0, 2, 1)).sum(axis=0)
+        cols = _im2col(xp_saved, kh_, kw_, s_, ho_, wo_)
+        dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols  # free before dcols, which has the same size
         dcols = np.matmul(k2d.T, g2).reshape(n_, c_, kh_, kw_, ho_ * wo_)
         buf = np.zeros((n_, c_, h_ + 2 * p_, w_ + 2 * p_), dtype=np.float64)
         for di in range(kh_):
@@ -472,29 +490,37 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
-    """Max pooling; ties resolve to the first window position in scan order."""
+    """Max pooling that ignores NaN; ties resolve to the first window position
+    in scan order.
+
+    Saves the input and the output for backward, which sends each window's
+    gradient to the first position holding the window maximum.  A window
+    with nothing above -inf (all -inf or NaN) outputs -inf and sends its
+    gradient to its first position.  A zero maximum is always +0.0.
+    """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
     sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
     best = np.full((n, c, ho, wo), -np.inf, dtype=np.float64)
-    arg_i = np.zeros((n, c, ho, wo), dtype=np.int64)
-    arg_j = np.zeros((n, c, ho, wo), dtype=np.int64)
     for di in range(sh):
         for dj in range(sw):
-            patch = x.data[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw]
-            better = patch > best
-            best = np.where(better, patch, best)
-            arg_i = np.where(better, di, arg_i)
-            arg_j = np.where(better, dj, arg_j)
+            # fmax returns best where the slice holds NaN
+            np.fmax(x.data[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw], best, out=best)
+    best += 0.0  # as in relu: fmax's pick between -0.0 and +0.0 is not fixed
 
-    def bwd(g, ai=arg_i, aj=arg_j, geom=(n, c, h, w, sh, sw, th, tw, ho, wo)):
-        n_, c_, h_, w_, sh_, sw_, th_, tw_, ho_, wo_ = geom
-        buf = np.zeros((n_, c_, h_, w_), dtype=np.float64)
+    def bwd(g, xd=x.data, bd=best, geom=(sh, sw, th, tw, ho, wo)):
+        sh_, sw_, th_, tw_, ho_, wo_ = geom
+        buf = np.zeros(xd.shape, dtype=np.float64)
+        taken = bd == -np.inf  # nothing beat the -inf start: the first position wins
+        buf[:, :, :ho_ * th_:th_, :wo_ * tw_:tw_] += g * taken
         for di in range(sh_):
             for dj in range(sw_):
-                hit = (ai == di) & (aj == dj)
-                buf[:, :, di:di + ho_ * th_:th_, dj:dj + wo_ * tw_:tw_] += g * hit
+                region = (slice(None), slice(None),
+                          slice(di, di + ho_ * th_, th_), slice(dj, dj + wo_ * tw_, tw_))
+                hit = (xd[region] == bd) & ~taken
+                taken |= hit
+                buf[region] += g * hit
         return (buf,)
 
     return _emit("maxpool2d", (x,), best, bwd)

@@ -127,7 +127,10 @@ def resolve_config(file_path: str | None, overrides: dict[str, str]) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             parser, _ = CONFIG_KEYS[key]
-            resolved[key] = parser(raw) if isinstance(raw, str) else raw
+            try:
+                resolved[key] = parser(raw) if isinstance(raw, str) else raw
+            except ValueError as exc:
+                raise ConfigError(f"bad value {raw!r} for {key!r}: {exc}") from exc
     return resolved
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, collect_grads
 from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches
-from .errors import CheckpointFormatError, ConfigError, DivergenceError
+from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError
 from .losses import DistillConfig, EmbeddingPair, cross_entropy_loss, \
     temperature_parameters, total_loss
 from .models import Model, ModelSpec, ProjectionHead, init_weights, project
@@ -135,6 +135,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        start = self.pos
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{what} is not UTF-8",
+                                        offset=start + exc.start) from exc
+
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
@@ -147,12 +156,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported version {version}", offset=4)
     (meta_len,) = r.unpack("<Q")
-    metadata = json.loads(r.take(meta_len).decode("utf-8"))
+    meta_start = r.pos
+    meta_text = r.text(meta_len, "metadata")
+    try:
+        metadata = json.loads(meta_text)
+    except json.JSONDecodeError as exc:
+        offset = meta_start + len(meta_text[:exc.pos].encode("utf-8"))
+        raise CheckpointFormatError(f"metadata is not valid JSON: {exc.msg}",
+                                    offset=offset) from exc
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len, "tensor name")
         tag, ndim = r.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise CheckpointFormatError(f"unknown dtype tag {tag}", offset=r.pos - 2)
@@ -223,6 +239,16 @@ def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> fl
     return 100.0 * hits / len(dataset)
 
 
+def _final_accuracies(logs: list[EpochLog], model: Model, train: Dataset, test: Dataset,
+                      stats, batch_size: int) -> tuple[float, float]:
+    """Train and test accuracy of the final weights; the last epoch already
+    measured them, so only a run of zero epochs evaluates here."""
+    if logs:
+        return logs[-1].train_acc, logs[-1].test_acc
+    return (evaluate(model, train, stats, batch_size),
+            evaluate(model, test, stats, batch_size))
+
+
 def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSpec,
                   plan: BatchPlan | None = None) -> tuple[Checkpoint, list[EpochLog]]:
     """Supervised cross-entropy training; deterministic per (seed, config, data)."""
@@ -252,8 +278,8 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
                        train_acc=evaluate(model, train, stats, plan.batch_size),
                        test_acc=evaluate(model, test, stats, plan.batch_size))
         logs.append(log)
-    final_train = evaluate(model, train, stats, plan.batch_size)
-    final_test = evaluate(model, test, stats, plan.batch_size)
+    final_train, final_test = _final_accuracies(logs, model, train, test, stats,
+                                                plan.batch_size)
     metadata = {
         "kind": "teacher",
         "model_spec": spec.to_dict(),
@@ -275,6 +301,13 @@ def _supervised_breakdown(s_logits, t_logits, labels, cfg: DistillConfig):
     zero = Tensor(0.0)
     total = sup if cfg.lambda_kl == 0.0 else add(sup, scale(distill_kl, cfg.lambda_kl))
     return LossBreakdown(sup, distill_kl, zero, zero, zero, total)
+
+
+def _project(head: ProjectionHead, features, step: int):
+    try:
+        return project(head, features)
+    except DegenerateInputError as exc:
+        raise DivergenceError(f"{head.owner} projection head: {exc}", step) from exc
 
 
 def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, test: Dataset,
@@ -309,8 +342,8 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
             with Tape() as tape:
                 s_feats, s_logits = student.forward(batch.images)
                 if cfg.beta != 0.0:
-                    zs = project(s_head, s_feats)
-                    zt = project(t_head, t_feats)
+                    zs = _project(s_head, s_feats, step)
+                    zt = _project(t_head, t_feats, step)
                     pair = EmbeddingPair(zs, zt)
                     bd = total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
                 else:
@@ -336,8 +369,8 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
                              b=float(b.value.data),
                              train_acc=evaluate(student, train, stats, plan.batch_size),
                              test_acc=evaluate(student, test, stats, plan.batch_size)))
-    final_train = evaluate(student, train, stats, plan.batch_size)
-    final_test = evaluate(student, test, stats, plan.batch_size)
+    final_train, final_test = _final_accuracies(logs, student, train, test, stats,
+                                                plan.batch_size)
     tensors = model_tensors(student)
     tensors["head.student.weight"] = s_head.weight.value.data.copy()
     tensors["head.teacher.weight"] = t_head.weight.value.data.copy()

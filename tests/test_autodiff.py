@@ -7,8 +7,12 @@ from conftest import central_difference, rel_err
 
 from dcd import autodiff as ad
 from dcd.autodiff import Parameter, Tape, Tensor
+from dcd.data import BatchPlan, Dataset
 from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
+from dcd.losses import DistillConfig
+from dcd.models import convnet_pair
+from dcd.train import OptimSpec, distill, train_teacher
 
 STEP = 1e-5
 
@@ -372,3 +376,194 @@ def test_tensor_validity_check():
     assert Tensor([1.0, 2.0]).is_finite()
     assert not Tensor([np.nan, 1.0]).is_finite()
     assert not Tensor([np.inf, 1.0]).is_finite()
+
+
+# -- ConvNet kernels: exact tie, NaN and signed-zero rules ----------------------
+
+def value_and_grads(fn, arrays, weight):
+    """fn's output and the gradients of sum(weight * output) wrt each input."""
+    with Tape() as tape, np.errstate(invalid="ignore"):  # the sum may be inf - inf
+        tensors = [Tensor(a) for a in arrays]
+        out = fn(*tensors)
+        tape.backward(ad.tsum(ad.mul(out, Tensor(weight))))
+    return out.data, [tape.grads[t.id] for t in tensors]
+
+
+@pytest.mark.parametrize("shape,size,stride", [((2, 2, 4, 4), 2, None),
+                                               ((1, 2, 5, 5), 3, 1)])
+def test_maxpool_exact_ties_go_to_first_position(shape, size, stride, rng):
+    x = np.zeros(shape)  # every window tied, as after a ReLU that zeroed it
+    step = size if stride is None else stride
+    ho = (shape[2] - size) // step + 1
+    w = rng.uniform(0.5, 1.5, shape[:2] + (ho, ho))
+    out, (gx,) = value_and_grads(lambda t: ad.maxpool2d(t, size, stride), [x], w)
+    assert np.array_equal(out, np.zeros_like(w)) and not np.signbit(out).any()
+    expect = np.zeros(shape)
+    for i in range(ho):
+        for j in range(ho):
+            expect[:, :, i * step, j * step] += w[:, :, i, j]
+    assert np.array_equal(gx, expect)
+
+
+def test_maxpool_ignores_nan_inside_a_window():
+    x = np.array([[[[1.0, np.nan, np.nan, 3.0],
+                    [0.5, -1.0, 2.0, np.nan]]]])
+    out, (gx,) = value_and_grads(lambda t: ad.maxpool2d(t, 2), [x], np.array([[[[2.0, 5.0]]]]))
+    assert np.array_equal(out, [[[[1.0, 3.0]]]])
+    assert np.array_equal(gx, [[[[2.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]]])
+
+
+def test_relu_nan_and_signed_zero():
+    # runs of -0.0 at both ends: np.fmax's pick between -0.0 and +0.0
+    # differs between numpy's vector and scalar loops
+    zeros = np.full(9, -0.0)
+    x = np.concatenate([zeros, [np.nan, 0.0, -1.0, 2.0], zeros])
+    out, (gx,) = value_and_grads(ad.relu, [x], np.full(x.size, 3.0))
+    assert np.array_equal(out, np.where(x == 2.0, 2.0, 0.0))
+    assert not np.signbit(out).any()
+    assert np.array_equal(gx, np.where(x == 2.0, 3.0, 0.0))
+
+
+# The original loop kernels, kept as the reference the shipped ones must
+# match bitwise: forward values, gradients and whole training runs.
+
+def ref_relu(x):
+    mask = x.data > 0.0
+
+    def bwd(g, m=mask):
+        return (g * m,)
+
+    return ad._emit("relu", (x,), np.where(mask, x.data, 0.0), bwd)
+
+
+def ref_conv2d(x, k, stride=1, pad=0):
+    n, c, h, w = x.shape
+    f, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    cols = np.empty((n, c, kh, kw, ho * wo), dtype=np.float64)
+    for di in range(kh):
+        for dj in range(kw):
+            patch = xp[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride]
+            cols[:, :, di, dj, :] = patch.reshape(n, c, ho * wo)
+    cols = cols.reshape(n, c * kh * kw, ho * wo)
+    k2 = k.data.reshape(f, c * kh * kw)
+    out = np.matmul(k2, cols).reshape(n, f, ho, wo)
+
+    def bwd(g):
+        g2 = g.reshape(n, f, ho * wo)
+        dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        dcols = np.matmul(k2.T, g2).reshape(n, c, kh, kw, ho * wo)
+        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        for di in range(kh):
+            for dj in range(kw):
+                buf[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += (
+                    dcols[:, :, di, dj, :].reshape(n, c, ho, wo))
+        dx = buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
+        return np.ascontiguousarray(dx), dk.reshape(f, c, kh, kw)
+
+    return ad._emit("conv2d", (x, k), out, bwd)
+
+
+def ref_maxpool2d(x, size=2, stride=None):
+    n, c, h, w = x.shape
+    sh, sw, th, tw, ho, wo = ad._pool_geometry(h, w, size, stride)
+    best = np.full((n, c, ho, wo), -np.inf, dtype=np.float64)
+    arg_i = np.zeros((n, c, ho, wo), dtype=np.int64)
+    arg_j = np.zeros((n, c, ho, wo), dtype=np.int64)
+    for di in range(sh):
+        for dj in range(sw):
+            patch = x.data[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw]
+            better = patch > best
+            best = np.where(better, patch, best)
+            arg_i = np.where(better, di, arg_i)
+            arg_j = np.where(better, dj, arg_j)
+
+    def bwd(g):
+        buf = np.zeros((n, c, h, w), dtype=np.float64)
+        for di in range(sh):
+            for dj in range(sw):
+                hit = (arg_i == di) & (arg_j == dj)
+                buf[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw] += g * hit
+        return (buf,)
+
+    return ad._emit("maxpool2d", (x,), best, bwd)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def awkward_values(rng, shape):
+    """Ties, signed zeros, NaN and -inf, with some all-NaN / all--inf windows."""
+    x = rng.choice([-np.inf, np.nan, -0.0, 0.0, 1.0, 2.0], size=shape)
+    x[0, 0, :3, :3] = np.nan
+    x[0, 1, :3, :3] = -np.inf
+    x[1, 0, :3, :3] = -np.inf
+    x[1, 0, 0, 0] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("size,stride", [(2, None), (3, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 7), (4, 16, 19, 20)])
+def test_maxpool_matches_reference_bitwise(shape, size, stride, rng):
+    x = awkward_values(rng, shape)
+    ho, wo = ad._pool_geometry(shape[2], shape[3], size, stride)[4:]
+    w = rng.uniform(-1.5, 1.5, shape[:2] + (ho, wo))
+    out, grads = value_and_grads(lambda t: ad.maxpool2d(t, size, stride), [x], w)
+    ref_out, ref_grads = value_and_grads(lambda t: ref_maxpool2d(t, size, stride), [x], w)
+    # the loop kernel kept the first zero's sign; a zero maximum is now +0.0
+    assert_same_bits(out, ref_out + 0.0)
+    assert_same_bits(grads[0], ref_grads[0])
+
+
+def test_relu_matches_reference_bitwise(rng):
+    x = np.concatenate([awkward_values(rng, (2, 3, 4, 4)).ravel(), [np.inf],
+                        rng.uniform(-1, 1, 50)])
+    w = rng.uniform(-1.5, 1.5, x.shape)
+    out, grads = value_and_grads(ad.relu, [x], w)
+    ref_out, ref_grads = value_and_grads(ref_relu, [x], w)
+    assert_same_bits(out, ref_out)
+    assert_same_bits(grads[0], ref_grads[0])
+
+
+@pytest.mark.parametrize("kshape,stride,pad", [((4, 3, 3, 3), 1, 1), ((4, 3, 3, 3), 2, 0),
+                                               ((2, 3, 2, 3), 2, 1), ((5, 3, 1, 1), 1, 0)])
+def test_conv2d_matches_reference_bitwise(kshape, stride, pad, rng):
+    x = rng.uniform(-1, 1, (2, 3, 7, 6))
+    k = rng.uniform(-1, 1, kshape)
+    out = ad.conv2d(Tensor(x), Tensor(k), stride, pad)
+    w = rng.uniform(-1.5, 1.5, out.shape)
+    got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
+    ref, ref_grads = value_and_grads(lambda a, b: ref_conv2d(a, b, stride, pad), [x, k], w)
+    assert_same_bits(got, ref)
+    for g, r in zip(grads, ref_grads):
+        assert_same_bits(g, r)
+
+
+def tiny_convnet_run():
+    rng = np.random.default_rng(5)
+    images = rng.uniform(0, 1, (48, 3, 32, 32)).astype(np.float32)
+    labels = np.arange(48, dtype=np.int64) % 10
+    train = Dataset(images[:32], labels[:32], 10, "train")
+    test = Dataset(images[32:], labels[32:], 10, "test")
+    teacher_spec, student_spec = convnet_pair((3, 32, 32), 10)
+    plan = BatchPlan(batch_size=16, shuffle_seed=3, augment="flip+crop")
+    optim = OptimSpec(lr=0.01, epochs=1, seed=3)
+    t_ckpt, _ = train_teacher(teacher_spec, train, test, optim, plan)
+    s_ckpt, _ = distill(t_ckpt, student_spec, train, test, DistillConfig(), optim, plan)
+    return t_ckpt, s_ckpt
+
+
+def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
+    shipped = tiny_convnet_run()
+    for name, fn in (("relu", ref_relu), ("conv2d", ref_conv2d), ("maxpool2d", ref_maxpool2d)):
+        monkeypatch.setattr(ad, name, fn)
+    reference = tiny_convnet_run()
+    for new, ref in zip(shipped, reference):
+        assert list(new.tensors) == list(ref.tensors)
+        for name in new.tensors:
+            assert_same_bits(new.tensors[name], ref.tensors[name])
+        assert new.metadata == ref.metadata

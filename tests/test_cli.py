@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from dcd.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, parse_grid,
-                     resolve_config)
+from dcd.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main,
+                     parse_grid, resolve_config)
 from dcd.errors import ConfigError
+from dcd.train import load_checkpoint, save_checkpoint
 
 FAST = ["--set", "epochs=2", "--set", "blob_train_per_class=40",
         "--set", "blob_test_per_class=30", "--set", "blob_dim=8",
@@ -53,6 +54,14 @@ def test_unknown_set_key_exits_config(tmp_path):
     assert code == EXIT_CONFIG
     code = main(["train-teacher", "--out", out, "--config", str(tmp_path / "missing.cfg")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key,value", [("epochs", "abc"), ("schedule", "5"),
+                                       ("learn_temperature", "maybe")])
+def test_bad_set_value_exits_config_naming_key(key, value, tmp_path, capsys):
+    code = main(["train-teacher", "--out", str(tmp_path / "x"), "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_teacher_run_artifacts(teacher_run):
@@ -109,6 +118,18 @@ def test_distill_bad_checkpoint_exits_4(tmp_path):
     out = str(tmp_path / "student")
     code = main(["distill", "--teacher", str(bad), "--out", out] + FAST)
     assert code == EXIT_CHECKPOINT
+
+
+def test_zero_teacher_features_exit_divergence(teacher_run, tmp_path, capsys):
+    ckpt = load_checkpoint(os.path.join(teacher_run, "teacher.ckpt"))
+    for arr in ckpt.tensors.values():
+        arr[...] = 0.0
+    zeroed = str(tmp_path / "zeroed.ckpt")
+    save_checkpoint(ckpt, zeroed)
+    code = main(["distill", "--teacher", zeroed, "--out", str(tmp_path / "s")] + FAST)
+    assert code == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert "teacher projection head" in err and "(step 0)" in err
 
 
 def test_transfer_dimension_mismatch_message(teacher_run, tmp_path, capsys):

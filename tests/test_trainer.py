@@ -10,8 +10,11 @@ from dcd.data import BatchPlan, synth_blob_split
 from dcd.errors import CheckpointFormatError, ConfigError
 from dcd.losses import DistillConfig
 from dcd.models import ModelSpec
-from dcd.train import (Checkpoint, OptimSpec, distill, load_checkpoint, restore_model,
-                       save_checkpoint, sgd_step, train_teacher, write_epoch_csv)
+from dcd import train as train_mod
+from dcd.cli import EXIT_CHECKPOINT, main
+from dcd.train import (Checkpoint, OptimSpec, distill, evaluate, load_checkpoint,
+                       restore_model, save_checkpoint, sgd_step, stats_from_metadata,
+                       train_teacher, write_epoch_csv)
 
 
 def test_optim_spec_validation():
@@ -199,6 +202,43 @@ def test_checkpoint_truncation_offset(tmp_path, rng):
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(path)
     assert err.value.offset is not None and err.value.offset <= cut
+
+
+@pytest.mark.parametrize("old,new,at", [(b'{"a": 1}', b'{"a"; 1}', 4),  # invalid JSON
+                                         (b"wx", b"w\xff", 1)])         # name not UTF-8
+def test_checkpoint_bad_text_offset(old, new, at, tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint({"wx": np.zeros(2)}, {"a": 1}), str(path))
+    raw = path.read_bytes()
+    start = raw.index(old)
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(str(path))
+    assert err.value.offset == start + at
+    assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
+
+
+def test_final_metrics_reuse_last_epoch(blob_env, monkeypatch):
+    train, test, teacher_spec, student_spec = blob_env
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "evaluate", counting)
+    optim = OptimSpec(lr=0.1, epochs=2, seed=4)
+    t_ckpt, t_logs = train_teacher(teacher_spec, train, test, optim, BatchPlan(32, 4))
+    s_ckpt, s_logs = distill(t_ckpt, student_spec, train, test, DistillConfig(proj_dim=4),
+                             optim, BatchPlan(32, 4))
+    assert len(calls) == 2 * 2 * optim.epochs  # train and test, once per epoch
+    for ckpt, logs in ((t_ckpt, t_logs), (s_ckpt, s_logs)):
+        final = ckpt.metadata["final_metrics"]
+        assert (final["train_acc"], final["test_acc"]) == (logs[-1].train_acc,
+                                                           logs[-1].test_acc)
+        model = restore_model(ckpt)
+        assert final["test_acc"] == evaluate(model, test, stats_from_metadata(ckpt.metadata),
+                                             32)
 
 
 def test_checkpoint_feeds_distill_like_memory_handoff(blob_env, tmp_path):
