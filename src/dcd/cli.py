@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import csv
 import itertools
 import os
+import pickle
 import sys
+import tempfile
 
 import numpy as np
 
@@ -35,6 +39,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 EXIT_CHECKPOINT = 4
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_widths(text: str) -> tuple[int, ...]:
@@ -295,7 +301,7 @@ def cmd_export_embeddings(cfg: dict, ckpt_path: str, out_path: str) -> int:
 
 def parse_grid(expr: str) -> list[dict[str, float]]:
     """'alpha=0.1,0.5|beta=1,100' -> cartesian product of value choices."""
-    axes: list[tuple[str, list[float]]] = []
+    axes: dict[str, list[float]] = {}
     for axis in expr.split("|"):
         if "=" not in axis:
             raise ConfigError(f"grid axis {axis!r} is not key=v1,v2,...")
@@ -303,65 +309,172 @@ def parse_grid(expr: str) -> list[dict[str, float]]:
         key = key.strip()
         if key not in ("alpha", "beta", "lambda_kl"):
             raise ConfigError(f"grid key must be alpha, beta or lambda_kl, got {key!r}")
-        axes.append((key, [float(v) for v in values.split(",") if v]))
-    cells = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        cells.append({key: value for (key, _), value in zip(axes, combo)})
-    return cells
+        if key in axes:
+            raise ConfigError(f"grid key {key!r} appears twice")
+        try:
+            axes[key] = [float(v) for v in values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad grid value for {key!r}: {exc}") from exc
+        if not axes[key]:
+            raise ConfigError(f"grid axis {key!r} has no values")
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+def _ablation_run(shared: tuple, task: tuple) -> tuple[int, int, float, str]:
+    """Distill one (cell, seed) of a sweep into its run directory.
+
+    Returns ``(cell_index, seed_index, test_acc, error)``; a failed
+    distillation gives a NaN accuracy and the error text.
+    """
+    teacher_ckpt, spec, train, test, out_dir = shared
+    cell_index, seed_index, run_cfg, distill_cfg, optim, plan = task
+    run_dir = os.path.join(out_dir, f"cell{cell_index}-seed{seed_index}")
+    os.makedirs(run_dir, exist_ok=True)
+    echo_config(run_cfg, run_dir)
+    try:
+        ckpt, logs = distill(teacher_ckpt, spec, train, test, distill_cfg, optim, plan)
+        save_checkpoint(ckpt, os.path.join(run_dir, "student.ckpt"))
+        write_epoch_csv(logs, os.path.join(run_dir, "epochs.csv"))
+        _mark_done(run_dir)
+        return (cell_index, seed_index, ckpt.metadata["final_metrics"]["test_acc"], "")
+    except Exception as exc:
+        return (cell_index, seed_index, float("nan"), f"{type(exc).__name__}: {exc}")
+
+
+# The sweep inputs every run shares, loaded once per worker process by the
+# pool initializer.
+_worker_shared: tuple | None = None
+
+
+def _init_ablation_worker(shared_path: str, start) -> None:
+    """Wait until the parent closes ``start``, then load the shared inputs."""
+    global _worker_shared
+    start.poll(None)  # end of file: every worker has been started
+    with open(shared_path, "rb") as fh:
+        _worker_shared = pickle.load(fh)
+
+
+def _ablation_worker_run(task: tuple) -> tuple[int, int, float, str]:
+    return _ablation_run(_worker_shared, task)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Set the BLAS thread count that processes started inside inherit."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update({var: str(count) for var in BLAS_THREAD_VARS})
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
+def _submit(pool, task: tuple) -> concurrent.futures.Future:
+    """Submit one sweep task; a pool already broken gives a failed future."""
+    try:
+        return pool.submit(_ablation_worker_run, task)
+    except concurrent.futures.BrokenExecutor as exc:
+        future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future
+
+
+def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) -> list[tuple]:
+    """Run sweep tasks in spawned processes; rows come back in task order.
+
+    The CPUs are split between the workers: each gets
+    ``cpu_count // workers`` BLAS threads (at least one), so the workers'
+    BLAS pools do not oversubscribe the machine.  The shared inputs are
+    pickled once to a file under ``out_dir`` that each worker's
+    initializer loads.  No worker takes a task before the pool has
+    started every worker: the pool can lose track of a worker it is
+    still starting when another one dies, and then waits for it forever.
+    A task whose worker died gets a failed row carrying the error text.
+    """
+    # Imported here so that commands without worker processes do not pay for it.
+    import multiprocessing
+
+    workers = min(jobs, len(tasks))
+    context = multiprocessing.get_context("spawn")
+    start_reader, start_writer = context.Pipe(duplex=False)
+    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+        # A small process object lets the workers start side by side; with
+        # the inputs inside it, starting each one waits on the one before.
+        shared_path = os.path.join(tmp, "shared.pickle")
+        with open(shared_path, "wb") as fh:
+            pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with start_reader, concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=context, initializer=_init_ablation_worker,
+                initargs=(shared_path, start_reader)) as pool:
+            # Workers start on submit and read the BLAS variables at start-up.
+            with start_writer, _blas_threads(max(1, (os.cpu_count() or 1) // workers)):
+                futures = [_submit(pool, task) for task in tasks]
+            rows = []
+            for (cell_index, seed_index, *_), future in zip(tasks, futures):
+                try:
+                    rows.append(future.result())
+                except concurrent.futures.BrokenExecutor as exc:
+                    rows.append((cell_index, seed_index, float("nan"),
+                                 f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: int) -> int:
+    """Distill every grid cell at ``seeds`` seeds and write ``summary.csv``.
+
+    Every run's configuration is built and checked before any run starts.
+    With ``jobs > 1`` the runs go to up to ``jobs`` worker processes
+    started with the spawn method; each worker receives the teacher and
+    the datasets once and holds its own copy of them.  Spawned workers
+    import the caller's main module again, so a script that calls
+    :func:`main` with ``--jobs`` above 1 must do so under an
+    ``if __name__ == "__main__":`` guard.  Exit code 3 when every run
+    failed.
+    """
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out_dir = cfg["out_dir"]
+    cells = parse_grid(grid_expr)
+    tasks = []
+    for cell_index, cell in enumerate(cells):
+        for seed_index in range(seeds):
+            run_cfg = {**cfg, **cell, "seed": cfg["seed"] + seed_index}
+            tasks.append((cell_index, seed_index, run_cfg, _distill_config(run_cfg),
+                          _optim(run_cfg), _plan(run_cfg)))
     os.makedirs(out_dir, exist_ok=True)
     echo_config(cfg, out_dir)
-    cells = parse_grid(grid_expr)
     teacher_ckpt = load_checkpoint(teacher_path)
     train, test = load_datasets(cfg)
-    spec = _model_spec(cfg, "student", train)
-
-    def one_run(cell_index: int, cell: dict, seed_index: int):
-        run_cfg = dict(cfg)
-        run_cfg.update(cell)
-        run_cfg["seed"] = cfg["seed"] + seed_index
-        run_dir = os.path.join(out_dir, f"cell{cell_index}-seed{seed_index}")
-        os.makedirs(run_dir, exist_ok=True)
-        echo_config(run_cfg, run_dir)
-        try:
-            ckpt, logs = distill(teacher_ckpt, spec, train, test,
-                                 _distill_config(run_cfg), _optim(run_cfg),
-                                 BatchPlan(batch_size=run_cfg["batch_size"],
-                                           shuffle_seed=run_cfg["seed"],
-                                           augment=run_cfg["augment"]))
-            save_checkpoint(ckpt, os.path.join(run_dir, "student.ckpt"))
-            write_epoch_csv(logs, os.path.join(run_dir, "epochs.csv"))
-            _mark_done(run_dir)
-            return (cell_index, seed_index, ckpt.metadata["final_metrics"]["test_acc"], "")
-        except Exception as exc:
-            return (cell_index, seed_index, float("nan"), f"{type(exc).__name__}: {exc}")
-
-    tasks = [(i, cell, s) for i, cell in enumerate(cells) for s in range(seeds)]
+    shared = (teacher_ckpt, _model_spec(cfg, "student", train), train, test, out_dir)
     if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda t: one_run(*t), tasks))
+        rows = _run_in_workers(shared, tasks, jobs, out_dir)
     else:
-        rows = [one_run(*t) for t in tasks]
+        rows = [_ablation_run(shared, task) for task in tasks]
 
     by_cell: dict[int, list[float]] = {}
     for cell_index, _, acc, _ in rows:
         by_cell.setdefault(cell_index, []).append(acc)
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("cell,alpha,beta,lambda_kl,seed,test_acc,cell_mean,cell_std,error\n")
+    with open(summary_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes error texts holding commas
+        writer.writerow(["cell", "alpha", "beta", "lambda_kl", "seed", "test_acc", "cell_mean",
+                         "cell_std", "error"])
         for cell_index, seed_index, acc, error in rows:
             cell = cells[cell_index]
             accs = np.asarray(by_cell[cell_index], dtype=np.float64)
             valid = accs[np.isfinite(accs)]
             mean = float(valid.mean()) if valid.size else float("nan")
             std = float(valid.std()) if valid.size else float("nan")
-            fh.write(f"{cell_index},{cell.get('alpha', cfg['alpha'])},"
-                     f"{cell.get('beta', cfg['beta'])},"
-                     f"{cell.get('lambda_kl', cfg['lambda_kl'])},"
-                     f"{cfg['seed'] + seed_index},{acc:.4f},{mean:.4f},{std:.4f},{error}\n")
+            writer.writerow([cell_index, cell.get("alpha", cfg["alpha"]),
+                             cell.get("beta", cfg["beta"]),
+                             cell.get("lambda_kl", cfg["lambda_kl"]), cfg["seed"] + seed_index,
+                             f"{acc:.4f}", f"{mean:.4f}", f"{std:.4f}", error])
     print(f"ablation summary: {summary_path} ({len(rows)} rows)")
     failures = sum(1 for _, _, acc, _ in rows if not np.isfinite(acc))
     if failures == len(rows):

@@ -43,12 +43,16 @@ class DistillConfig:
     detach_consistency_target: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.lambda_kl < 0:
-            raise ConfigError("alpha, beta and lambda_kl must be non-negative")
-        if self.tau_max <= 0:
-            raise ConfigError("tau_max must be positive")
-        if self.kd_temperature <= 0:
-            raise ConfigError("kd_temperature must be positive")
+        for name in ("alpha", "beta", "lambda_kl"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("tau_max", "kd_temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.b_init):
+            raise ConfigError(f"b_init must be finite, got {self.b_init}")
         if self.proj_dim < 1:
             raise ConfigError("proj_dim must be at least 1")
         if not 0.0 <= self.tau_init <= self.tau_max:

@@ -9,6 +9,7 @@ float32/int64 tensors with little-endian payloads.  Writes are atomic
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -42,10 +43,15 @@ class OptimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and non-negative, "
+                              f"got {self.weight_decay}")
+        if not all(math.isfinite(mult) and mult >= 0 for _, mult in self.schedule):
+            raise ConfigError("schedule multipliers must be finite and non-negative")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         marks = [e for e, _ in self.schedule]

@@ -1,12 +1,19 @@
 """CLI subcommands: config precedence, run artifacts, exit codes."""
 
+import concurrent.futures
+import csv
 import os
+import pickle
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from dcd.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main,
-                     parse_grid, resolve_config)
+from dcd import cli
+from dcd.cli import (BLAS_THREAD_VARS, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA,
+                     EXIT_DIVERGENCE, EXIT_OK, main, parse_grid, resolve_config)
 from dcd.errors import ConfigError
 from dcd.train import load_checkpoint, save_checkpoint
 
@@ -147,6 +154,46 @@ def test_parse_grid():
     with pytest.raises(ConfigError):
         parse_grid("gamma=1")
     assert parse_grid("beta=1") == [{"beta": 1.0}]
+    for bad in ("alpha=abc", "alpha=", "alpha=1|alpha=2"):
+        with pytest.raises(ConfigError):
+            parse_grid(bad)
+
+
+@pytest.mark.parametrize("key", ["lr", "weight_decay", "alpha", "beta", "lambda_kl",
+                                 "tau_max", "kd_temperature", "b_init"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_hyperparameter_exits_config(key, value, teacher_run, tmp_path, capsys):
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    code = main(["distill", "--teacher", teacher_ckpt, "--out", str(tmp_path / "s")] + FAST
+                + ["--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "s", "student.ckpt"))
+
+
+def test_nan_lr_or_schedule_rejected_before_teacher_training(tmp_path):
+    for setting in ("lr=nan", "schedule=1:nan"):
+        out = str(tmp_path / setting.split("=")[0])
+        assert main(["train-teacher", "--out", out] + FAST + ["--set", setting]) == EXIT_CONFIG
+        assert not os.path.exists(os.path.join(out, "teacher.ckpt"))
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("args", [["--grid", "alpha=abc"], ["--grid", "alpha="],
+                                  ["--grid", "alpha=nan"], ["--grid", "beta=0,inf"],
+                                  ["--grid", "beta=1", "--seeds", "0"],
+                                  ["--grid", "beta=1", "--jobs", "0"]])
+def test_bad_sweep_exits_config_before_any_run(args, teacher_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    out = tmp_path / "abl"
+    argv = ["ablate", "--teacher", teacher_ckpt, "--out", str(out), "--jobs", "2"] + args
+    assert main(argv + FAST) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_ablate_summary_rows(teacher_run, tmp_path):
@@ -160,6 +207,115 @@ def test_ablate_summary_rows(teacher_run, tmp_path):
     assert len(lines) - 1 == 2 * 2  # |grid| x seeds
     for cell in ("cell0-seed0", "cell0-seed1", "cell1-seed0", "cell1-seed1"):
         assert run_dir_complete(os.path.join(out, cell))
+
+
+def test_ablate_jobs_do_not_change_results(teacher_run, tmp_path):
+    """Workers run with fewer BLAS threads; every run's files stay byte-identical."""
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    env_before = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["ablate", "--teacher", teacher_ckpt, "--out", str(outs[jobs]),
+                     "--grid", "beta=0,1", "--seeds", "2", "--jobs", jobs] + FAST) == EXIT_OK
+    assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == env_before
+    for run in ("cell0-seed0", "cell0-seed1", "cell1-seed0", "cell1-seed1"):
+        for name in ("student.ckpt", "epochs.csv"):
+            assert (outs["1"] / run / name).read_bytes() == (outs["2"] / run / name).read_bytes()
+    assert (outs["1"] / "summary.csv").read_text() == (outs["2"] / "summary.csv").read_text()
+
+
+class _BreakingPool:
+    """Runs the first ``ok`` tasks in this process, then breaks like a pool whose
+    worker died: the next task's future fails and later submits raise."""
+
+    ok = 0
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        with open(initargs[0], "rb") as fh:
+            self.shared = pickle.load(fh)
+        self.broken = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        if self.broken:
+            raise BrokenProcessPool("a worker died, pool unusable")
+        future = concurrent.futures.Future()
+        if self.ok > 0:
+            self.ok -= 1
+            future.set_result(cli._ablation_run(self.shared, task))
+        else:
+            self.broken = True
+            future.set_exception(BrokenProcessPool("a worker died, pool unusable"))
+        return future
+
+
+@pytest.mark.parametrize("ok,expected", [(0, EXIT_DIVERGENCE), (1, EXIT_OK)])
+def test_dead_worker_gives_failed_rows(ok, expected, teacher_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(_BreakingPool, "ok", ok)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _BreakingPool)
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    out = tmp_path / "abl"
+    code = main(["ablate", "--teacher", teacher_ckpt, "--out", str(out),
+                 "--grid", "beta=0,1", "--seeds", "2", "--jobs", "2"] + FAST)
+    assert code == expected
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for index, row in enumerate(rows):
+        if index < ok:
+            assert row["error"] == ""
+        else:
+            assert row["error"] == "BrokenProcessPool: a worker died, pool unusable"
+            assert row["test_acc"] == "nan"
+
+
+# A script calling the CLI with the beta=0 runs' batch plans replaced by an
+# object that kills the worker process unpickling it, so the first worker dies
+# on its first task.  Run as a file, it is imported again by each spawned
+# worker, which slows their start as a real script's import would.
+_CRASHING_SWEEP = """
+import os, sys
+from dcd import cli
+
+class Crash:
+    def __reduce__(self):
+        return (os._exit, (7,))
+
+if __name__ == "__main__":
+    plan = cli._plan
+    cli._plan = lambda cfg: Crash() if cfg["beta"] == 0.0 else plan(cfg)
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_killed_worker_gives_failed_rows_without_hanging(tmp_path):
+    # A teacher of about 0.5 MB: more than a pipe buffer holds.
+    wide = FAST + ["--set", "teacher_widths=256,256"]
+    assert main(["train-teacher", "--out", str(tmp_path / "t"), "--seed", "1"] + wide) == EXIT_OK
+    teacher_ckpt = str(tmp_path / "t" / "teacher.ckpt")
+    script = tmp_path / "crashing_sweep.py"
+    script.write_text(_CRASHING_SWEEP)
+    out = tmp_path / "abl"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, str(script), "ablate", "--teacher", teacher_ckpt,
+                           "--out", str(out), "--grid", "beta=0,1", "--seeds", "2",
+                           "--jobs", "2"] + wide,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (EXIT_OK, EXIT_DIVERGENCE), proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(None not in row for row in rows)  # no extra fields
+    errors = [row["error"] for row in rows]
+    assert all(error.startswith("BrokenProcessPool: ") for error in errors[:2])
+    assert all(error == "" or error.startswith("BrokenProcessPool: ") for error in errors[2:])
 
 
 def test_single_cell_grid_matches_plain_distill(teacher_run, tmp_path):
