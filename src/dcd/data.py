@@ -9,6 +9,7 @@ float32 in [0, 1] and widened to float64 at batch assembly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ class BatchPlan:
 class Batch:
     images: Tensor      # [n, C, H, W] float64, standardized
     labels: np.ndarray  # [n] int64
+    index: np.ndarray   # [n] int64, the rows' positions in the dataset
 
 
 def parse_cifar10(raw: bytes) -> Dataset:
@@ -153,11 +155,21 @@ def _blob_means(classes: int, dim: int, separation: float, rng: np.random.Genera
     return 0.5 + (separation / np.sqrt(2.0)) * dirs
 
 
+def _check_blob_args(classes: int, dim: int, std: float, separation: float,
+                     **per_class: int) -> None:
+    for name, value in (("classes", classes), ("dim", dim), *per_class.items()):
+        if value < 1:
+            raise ConfigError(f"blob {name} must be at least 1, got {value}")
+    if not (math.isfinite(std) and std >= 0):
+        raise ConfigError(f"blob std must be finite and non-negative, got {std}")
+    if not math.isfinite(separation):
+        raise ConfigError(f"blob separation must be finite, got {separation}")
+
+
 def synth_blobs(classes: int, per_class: int, dim: int, seed: int,
                 std: float = 0.03, separation: float = 0.3) -> Dataset:
     """Gaussian clusters around equidistant means, deterministic per seed."""
-    if classes < 1 or per_class < 1 or dim < 1:
-        raise ConfigError("classes, per_class and dim must all be at least 1")
+    _check_blob_args(classes, dim, std, separation, per_class=per_class)
     rng = np.random.default_rng(seed)
     means = _blob_means(classes, dim, separation, rng)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
@@ -170,6 +182,8 @@ def synth_blob_split(classes: int, train_per_class: int, test_per_class: int, di
                      seed: int, std: float = 0.03, separation: float = 0.3,
                      ) -> tuple[Dataset, Dataset]:
     """Train/test blob datasets drawn around the same class means."""
+    _check_blob_args(classes, dim, std, separation, train_per_class=train_per_class,
+                     test_per_class=test_per_class)
     rng = np.random.default_rng(seed)
     means = _blob_means(classes, dim, separation, rng)
     out = []
@@ -230,7 +244,7 @@ def batches(dataset: Dataset, plan: BatchPlan, epoch: int,
             images = _pad_crop(images, offsets)
         if stats is not None:
             images = standardize(images, stats)
-        yield Batch(Tensor(images), dataset.labels[idx])
+        yield Batch(Tensor(images), dataset.labels[idx], idx)
 
 
 def eval_batches(dataset: Dataset, stats: tuple[np.ndarray, np.ndarray] | None,
@@ -241,4 +255,5 @@ def eval_batches(dataset: Dataset, stats: tuple[np.ndarray, np.ndarray] | None,
         images = dataset.images[start:start + batch_size].astype(np.float64)
         if stats is not None:
             images = standardize(images, stats)
-        yield Batch(Tensor(images), dataset.labels[start:start + batch_size])
+        yield Batch(Tensor(images), dataset.labels[start:start + batch_size],
+                    np.arange(start, min(start + batch_size, m)))

@@ -8,6 +8,7 @@ module treats them strictly as data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -55,6 +56,10 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
     from .errors import DivergenceError
     from .train import sgd_step
 
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"probe lr must be finite and positive, got {lr}")
+    if epochs < 0:
+        raise ConfigError(f"probe epochs must be non-negative, got {epochs}")
     x_train, y_train = extract_features(frozen_model, train, stats, batch_size)
     x_test, y_test = extract_features(frozen_model, test, stats, batch_size)
     dim = x_train.shape[1]

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, collect_grads
-from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches
+from .autodiff import Parameter, Tape, Tensor, add, collect_grads, scale
+from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches, standardize
 from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError
-from .losses import DistillConfig, EmbeddingPair, cross_entropy_loss, \
-    temperature_parameters, total_loss
+from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
+    kd_kl_loss, temperature_parameters, total_loss
 from .models import Model, ModelSpec, ProjectionHead, init_weights, project
 
 CHECKPOINT_MAGIC = b"DCDC"
@@ -299,9 +299,6 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
 
 
 def _supervised_breakdown(s_logits, t_logits, labels, cfg: DistillConfig):
-    from .autodiff import Tensor, add, scale
-    from .losses import LossBreakdown, kd_kl_loss
-
     sup = cross_entropy_loss(s_logits, labels)
     distill_kl = kd_kl_loss(s_logits, t_logits, cfg.kd_temperature)
     zero = Tensor(0.0)
@@ -316,11 +313,48 @@ def _project(head: ProjectionHead, features, step: int):
         raise DivergenceError(f"{head.owner} projection head: {exc}", step) from exc
 
 
+def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats, plan: BatchPlan,
+                            epochs: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The frozen teacher's features and logits for every training row, or
+    None when the plan augments (each step then sees new pixels) or there
+    are no epochs to serve.
+
+    The teacher runs over windows of exactly ``min(batch_size, rows)``
+    rows, the last one ending at the final row and overlapping the one
+    before it, so every row goes through matmuls of the row count a full
+    training batch has: BLAS may pick its kernel by row count, and a row
+    computed in a window of another size can differ in the last bits.
+    Where BLAS also rounds a row by its position in the matmul (seen for
+    narrow logits, e.g. 2 classes), the outputs are one fixed rounding of
+    each row and the per-step outputs may differ from them by an ulp.
+    """
+    if plan.augment != "none" or epochs == 0:
+        return None
+    m = len(train)
+    bs = min(plan.batch_size, m)
+    feats = np.empty((m, teacher.spec.feature_dim))
+    logits = np.empty((m, teacher.spec.num_classes))
+    for start in range(0, m, plan.batch_size):
+        start = min(start, m - bs)  # the last window ends at the final row
+        rows = slice(start, start + bs)
+        images = standardize(train.images[rows].astype(np.float64), stats)
+        f, z = teacher.forward(Tensor(images))
+        feats[rows], logits[rows] = f.data, z.data
+    return feats, logits
+
+
 def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, test: Dataset,
             cfg: DistillConfig, optim: OptimSpec, plan: BatchPlan | None = None,
             ) -> tuple[Checkpoint, list[EpochLog]]:
     """Optimize the student, both projection heads, tau and b under the
-    combined objective; the teacher backbone stays frozen."""
+    combined objective; the teacher backbone stays frozen.
+
+    Without augmentation the teacher runs over the training split once,
+    before the first epoch (:func:`_frozen_teacher_outputs`), and every
+    full batch gathers its rows from those outputs; only a short last
+    batch runs the teacher again.  With augmentation it runs on every
+    batch.
+    """
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
     if "channel_mean" in teacher_ckpt.metadata:
@@ -336,6 +370,8 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     params = student.parameters() + [t_head.weight, s_head.weight]
     if cfg.learn_temperature:
         params += [tau, b]
+    cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
+    full_batch = min(plan.batch_size, len(train))
     state: dict[int, np.ndarray] = {}
     logs: list[EpochLog] = []
     step = 0
@@ -344,7 +380,10 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
         sums = np.zeros(5)
         seen = 0
         for batch in batches(train, plan, epoch, stats):
-            t_feats, t_logits = teacher.forward(batch.images)  # untracked: no tape active
+            if cached is not None and len(batch.index) == full_batch:
+                t_feats, t_logits = (Tensor(out[batch.index]) for out in cached)
+            else:
+                t_feats, t_logits = teacher.forward(batch.images)  # untracked: no tape active
             with Tape() as tape:
                 s_feats, s_logits = student.forward(batch.images)
                 if cfg.beta != 0.0:

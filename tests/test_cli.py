@@ -71,6 +71,28 @@ def test_bad_set_value_exits_config_naming_key(key, value, tmp_path, capsys):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("blob_std", "nan"), ("blob_std", "inf"),
+                                       ("blob_std", "-0.1"), ("blob_separation", "nan"),
+                                       ("blob_dim", "0"), ("blob_classes", "0"),
+                                       ("blob_train_per_class", "0"),
+                                       ("blob_test_per_class", "0")])
+def test_bad_blob_value_exits_config(key, value, tmp_path, capsys):
+    code = main(["train-teacher", "--out", str(tmp_path / "x")] + FAST
+                + ["--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert "config error: blob" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x" / "teacher.ckpt")
+
+
+@pytest.mark.parametrize("key,value", [("probe_lr", "nan"), ("probe_lr", "-1"),
+                                       ("probe_lr", "0"), ("probe_epochs", "-3")])
+def test_bad_probe_value_exits_config(key, value, teacher_run, capsys):
+    ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    code = main(["transfer", "--ckpt", ckpt] + FAST + ["--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert "config error: probe" in capsys.readouterr().err
+
+
 def test_teacher_run_artifacts(teacher_run):
     assert run_dir_complete(teacher_run)
     assert os.path.exists(os.path.join(teacher_run, "teacher.ckpt"))

@@ -146,8 +146,10 @@ def test_blob_split_shares_means():
 
 
 def test_blobs_validation():
-    with pytest.raises(ConfigError):
-        synth_blobs(0, 5, 4, seed=0)
+    for bad in ({"classes": 0}, {"per_class": 0}, {"dim": 0}, {"std": float("nan")},
+                {"std": -0.1}, {"separation": float("inf")}):
+        with pytest.raises(ConfigError):
+            synth_blobs(**{"classes": 2, "per_class": 5, "dim": 4, "seed": 0, **bad})
 
 
 def test_plan_validation():
@@ -177,10 +179,11 @@ def test_batches_partition_each_epoch():
         seen = []
         for batch in batches(ds, plan, epoch):
             # recover indices by matching rows (all rows unique w.p. 1)
-            for row in batch.images.data.reshape(len(batch.labels), -1):
+            rows = batch.images.data.reshape(len(batch.labels), -1)
+            for row, index in zip(rows, batch.index, strict=True):
                 matches = np.nonzero(
                     (ds.images.reshape(34, -1) == row.astype(np.float32)).all(axis=1))[0]
-                assert matches.size == 1
+                assert matches.size == 1 and matches[0] == index
                 seen.append(matches[0])
         assert sorted(seen) == list(range(34))
 
@@ -226,3 +229,4 @@ def test_standardization_uses_train_stats():
     assert batch.images.data.shape == (60, 1, 1, 4)
     redo = standardize(test.images[:60].astype(np.float64), stats)
     assert np.array_equal(batch.images.data, redo)
+    assert np.array_equal(batch.index, np.arange(60))

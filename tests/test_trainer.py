@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dcd.autodiff import Parameter
-from dcd.data import BatchPlan, synth_blob_split
+from dcd.data import BatchPlan, batches, synth_blob_split
 from dcd.errors import CheckpointFormatError, ConfigError
 from dcd.losses import DistillConfig
-from dcd.models import ModelSpec
+from dcd.models import ModelSpec, mlp_pair
 from dcd import train as train_mod
 from dcd.cli import EXIT_CHECKPOINT, main
 from dcd.train import (Checkpoint, OptimSpec, distill, evaluate, load_checkpoint,
@@ -239,6 +239,117 @@ def test_final_metrics_reuse_last_epoch(blob_env, monkeypatch):
         model = restore_model(ckpt)
         assert final["test_acc"] == evaluate(model, test, stats_from_metadata(ckpt.metadata),
                                              32)
+
+
+@pytest.fixture(scope="module")
+def blob_teacher(blob_env):
+    train, test, teacher_spec, _ = blob_env
+    ckpt, _ = train_teacher(teacher_spec, train, test, OptimSpec(lr=0.1, epochs=2, seed=1),
+                            BatchPlan(32, 1))
+    return ckpt
+
+
+@pytest.fixture(scope="module")
+def cli_blob_env():
+    """The CLI's blob shapes (4 classes, 32 dims, the shipped MLP pair) on 80 rows."""
+    train, test = synth_blob_split(4, 20, 10, 32, seed=42, std=0.1, separation=0.3)
+    teacher_spec, student_spec = mlp_pair((1, 1, 32), 4)
+    t_ckpt, _ = train_teacher(teacher_spec, train, test, OptimSpec(lr=0.05, epochs=2, seed=1),
+                              BatchPlan(32, 1))
+    return train, test, t_ckpt, student_spec
+
+
+def _distill_both_ways(monkeypatch, tmp_path, *args):
+    """Checkpoint bytes and epoch rows of ``distill(*args)``, first with the
+    teacher's outputs precomputed, then with the teacher run on every batch."""
+    out = []
+    for name in ("precomputed", "per_step"):
+        if name == "per_step":
+            monkeypatch.setattr(train_mod, "_frozen_teacher_outputs", lambda *a: None)
+        ckpt, logs = distill(*args)
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(ckpt, str(path))
+        out.append((path.read_bytes(), [log.row() for log in logs]))
+    return out
+
+
+@pytest.mark.parametrize("batch_size", [79, 33, 40, 128])  # 80 rows: tails 1, 14, 0, none
+def test_precomputed_teacher_outputs_match_per_step_forward(batch_size, cli_blob_env,
+                                                            monkeypatch, tmp_path):
+    train, test, t_ckpt, student_spec = cli_blob_env
+    precomputed, per_step = _distill_both_ways(
+        monkeypatch, tmp_path, t_ckpt, student_spec, train, test, DistillConfig(proj_dim=16),
+        OptimSpec(lr=0.05, epochs=3, seed=3), BatchPlan(batch_size, 3))
+    assert precomputed == per_step
+
+
+def test_precomputed_convnet_teacher_outputs_match_per_step_forward(rng, monkeypatch,
+                                                                    tmp_path):
+    from dcd.data import Dataset
+    images = rng.uniform(0, 1, (28, 2, 8, 8)).astype(np.float32)
+    labels = rng.integers(0, 2, 28)
+    train = Dataset(images[:20], labels[:20], 2, "synthimg-train")
+    test = Dataset(images[20:], labels[20:], 2, "synthimg-test")
+    t_ckpt, _ = train_teacher(ModelSpec("convnet", (6, 8), 2, (2, 8, 8)), train, test,
+                              OptimSpec(lr=0.1, epochs=1, seed=0), BatchPlan(8, 0))
+    precomputed, per_step = _distill_both_ways(
+        monkeypatch, tmp_path, t_ckpt, ModelSpec("convnet", (3, 4), 2, (2, 8, 8)), train,
+        test, DistillConfig(proj_dim=4), OptimSpec(lr=0.05, epochs=2, seed=1),
+        BatchPlan(8, 1))
+    assert precomputed == per_step
+
+
+def test_precomputed_teacher_outputs_within_rounding_of_per_step_forward(
+        blob_env, blob_teacher, monkeypatch):
+    """Some BLAS builds round a row of a narrow matmul (here the 2-class
+    logits) differently by the row's position in a 17-row batch, so the
+    per-step teacher outputs of a row can differ by an ulp from step to
+    step; the precomputed outputs are one fixed rounding of each row."""
+    train, test, _, student_spec = blob_env
+    teacher = restore_model(blob_teacher)
+    stats = stats_from_metadata(blob_teacher.metadata)
+    plan = BatchPlan(17, 3)
+    feats, logits = train_mod._frozen_teacher_outputs(teacher, train, stats, plan, 1)
+    for batch in batches(train, plan, 0, stats):
+        f, z = teacher.forward(batch.images)
+        assert np.allclose(f.data, feats[batch.index], rtol=0, atol=1e-13)
+        assert np.allclose(z.data, logits[batch.index], rtol=0, atol=1e-13)
+    args = (blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
+            OptimSpec(lr=0.02, epochs=3, seed=3), plan)
+    precomputed, _ = distill(*args)
+    monkeypatch.setattr(train_mod, "_frozen_teacher_outputs", lambda *a: None)
+    per_step, _ = distill(*args)
+    for name, arr in per_step.tensors.items():
+        assert np.allclose(precomputed.tensors[name], arr, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("augment,epochs,batch_size,rows", [
+    ("none", 3, 17, 8 * 17 + 3 * 1),  # 8 windows, the last overlapping; 1-row tails
+    ("none", 3, 53, 3 * 53 + 3 * 14),
+    ("none", 3, 40, 120),
+    ("none", 3, 128, 120),
+    ("flip", 3, 17, 3 * 120),
+    ("none", 0, 17, 0),
+])
+def test_teacher_forward_rows(augment, epochs, batch_size, rows, blob_env, blob_teacher,
+                              monkeypatch):
+    train, test, _, student_spec = blob_env
+    seen = []
+
+    def counting_restore(ckpt):
+        teacher = restore_model(ckpt)
+        forward = teacher.forward
+
+        def counted(images):
+            seen.append(images.shape[0])
+            return forward(images)
+        teacher.forward = counted
+        return teacher
+
+    monkeypatch.setattr(train_mod, "restore_model", counting_restore)
+    distill(blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
+            OptimSpec(lr=0.02, epochs=epochs, seed=3), BatchPlan(batch_size, 3, augment))
+    assert sum(seen) == rows
 
 
 def test_checkpoint_feeds_distill_like_memory_handoff(blob_env, tmp_path):
