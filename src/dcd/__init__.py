@@ -11,7 +11,7 @@ from .autodiff import Parameter, Tape, Tensor
 from .data import Batch, BatchPlan, Dataset, batches, parse_cifar10, parse_cifar100, \
     parse_mnist_idx, synth_blobs
 from .losses import DistillConfig, EmbeddingPair, LossBreakdown, contrastive_loss, \
-    consistency_loss, cross_entropy_loss, dcd_loss, kd_kl_loss, similarity_logits, \
+    consistency_loss, cross_entropy_loss, kd_kl_loss, similarity_logits, \
     student_distribution, teacher_distribution, temperature_parameters, total_loss
 from .metrics import negative_buffer_bytes, relative_improvement, top1_accuracy
 from .models import ModelSpec, ProjectionHead, init_weights, project
@@ -22,7 +22,7 @@ __all__ = [
     "Batch", "BatchPlan", "Checkpoint", "Dataset", "DistillConfig", "EmbeddingPair",
     "LossBreakdown", "ModelSpec", "OptimSpec", "Parameter", "ProjectionHead", "Tape",
     "Tensor", "batches", "consistency_loss", "contrastive_loss", "cross_entropy_loss",
-    "dcd_loss", "distill", "init_weights", "kd_kl_loss", "load_checkpoint",
+    "distill", "init_weights", "kd_kl_loss", "load_checkpoint",
     "negative_buffer_bytes", "parse_cifar10", "parse_cifar100", "parse_mnist_idx",
     "project", "relative_improvement", "save_checkpoint", "sgd_step", "similarity_logits",
     "student_distribution", "synth_blobs", "teacher_distribution",

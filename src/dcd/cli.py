@@ -43,6 +43,13 @@ EXIT_CHECKPOINT = 4
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _parse_widths(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v)
 
@@ -70,9 +77,9 @@ CONFIG_KEYS: dict = {
     "dataset": (str, "blobs"),
     "data_dir": (str, ""),
     "out_dir": (str, "runs/run"),
-    "seed": (int, 0),
-    "data_seed": (int, 42),            # blob generation only; training uses `seed`
-    "train_limit": (int, 0),           # 0 = use everything
+    "seed": (_parse_count, 0),
+    "data_seed": (_parse_count, 42),   # blob generation only; training uses `seed`
+    "train_limit": (_parse_count, 0),  # 0 = use everything
     "teacher_family": (str, "mlp"),
     "teacher_widths": (_parse_widths, (512, 512)),
     "student_family": (str, "mlp"),
@@ -194,6 +201,9 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     if limit:
         train = Dataset(train.images[:limit], train.labels[:limit],
                         train.class_count, f"{train.name}[:{limit}]")
+    for split, ds in (("training", train), ("test", test)):
+        if len(ds) == 0:
+            raise FormatError(f"the {kind} {split} split in {data_dir!r} has no rows")
     return train, test
 
 

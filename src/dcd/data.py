@@ -166,33 +166,39 @@ def _check_blob_args(classes: int, dim: int, std: float, separation: float,
         raise ConfigError(f"blob separation must be finite, got {separation}")
 
 
+def _blob_draw(means: np.ndarray, per_class: int, std: float, rng: np.random.Generator,
+               name: str) -> Dataset:
+    """One split: ``per_class`` rows per class around ``means``, in class order."""
+    classes, dim = means.shape
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    values = means[labels] + std * rng.normal(size=(classes * per_class, dim))
+    images = np.clip(values, 0.0, 1.0).astype(np.float32).reshape(-1, 1, 1, dim)
+    return Dataset(images, labels, classes, name)
+
+
 def synth_blobs(classes: int, per_class: int, dim: int, seed: int,
                 std: float = 0.03, separation: float = 0.3) -> Dataset:
     """Gaussian clusters around equidistant means, deterministic per seed."""
     _check_blob_args(classes, dim, std, separation, per_class=per_class)
     rng = np.random.default_rng(seed)
     means = _blob_means(classes, dim, separation, rng)
-    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    values = means[labels] + std * rng.normal(size=(classes * per_class, dim))
-    images = np.clip(values, 0.0, 1.0).astype(np.float32).reshape(-1, 1, 1, dim)
-    return Dataset(images, labels, classes, f"blobs{classes}x{per_class}d{dim}")
+    return _blob_draw(means, per_class, std, rng, f"blobs{classes}x{per_class}d{dim}")
 
 
 def synth_blob_split(classes: int, train_per_class: int, test_per_class: int, dim: int,
                      seed: int, std: float = 0.03, separation: float = 0.3,
                      ) -> tuple[Dataset, Dataset]:
-    """Train/test blob datasets drawn around the same class means."""
+    """Train/test blob datasets drawn around the same class means; the
+    training split equals ``synth_blobs`` with the same arguments."""
     _check_blob_args(classes, dim, std, separation, train_per_class=train_per_class,
                      test_per_class=test_per_class)
     rng = np.random.default_rng(seed)
     means = _blob_means(classes, dim, separation, rng)
-    out = []
-    for per_class, tag in ((train_per_class, "train"), (test_per_class, "test")):
-        labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-        values = means[labels] + std * rng.normal(size=(classes * per_class, dim))
-        images = np.clip(values, 0.0, 1.0).astype(np.float32).reshape(-1, 1, 1, dim)
-        out.append(Dataset(images, labels, classes, f"blobs-{tag}{classes}x{per_class}d{dim}"))
-    return out[0], out[1]
+    train = _blob_draw(means, train_per_class, std, rng,
+                       f"blobs-train{classes}x{train_per_class}d{dim}")
+    test = _blob_draw(means, test_per_class, std, rng,
+                      f"blobs-test{classes}x{test_per_class}d{dim}")
+    return train, test
 
 
 def channel_stats(train: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -170,15 +170,6 @@ def consistency_loss(pair: EmbeddingPair, tau, b, detach_target: bool = False) -
     return ad.scale(ad.tsum(ad.mul(p, ad.sub(ls, lt))), 1.0 / pair.n)
 
 
-def dcd_loss(pair: EmbeddingPair, tau, b, cfg: DistillConfig) -> Tensor:
-    """Contrastive term plus alpha-weighted consistency term."""
-    contrast = contrastive_loss(pair, tau, b)
-    if cfg.alpha == 0.0:
-        return contrast
-    consist = consistency_loss(pair, tau, b, cfg.detach_consistency_target)
-    return ad.add(contrast, ad.scale(consist, cfg.alpha))
-
-
 def _np_log_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -240,22 +231,25 @@ class LossBreakdown:
         }
 
 
-def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPair,
+def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPair | None,
                tau, b, cfg: DistillConfig) -> LossBreakdown:
     """Supervised CE + lambda * plain KD KL + beta * (contrast + alpha * consist).
 
     Zero-weighted terms are still evaluated for logging but excluded
     from the total's graph, so e.g. beta=0, lambda=0 optimizes exactly
-    the supervised loss.
+    the supervised loss.  ``pair=None`` (allowed only at beta=0) skips
+    the embedding terms, which then read zero.
     """
     sup = cross_entropy_loss(student_logits, labels)
     distill_kl = kd_kl_loss(student_logits, teacher_logits, cfg.kd_temperature)
-    contrast = contrastive_loss(pair, tau, b)
-    consist = consistency_loss(pair, tau, b, cfg.detach_consistency_target)
-    if cfg.alpha == 0.0:
-        kd = contrast
+    if pair is None:
+        if cfg.beta != 0.0:
+            raise ConfigError(f"beta={cfg.beta} needs an embedding pair")
+        contrast = consist = kd = Tensor(0.0)
     else:
-        kd = ad.add(contrast, ad.scale(consist, cfg.alpha))
+        contrast = contrastive_loss(pair, tau, b)
+        consist = consistency_loss(pair, tau, b, cfg.detach_consistency_target)
+        kd = contrast if cfg.alpha == 0.0 else ad.add(contrast, ad.scale(consist, cfg.alpha))
     total = sup
     if cfg.lambda_kl != 0.0:
         total = ad.add(total, ad.scale(distill_kl, cfg.lambda_kl))

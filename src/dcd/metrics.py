@@ -15,11 +15,12 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, collect_grads
+from .autodiff import Parameter, Tape, Tensor, add_rowvec, collect_grads, matmul
 from .data import Dataset, eval_batches
-from .errors import ConfigError, FormatError, ShapeMismatchError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from .losses import cross_entropy_loss
 from .models import Model, ProjectionHead, project
+from .train import sgd_step
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -52,10 +53,6 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
     Standardization statistics come from the model's own training data
     and are reused verbatim on the transfer splits.
     """
-    from .autodiff import Parameter, add_rowvec, matmul  # local to avoid cycles
-    from .errors import DivergenceError
-    from .train import sgd_step
-
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigError(f"probe lr must be finite and positive, got {lr}")
     if epochs < 0:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Tensor, add, collect_grads, scale
+from .autodiff import Parameter, Tape, Tensor, collect_grads
 from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches, standardize
 from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError
-from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
-    kd_kl_loss, temperature_parameters, total_loss
+from .losses import DistillConfig, EmbeddingPair, cross_entropy_loss, temperature_parameters, \
+    total_loss
 from .models import Model, ModelSpec, ProjectionHead, init_weights, project
 
 CHECKPOINT_MAGIC = b"DCDC"
@@ -298,14 +298,6 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
     return Checkpoint(model_tensors(model), metadata), logs
 
 
-def _supervised_breakdown(s_logits, t_logits, labels, cfg: DistillConfig):
-    sup = cross_entropy_loss(s_logits, labels)
-    distill_kl = kd_kl_loss(s_logits, t_logits, cfg.kd_temperature)
-    zero = Tensor(0.0)
-    total = sup if cfg.lambda_kl == 0.0 else add(sup, scale(distill_kl, cfg.lambda_kl))
-    return LossBreakdown(sup, distill_kl, zero, zero, zero, total)
-
-
 def _project(head: ProjectionHead, features, step: int):
     try:
         return project(head, features)
@@ -386,15 +378,13 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
                 t_feats, t_logits = teacher.forward(batch.images)  # untracked: no tape active
             with Tape() as tape:
                 s_feats, s_logits = student.forward(batch.images)
+                # the projection pipeline is unused at beta=0; skipping it
+                # keeps the reduced objectives exact and robust
+                pair = None
                 if cfg.beta != 0.0:
-                    zs = _project(s_head, s_feats, step)
-                    zt = _project(t_head, t_feats, step)
-                    pair = EmbeddingPair(zs, zt)
-                    bd = total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
-                else:
-                    # the projection pipeline is unused at beta=0; skipping it
-                    # keeps the reduced objectives exact and robust
-                    bd = _supervised_breakdown(s_logits, t_logits, batch.labels, cfg)
+                    pair = EmbeddingPair(_project(s_head, s_feats, step),
+                                         _project(t_head, t_feats, step))
+                bd = total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
                 if not bd.total.is_finite():
                     raise DivergenceError("distillation loss is non-finite", step)
                 tape.backward(bd.total)

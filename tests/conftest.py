@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dcd.verify import loss_close, unit_rows  # noqa: F401  re-exported for the test modules
+
 
 def rel_err(a, b, floor=1e-6):
     """Max elementwise relative error with a denominator floor."""
@@ -34,20 +36,6 @@ def central_difference(f, arrays, step=1e-5):
             gflat[i] = (fp - fm) / (2.0 * step)
         grads.append(g)
     return grads
-
-
-def unit_rows(rng, n, d):
-    """Random row-normalized matrix with rows kept away from zero."""
-    while True:
-        z = rng.uniform(-2.0, 2.0, (n, d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        if norms.min() > 1e-3:
-            return z / norms
-
-
-def loss_close(a, b, tol=1e-12):
-    """Absolute tolerance for O(1) losses, relative above that scale."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 @pytest.fixture

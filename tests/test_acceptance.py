@@ -1,31 +1,23 @@
 """Acceptance criteria, one test per criterion, each printing a pass line.
 
-Criterion 6's image-data variant needs the CIFAR-10 binary batches on
-disk (env var DCD_CIFAR10_DIR or ./data/cifar-10-batches-bin); it skips
-when the files are absent.  The blob fallback always runs.
+Criteria 1-5 and 8 call the checks of :mod:`dcd.verify`, the same ones
+``dcd verify`` runs, and assert their results.  Criterion 6's image-data
+variant needs the CIFAR-10 binary batches on disk (env var
+DCD_CIFAR10_DIR or ./data/cifar-10-batches-bin); it skips when the files
+are absent.  The blob fallback always runs.
 """
 
-import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import loss_close, rel_err, unit_rows
-
-from dcd import oracle, recipes
-from dcd.autodiff import Tape, Tensor, collect_grads
-from dcd.data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
-                      serialize_cifar10, serialize_cifar100, serialize_mnist_idx)
-from dcd.losses import (DistillConfig, EmbeddingPair, consistency_loss, contrastive_loss,
-                        cross_entropy_loss, kd_kl_loss, student_distribution,
-                        teacher_distribution, temperature_parameters, total_loss)
-from dcd.metrics import (export_embeddings, fixture_relative_improvement,
-                         negative_buffer_bytes, read_embeddings)
-from dcd.models import (ModelSpec, ProjectionHead, convnet_pair, init_weights, project)
-from dcd.train import (Checkpoint, OptimSpec, distill, load_checkpoint, save_checkpoint,
-                       train_teacher)
+from dcd import recipes, verify
+from dcd.data import BatchPlan, Dataset, parse_cifar10
+from dcd.losses import DistillConfig
+from dcd.models import convnet_pair
+from dcd.train import OptimSpec, distill, train_teacher
 
 
 def report(num, name, started, budget):
@@ -34,144 +26,44 @@ def report(num, name, started, budget):
     print(f"\nACCEPTANCE {num} PASS ({elapsed:.1f}s): {name}")
 
 
+def passed(check):
+    """Run one verify check, assert it passed and return its result."""
+    result = check()
+    assert result.ok, f"{result.name}: {result.detail}"
+    return result
+
+
 def test_criterion_1_oracle_equivalence():
     started = time.time()
-    rng = np.random.default_rng(20240601)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        d = int(rng.integers(2, 17))
-        zs = unit_rows(rng, n, d)
-        zt = unit_rows(rng, n, d)
-        tau = float(rng.uniform(0.0, 10.0))
-        b = float(rng.uniform(-1.0, 1.0))
-        pair = EmbeddingPair(Tensor(zs), Tensor(zt))
-        assert loss_close(contrastive_loss(pair, tau, b).item(),
-                          oracle.oracle_contrastive(zs, zt, tau, b).value)
-        assert loss_close(consistency_loss(pair, tau, b).item(),
-                          oracle.oracle_consistency(zs, zt, tau, b).value)
-        c = int(rng.integers(2, 13))
-        s_logits = rng.uniform(-4, 4, (n, c))
-        t_logits = rng.uniform(-4, 4, (n, c))
-        assert loss_close(kd_kl_loss(Tensor(s_logits), Tensor(t_logits), 4.0).item(),
-                          oracle.oracle_kd_kl(s_logits, t_logits, 4.0).value)
-        labels = rng.integers(0, c, n)
-        assert loss_close(cross_entropy_loss(Tensor(s_logits), labels).item(),
-                          oracle.oracle_cross_entropy(s_logits, labels).value)
-    report(1, "vectorized losses match loop oracles on 100 instances", started, 10)
+    assert verify.LOSS_TOL == 1e-12
+    result = passed(verify.check_oracle_equivalence)
+    report(1, f"vectorized losses match loop oracles on {result.detail}", started, 10)
 
 
 def test_criterion_2_full_gradient_check():
     started = time.time()
-    rng = np.random.default_rng(7)
-    student_spec = ModelSpec("mlp", (8, 8), 3, (1, 1, 6))   # 2-layer MLP student
-    teacher_spec = ModelSpec("mlp", (12, 12), 3, (1, 1, 6))
-    student = init_weights(student_spec, 1)
-    teacher = init_weights(teacher_spec, 2)
-    cfg = DistillConfig(proj_dim=5)
-    s_head = ProjectionHead.create(8, 5, "student", [1, 2])
-    t_head = ProjectionHead.create(12, 5, "teacher", [1, 1])
-    tau, b = temperature_parameters(cfg)
-    images = rng.uniform(0, 1, (4, 1, 1, 6))  # N=4 batch
-    labels = rng.integers(0, 3, 4)
-    params = student.parameters() + [s_head.weight, t_head.weight, tau, b]
-
-    def breakdown():
-        t_feats, t_logits = teacher.forward(Tensor(images))
-        s_feats, s_logits = student.forward(Tensor(images))
-        pair = EmbeddingPair(project(s_head, s_feats), project(t_head, t_feats))
-        return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg)
-
-    with Tape() as tape:
-        tape.backward(breakdown().total)
-    collect_grads(tape, params)
-    step = 1e-5
-    checked = 0
-    for p in params:
-        assert p.grad is not None and p.grad.shape == p.value.shape, p.name
-        flat = p.value.data.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = breakdown().total.item()
-            flat[i] = orig - step
-            fm = breakdown().total.item()
-            flat[i] = orig
-            fd = (fp - fm) / (2.0 * step)
-            assert rel_err(gflat[i], fd, floor=1e-4) < 1e-4, f"{p.name}[{i}]"
-            checked += 1
-    assert checked > 100  # every parameter of the stack, tau and b included
-    report(2, f"total-loss gradient matches finite differences on {checked} scalars",
+    assert verify.GRAD_TOL == 1e-4
+    result = passed(verify.check_gradient_correctness)
+    report(2, f"total-loss gradient matches finite differences on {result.detail}",
            started, 60)
 
 
 def test_criterion_3_fixture_relative_improvement():
     started = time.time()
-    dcd_value = fixture_relative_improvement("DCD")
-    combo_value = fixture_relative_improvement("DCD+KD")
-    assert abs(dcd_value - 20.31) <= 0.2
-    assert abs(combo_value - 73.87) <= 0.2
-    print(f"\nrelative_improvement: {dcd_value:.2f} / {combo_value:.2f}")
+    print(f"\n{passed(verify.check_fixture_reproduction).detail}")
     report(3, "accuracy-grid fixture reproduces 20.31% and 73.87%", started, 1)
 
 
 def test_criterion_4_memory_arithmetic():
     started = time.time()
-    got = negative_buffer_bytes(256, 128)
-    assert got == 131072
-    assert abs(got / 1e6 - 0.13) < 0.002
+    passed(verify.check_memory_arithmetic)
     report(4, "in-batch negative buffer is 131072 bytes (~0.13 MB)", started, 1)
 
 
 def test_criterion_5_invariant_suite():
     started = time.time()
-    rng = np.random.default_rng(55)
-    # row-stochasticity and non-negativity across random instances; strict
-    # positivity of softmax entries is checked where float64 can represent
-    # it (logit gaps stay under ~745, i.e. exp(tau) <= 371), since beyond
-    # that the true positive entries underflow to exact zero
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        pair = EmbeddingPair(Tensor(unit_rows(rng, n, 8)), Tensor(unit_rows(rng, n, 8)))
-        tau = float(rng.uniform(0, 10))
-        b = float(rng.uniform(-1, 1))
-        for fn in (student_distribution, teacher_distribution):
-            p = fn(pair, tau, b).data
-            assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
-            if tau <= 5.9:
-                assert p.min() > 0.0
-        assert contrastive_loss(pair, tau, b).item() >= 0.0
-        assert consistency_loss(pair, tau, b).item() >= -1e-12
-    # permutation equivariance at 1e-10
-    pair = EmbeddingPair(Tensor(unit_rows(rng, 6, 8)), Tensor(unit_rows(rng, 6, 8)))
-    perm = rng.permutation(6)
-    permuted = EmbeddingPair(Tensor(pair.zs.data[perm]), Tensor(pair.zt.data[perm]))
-    for fn in (contrastive_loss, consistency_loss):
-        assert abs(fn(pair, 1.3, 0.1).item() - fn(permuted, 1.3, 0.1).item()) < 1e-10
-    # degenerate cases
-    single = EmbeddingPair(Tensor(unit_rows(rng, 1, 8)), Tensor(unit_rows(rng, 1, 8)))
-    assert contrastive_loss(single, 2.0, 0.5).item() == 0.0
-    z = unit_rows(rng, 5, 8)
-    assert abs(consistency_loss(EmbeddingPair(Tensor(z), Tensor(z.copy())),
-                                1.7, 0.3).item()) < 1e-12
-    # full-run invariants: tau clamp, frozen teacher, per-seed determinism
-    from dcd.data import synth_blob_split
-    train, test = synth_blob_split(3, 40, 20, 8, seed=6, std=0.05)
-    t_spec = ModelSpec("mlp", (32, 32), 3, (1, 1, 8))
-    s_spec = ModelSpec("mlp", (16, 16), 3, (1, 1, 8))
-    t_ckpt, _ = train_teacher(t_spec, train, test, OptimSpec(lr=0.1, epochs=3, seed=4),
-                              BatchPlan(16, 4))
-    frozen = {k: v.copy() for k, v in t_ckpt.tensors.items()}
-    cfg = DistillConfig(proj_dim=6)
-    optim = OptimSpec(lr=0.02, epochs=3, seed=5)
-    ck1, logs1 = distill(t_ckpt, s_spec, train, test, cfg, optim, BatchPlan(16, 5))
-    ck2, logs2 = distill(t_ckpt, s_spec, train, test, cfg, optim, BatchPlan(16, 5))
-    assert 0.0 <= float(ck1.tensors["temperature.tau"]) <= cfg.tau_max
-    for name in frozen:
-        assert np.array_equal(t_ckpt.tensors[name], frozen[name])
-    for name in ck1.tensors:
-        assert np.array_equal(ck1.tensors[name], ck2.tensors[name])
-    assert [l.row() for l in logs1] == [l.row() for l in logs2]
+    passed(verify.check_invariants)
+    passed(verify.check_training_invariants)
     report(5, "row-stochastic, non-negative, equivariant, clamped, frozen, deterministic",
            started, 120)
 
@@ -276,46 +168,8 @@ def test_criterion_7_beta_ablation_monotonicity(blob_teacher):
     report(7, "beta=100 strictly degrades accuracy relative to beta=1", started, 600)
 
 
-def test_criterion_8_format_round_trips(tmp_path):
+def test_criterion_8_format_round_trips():
     started = time.time()
-    rng = np.random.default_rng(88)
-    # checkpoint: bitwise round-trip
-    ckpt = Checkpoint(
-        {"w": rng.normal(size=(6, 4)), "tau": np.asarray(2.65926),
-         "counts": rng.integers(0, 9, 5).astype(np.int64)},
-        {"kind": "test", "stats": [0.5, 0.25]})
-    path = str(tmp_path / "rt.ckpt")
-    save_checkpoint(ckpt, path)
-    again = load_checkpoint(path)
-    for name, arr in ckpt.tensors.items():
-        assert again.tensors[name].dtype == arr.dtype
-        assert np.array_equal(again.tensors[name], arr)
-    assert again.metadata == ckpt.metadata
-    # parsers: constructed-record round-trips
-    images = (rng.integers(0, 256, (4, 3, 32, 32)) / 255.0).astype(np.float32)
-    ds10 = Dataset(images, rng.integers(0, 10, 4), 10, "x")
-    back10 = parse_cifar10(serialize_cifar10(ds10))
-    assert np.array_equal(back10.images, ds10.images)
-    assert np.array_equal(back10.labels, ds10.labels)
-    ds100 = Dataset(images, rng.integers(0, 100, 4), 100, "x")
-    back100 = parse_cifar100(serialize_cifar100(ds100, rng.integers(0, 20, 4)))
-    assert np.array_equal(back100.images, ds100.images)
-    assert np.array_equal(back100.labels, ds100.labels)
-    mn = Dataset((rng.integers(0, 256, (3, 1, 28, 28)) / 255.0).astype(np.float32),
-                 rng.integers(0, 10, 3), 10, "x")
-    backmn = parse_mnist_idx(*serialize_mnist_idx(mn))
-    assert np.array_equal(backmn.images, mn.images)
-    assert np.array_equal(backmn.labels, mn.labels)
-    # embedding CSV within 1e-8
-    from dcd.data import synth_blobs
-    blobs = synth_blobs(2, 10, 6, seed=3, std=0.05)
-    model = init_weights(ModelSpec("mlp", (9,), 2, (1, 1, 6)), 4)
-    head = ProjectionHead.create(9, 4, "student", 5)
-    csv_path = str(tmp_path / "emb.csv")
-    export_embeddings(model, head, blobs, None, csv_path)
-    labels, vecs = read_embeddings(csv_path)
-    feats, _ = model.forward(Tensor(blobs.images.astype(np.float64)))
-    want = project(head, feats).data
-    assert np.array_equal(labels, blobs.labels)
-    assert np.max(np.abs(vecs - want)) < 1e-8
+    passed(verify.check_round_trips)
+    passed(verify.check_embedding_export)
     report(8, "checkpoint bitwise, parser and embedding-CSV round-trips", started, 10)

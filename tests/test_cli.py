@@ -64,11 +64,18 @@ def test_unknown_set_key_exits_config(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("epochs", "abc"), ("schedule", "5"),
-                                       ("learn_temperature", "maybe")])
+                                       ("learn_temperature", "maybe"), ("seed", "-1"),
+                                       ("data_seed", "-1"), ("train_limit", "-5")])
 def test_bad_set_value_exits_config_naming_key(key, value, tmp_path, capsys):
     code = main(["train-teacher", "--out", str(tmp_path / "x"), "--set", f"{key}={value}"])
     assert code == EXIT_CONFIG
     assert repr(key) in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_config_naming_key(tmp_path, capsys):
+    code = main(["train-teacher", "--out", str(tmp_path / "x"), "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert "'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("blob_std", "nan"), ("blob_std", "inf"),
@@ -105,6 +112,22 @@ def test_missing_data_path_exits_data(tmp_path):
     code = main(["train-teacher", "--out", out, "--set", "dataset=cifar10",
                  "--data", str(tmp_path / "nowhere")])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("empty", ["training", "test"])
+def test_empty_split_exits_data_naming_split(empty, tmp_path, capsys):
+    from dcd.data import Dataset, serialize_cifar10
+    rows = (np.zeros((4, 3, 32, 32), np.float32), np.zeros(4, np.int64))
+    record = serialize_cifar10(Dataset(*rows, 10, "x"))
+    for i in range(1, 6):
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(b"" if empty == "training" else record)
+    (tmp_path / "test_batch.bin").write_bytes(b"" if empty == "test" else record)
+    out = tmp_path / "x"
+    code = main(["train-teacher", "--out", str(out), "--data", str(tmp_path),
+                 "--set", "dataset=cifar10", "--set", "epochs=1"])
+    assert code == EXIT_DATA
+    assert f"{empty} split" in capsys.readouterr().err
+    assert not (out / "teacher.ckpt").exists()
 
 
 def test_teacher_determinism_same_seed(tmp_path):

@@ -145,6 +145,13 @@ def test_blob_split_shares_means():
         assert np.max(np.abs(m_train - m_test)) < 0.01
 
 
+def test_blob_split_training_split_is_synth_blobs():
+    blobs = synth_blobs(3, 12, 5, seed=13, std=0.05, separation=0.4)
+    train, _ = synth_blob_split(3, 12, 7, 5, seed=13, std=0.05, separation=0.4)
+    assert blobs.images.tobytes() == train.images.tobytes()
+    assert blobs.labels.tobytes() == train.labels.tobytes()
+
+
 def test_blobs_validation():
     for bad in ({"classes": 0}, {"per_class": 0}, {"dim": 0}, {"std": float("nan")},
                 {"std": -0.1}, {"separation": float("inf")}):

@@ -12,7 +12,7 @@ from dcd import oracle
 from dcd.autodiff import Tape, Tensor
 from dcd.errors import ConfigError, IndexOutOfRangeError, ShapeMismatchError
 from dcd.losses import (DistillConfig, EmbeddingPair, consistency_loss, contrastive_loss,
-                        cross_entropy_loss, dcd_loss, kd_kl_loss, similarity_logits,
+                        cross_entropy_loss, kd_kl_loss, similarity_logits,
                         student_distribution, teacher_distribution,
                         temperature_parameters, total_loss)
 
@@ -235,27 +235,45 @@ def test_consistency_detach_target_matches_frozen_target_gradient(rng):
 
 # -- combined kd loss ----------------------------------------------------------
 
+def dcd_term(pair, tau, b, cfg):
+    """The embedding term contrast + alpha * consist of total_loss."""
+    logits = Tensor(np.zeros((pair.n, 3)))
+    labels = np.zeros(pair.n, dtype=np.int64)
+    return total_loss(logits, logits, labels, pair, tau, b, cfg).kd.item()
+
+
 def test_dcd_loss_alpha_zero_is_contrastive(rng):
     pair = make_pair(rng, 5, 6)
     cfg = DistillConfig(alpha=0.0)
-    assert dcd_loss(pair, 1.0, 0.1, cfg).item() == contrastive_loss(pair, 1.0, 0.1).item()
+    assert dcd_term(pair, 1.0, 0.1, cfg) == contrastive_loss(pair, 1.0, 0.1).item()
 
 
 def test_dcd_loss_identical_embeddings_reduces_to_contrastive(rng):
     z = unit_rows(rng, 4, 6)
     pair = EmbeddingPair(Tensor(z), Tensor(z.copy()))
     cfg = DistillConfig(alpha=0.7)
-    got = dcd_loss(pair, 1.0, 0.1, cfg).item()
+    got = dcd_term(pair, 1.0, 0.1, cfg)
     assert abs(got - contrastive_loss(pair, 1.0, 0.1).item()) < 1e-12
 
 
 def test_dcd_loss_recomposition(rng):
     pair = make_pair(rng, 5, 7)
     cfg = DistillConfig(alpha=0.5)
-    got = dcd_loss(pair, 1.2, -0.3, cfg).item()
+    got = dcd_term(pair, 1.2, -0.3, cfg)
     want = contrastive_loss(pair, 1.2, -0.3).item() \
         + 0.5 * consistency_loss(pair, 1.2, -0.3).item()
     assert abs(got - want) < 1e-12
+
+
+def test_total_loss_without_pair_has_zero_embedding_terms(rng):
+    s_logits, t_logits = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
+    labels = np.array([0, 1, 2, 0])
+    bd = total_loss(s_logits, t_logits, labels, None, 1.0, 0.1,
+                    DistillConfig(beta=0.0, lambda_kl=0.5))
+    assert bd.contrast.item() == bd.consist.item() == bd.kd.item() == 0.0
+    assert bd.total.item() == bd.sup.item() + 0.5 * bd.distill_kl.item()
+    with pytest.raises(ConfigError):
+        total_loss(s_logits, t_logits, labels, None, 1.0, 0.1, DistillConfig(beta=1.0))
 
 
 # -- kd kl and cross entropy ---------------------------------------------------
