@@ -5,7 +5,7 @@ active tape (define-by-run, one fresh tape per training step).  A node
 stores the op kind, the output/input tensor ids and a closure over the
 saved forward values.  ``Tape.backward`` walks the node list in reverse
 insertion order, which is a valid topological order by construction,
-accumulating gradients per tensor id.
+accumulating gradients per tensor id; afterwards only the leaves' remain.
 
 Elementwise ops accept equal shapes or a scalar (size-1) operand; there
 is no general broadcasting.  All math is 64-bit.
@@ -146,10 +146,12 @@ class Tape:
         self.nodes.append(_Node(op, out.id, tuple(t.id for t in inputs), backward))
 
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
-        """Gradients of the scalar ``root`` wrt every reachable tensor id.
+        """Gradients of the scalar ``root`` wrt every reachable leaf id.
 
-        Deterministic: a second call on the same tape rebuilds the same
-        gradient map bitwise.
+        A node's output gradient is dropped once the node has used it, so
+        ``grads`` holds only leaves afterwards (tensors no node produced,
+        such as parameters and inputs).  Deterministic: a second call on
+        the same tape rebuilds the same gradient map bitwise.
         """
         if root.shape != ():
             raise ShapeMismatchError(f"backward root must be a scalar, got shape {root.shape}")
@@ -157,7 +159,8 @@ class Tape:
             raise ShapeMismatchError("backward root was not produced on this tape")
         self.grads = {root.id: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
-            g_out = self.grads.get(node.out_id)
+            # every consumer of this output ran already: drop its gradient
+            g_out = self.grads.pop(node.out_id, None)
             if g_out is None:
                 continue
             input_grads = node.backward(g_out)
@@ -447,11 +450,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
 
 
+# conv2d runs over chunks of samples whose patch matrix holds at most this
+# many elements (4 MB of float64), or over single samples when one holds more.
+_CONV_CHUNK_ELEMS = 2 ** 19
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank.
 
-    Saves the padded input for backward, which rebuilds the patch matrix
-    from it instead of keeping a copy kh*kw times the input's size.
+    Works on chunks of samples, each padded and turned into a patch matrix
+    only while it is used, so no temporary spans the whole batch.  Saves
+    only the input for backward, which rebuilds each chunk's patches.
+    Every output element comes from its own sample's GEMM and the kernel
+    gradient adds the samples' terms in sample order, so the results do not
+    depend on the chunk size.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects 4-D input and kernel, got {x.shape}, {k.shape}")
@@ -466,27 +478,41 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeMismatchError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
+    spans = [slice(s, s + step) for s in range(0, n, step)]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    def patches(span):
+        xc = x.data[span]
+        if pad:
+            xc = np.pad(xc, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        return _im2col(xc, kh, kw, stride, ho, wo)
+
     k2 = k.data.reshape(f, c * kh * kw)
-    out = np.matmul(k2, _im2col(xp, kh, kw, stride, ho, wo)).reshape(n, f, ho, wo)
+    out = np.empty((n, f, ho * wo), dtype=np.float64)
+    for span in spans:
+        np.matmul(k2, patches(span), out=out[span])
 
-    def bwd(g, xp_saved=xp, k2d=k2, geom=(n, c, h, w, f, kh, kw, ho, wo, stride, pad)):
-        n_, c_, h_, w_, f_, kh_, kw_, ho_, wo_, s_, p_ = geom
-        g2 = g.reshape(n_, f_, ho_ * wo_)
-        cols = _im2col(xp_saved, kh_, kw_, s_, ho_, wo_)
-        dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-        del cols  # free before dcols, which has the same size
-        dcols = np.matmul(k2d.T, g2).reshape(n_, c_, kh_, kw_, ho_ * wo_)
-        buf = np.zeros((n_, c_, h_ + 2 * p_, w_ + 2 * p_), dtype=np.float64)
-        for di in range(kh_):
-            for dj in range(kw_):
-                buf[:, :, di:di + ho_ * s_:s_, dj:dj + wo_ * s_:s_] += (
-                    dcols[:, :, di, dj, :].reshape(n_, c_, ho_, wo_))
-        dx = buf[:, :, p_:p_ + h_, p_:p_ + w_] if p_ else buf
-        return np.ascontiguousarray(dx), dk.reshape(f_, c_, kh_, kw_)
+    def bwd(g):
+        g2 = g.reshape(n, f, ho * wo)
+        dk = np.zeros((f, c * kh * kw), dtype=np.float64)
+        dx = np.empty((n, c, h, w), dtype=np.float64)
+        for span in spans:
+            gc = g2[span]
+            # add the samples' terms in sample order, as .sum(axis=0) over
+            # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
+            for term in np.matmul(gc, patches(span).transpose(0, 2, 1)):
+                dk += term
+            m = len(gc)
+            dcols = np.matmul(k2.T, gc).reshape(m, c, kh, kw, ho * wo)
+            buf = np.zeros((m, c, hp, wp), dtype=np.float64)
+            for di in range(kh):
+                for dj in range(kw):
+                    buf[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += (
+                        dcols[:, :, di, dj, :].reshape(m, c, ho, wo))
+            dx[span] = buf[:, :, pad:pad + h, pad:pad + w]
+        return dx, dk.reshape(f, c, kh, kw)
 
-    return _emit("conv2d", (x, k), out, bwd)
+    return _emit("conv2d", (x, k), out.reshape(n, f, ho, wo), bwd)
 
 
 def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:

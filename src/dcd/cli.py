@@ -170,6 +170,10 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg["dataset"]
     data_dir = cfg["data_dir"]
     if kind == "blobs":
+        if cfg["train_limit"]:
+            # blob rows come in class order, so a prefix would drop whole classes
+            raise ConfigError("train_limit does not apply to dataset=blobs; "
+                              "set blob_train_per_class instead")
         cpc = cfg["blob_clusters_per_class"]
         clusters = cfg["blob_classes"] * cpc
         train, test = synth_blob_split(

@@ -1,8 +1,10 @@
-"""Shared numerical helpers for the test suite."""
+"""Shared numerical helpers and fixtures for the test suite."""
 
 import numpy as np
 import pytest
 
+from dcd import recipes
+from dcd.train import train_teacher
 from dcd.verify import loss_close, unit_rows  # noqa: F401  re-exported for the test modules
 
 
@@ -41,3 +43,12 @@ def central_difference(f, arrays, step=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def blob_recipe_teacher():
+    """The shipped blob recipe's teacher checkpoint and epoch logs, trained once."""
+    teacher_train, _, test = recipes.blob_trend_datasets()
+    teacher_spec, _ = recipes.blob_model_pair()
+    return train_teacher(teacher_spec, teacher_train, test,
+                         recipes.BLOB_TEACHER_OPTIM, recipes.BLOB_TEACHER_PLAN)

@@ -83,12 +83,10 @@ def _trend_arms(t_ckpt, student_spec, student_train, test, arms, seeds=(0, 1, 2)
 
 
 @pytest.fixture(scope="module")
-def blob_teacher():
-    teacher_train, student_train, test = recipes.blob_trend_datasets()
-    teacher_spec, student_spec = recipes.blob_model_pair()
-    t_ckpt, _ = train_teacher(teacher_spec, teacher_train, test,
-                              recipes.BLOB_TEACHER_OPTIM, recipes.BLOB_TEACHER_PLAN)
-    return t_ckpt, student_spec, student_train, test
+def blob_teacher(blob_recipe_teacher):
+    _, student_train, test = recipes.blob_trend_datasets()
+    _, student_spec = recipes.blob_model_pair()
+    return blob_recipe_teacher[0], student_spec, student_train, test
 
 
 def test_criterion_6_blob_distillation_trend(blob_teacher):

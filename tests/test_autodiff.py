@@ -1,5 +1,7 @@
 """Op-level forward values, backward rules and tape invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from dcd.autodiff import Parameter, Tape, Tensor
 from dcd.data import BatchPlan, Dataset
 from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
-from dcd.losses import DistillConfig
-from dcd.models import convnet_pair
+from dcd.losses import DistillConfig, cross_entropy_loss
+from dcd.models import ModelSpec, convnet_pair, init_weights
 from dcd.train import OptimSpec, distill, train_teacher
 
 STEP = 1e-5
@@ -541,6 +543,47 @@ def test_conv2d_matches_reference_bitwise(kshape, stride, pad, rng):
     assert_same_bits(got, ref)
     for g, r in zip(grads, ref_grads):
         assert_same_bits(g, r)
+
+
+@pytest.mark.parametrize("hw,stride,pad", [(12, 1, 1), (20, 2, 0)])
+def test_conv2d_chunks_match_reference_bitwise(hw, stride, pad, rng):
+    c, f, kh, kw = 16, 8, 3, 3
+    ho = (hw + 2 * pad - kh) // stride + 1
+    step = max(1, ad._CONV_CHUNK_ELEMS // (c * kh * kw * ho * ho))
+    n = 2 * step + step // 2  # two whole chunks and a short third one
+    assert step > 1 and n % step
+    x = rng.uniform(-1, 1, (n, c, hw, hw))
+    k = rng.uniform(-1, 1, (f, c, kh, kw))
+    w = rng.uniform(-1.5, 1.5, (n, f, ho, ho))
+    got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
+    ref, ref_grads = value_and_grads(lambda a, b: ref_conv2d(a, b, stride, pad), [x, k], w)
+    assert_same_bits(got, ref)
+    for g, r in zip(grads, ref_grads):
+        assert_same_bits(g, r)
+
+
+def test_conv2d_peak_memory_below_one_batch_patch_matrix(rng):
+    x = Tensor(rng.uniform(-1, 1, (64, 32, 16, 16)))
+    k = Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)))
+    patch_matrix_bytes = 64 * 32 * 9 * 16 * 16 * 8  # 37.7 MB
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.backward(ad.tsum(ad.conv2d(x, k, 1, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_matrix_bytes, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_convnet_backward_keeps_only_leaf_gradients(rng):
+    model = init_weights(ModelSpec("convnet", (3, 4), 3, (2, 8, 8)), 5)
+    params = model.parameters()
+    with Tape() as tape:
+        _, logits = model.forward(Tensor(rng.uniform(0, 1, (3, 2, 8, 8))))
+        tape.backward(cross_entropy_loss(logits, rng.integers(0, 3, 3)))
+    assert not set(tape.grads) & {node.out_id for node in tape.nodes}
+    assert {p.value.id for p in params} <= set(tape.grads)
 
 
 def tiny_convnet_run():

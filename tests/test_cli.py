@@ -91,6 +91,15 @@ def test_bad_blob_value_exits_config(key, value, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "x" / "teacher.ckpt")
 
 
+def test_train_limit_on_blobs_exits_config(tmp_path, capsys):
+    code = main(["train-teacher", "--out", str(tmp_path / "x")] + FAST
+                + ["--set", "train_limit=5"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "train_limit" in err and "blob_train_per_class" in err
+    assert not os.path.exists(tmp_path / "x" / "teacher.ckpt")
+
+
 @pytest.mark.parametrize("key,value", [("probe_lr", "nan"), ("probe_lr", "-1"),
                                        ("probe_lr", "0"), ("probe_epochs", "-3")])
 def test_bad_probe_value_exits_config(key, value, teacher_run, capsys):

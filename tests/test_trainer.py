@@ -410,12 +410,11 @@ def test_convnet_distillation_end_to_end(rng):
     assert 0.0 <= float(ckpt.tensors["temperature.tau"]) <= cfg.tau_max
 
 
-def test_distill_monotone_sanity_on_shipped_blob_recipe():
+def test_distill_monotone_sanity_on_shipped_blob_recipe(blob_recipe_teacher):
     from dcd import recipes
-    teacher_train, student_train, test = recipes.blob_trend_datasets()
-    teacher_spec, student_spec = recipes.blob_model_pair()
-    t_ckpt, t_logs = train_teacher(teacher_spec, teacher_train, test,
-                                   recipes.BLOB_TEACHER_OPTIM, recipes.BLOB_TEACHER_PLAN)
+    _, student_train, test = recipes.blob_trend_datasets()
+    _, student_spec = recipes.blob_model_pair()
+    t_ckpt, t_logs = blob_recipe_teacher
     assert t_logs[-1].total < t_logs[0].total
     ckpt, logs = distill(t_ckpt, student_spec, student_train, test,
                          recipes.blob_distill_config(),
