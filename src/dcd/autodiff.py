@@ -175,10 +175,6 @@ class Tape:
         return self.grads.get(t.id)
 
 
-def backward(tape: Tape, root: Tensor) -> dict[int, np.ndarray]:
-    return tape.backward(root)
-
-
 class Parameter:
     """Trainable tensor with an optional clamp interval applied after updates."""
 

@@ -237,7 +237,10 @@ def _distill_config(cfg: dict) -> DistillConfig:
                          detach_consistency_target=cfg["detach_consistency"])
 
 
-def _mark_done(out_dir: str) -> None:
+def _write_run(out_dir: str, name: str, ckpt, logs) -> None:
+    """Write the checkpoint, then ``epochs.csv``, then the ``DONE`` marker."""
+    save_checkpoint(ckpt, os.path.join(out_dir, name))
+    write_epoch_csv(logs, os.path.join(out_dir, "epochs.csv"))
     with open(os.path.join(out_dir, "DONE"), "w") as fh:
         fh.write("ok\n")
 
@@ -249,9 +252,7 @@ def cmd_train_teacher(cfg: dict) -> int:
     train, test = load_datasets(cfg)
     spec = _model_spec(cfg, "teacher", train)
     ckpt, logs = train_teacher(spec, train, test, _optim(cfg), _plan(cfg))
-    save_checkpoint(ckpt, os.path.join(out_dir, "teacher.ckpt"))
-    write_epoch_csv(logs, os.path.join(out_dir, "epochs.csv"))
-    _mark_done(out_dir)
+    _write_run(out_dir, "teacher.ckpt", ckpt, logs)
     metrics = ckpt.metadata["final_metrics"]
     print(f"teacher: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f}")
     return EXIT_OK
@@ -266,9 +267,7 @@ def cmd_distill(cfg: dict, teacher_path: str) -> int:
     spec = _model_spec(cfg, "student", train)
     ckpt, logs = distill(teacher_ckpt, spec, train, test, _distill_config(cfg),
                          _optim(cfg), _plan(cfg))
-    save_checkpoint(ckpt, os.path.join(out_dir, "student.ckpt"))
-    write_epoch_csv(logs, os.path.join(out_dir, "epochs.csv"))
-    _mark_done(out_dir)
+    _write_run(out_dir, "student.ckpt", ckpt, logs)
     metrics = ckpt.metadata["final_metrics"]
     print(f"student: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f} "
           f"tau={metrics['tau']:.4f} b={metrics['b']:.4f}")
@@ -347,9 +346,7 @@ def _ablation_run(shared: tuple, task: tuple) -> tuple[int, int, float, str]:
     echo_config(run_cfg, run_dir)
     try:
         ckpt, logs = distill(teacher_ckpt, spec, train, test, distill_cfg, optim, plan)
-        save_checkpoint(ckpt, os.path.join(run_dir, "student.ckpt"))
-        write_epoch_csv(logs, os.path.join(run_dir, "epochs.csv"))
-        _mark_done(run_dir)
+        _write_run(run_dir, "student.ckpt", ckpt, logs)
         return (cell_index, seed_index, ckpt.metadata["final_metrics"]["test_acc"], "")
     except Exception as exc:
         return (cell_index, seed_index, float("nan"), f"{type(exc).__name__}: {exc}")

@@ -66,7 +66,8 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
     bias = Parameter(np.zeros(classes), name="probe.bias")
     state: dict[int, np.ndarray] = {}
     n = x_train.shape[0]
-    for epoch in range(epochs):
+    step = 0
+    for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
@@ -74,10 +75,11 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
                 logits = add_rowvec(matmul(Tensor(x_train[idx]), w.value), bias.value)
                 loss = cross_entropy_loss(logits, y_train[idx])
                 if not loss.is_finite():
-                    raise DivergenceError("probe loss is non-finite", epoch)
+                    raise DivergenceError("probe loss is non-finite", step)
                 tape.backward(loss)
             collect_grads(tape, [w, bias])
             sgd_step([w, bias], lr, 0.9, 0.0, state)
+            step += 1
     test_logits = x_test @ w.value.data + bias.value.data
     return top1_accuracy(test_logits, y_test)
 

@@ -12,15 +12,16 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor, collect_grads
 from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches, standardize
-from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError
-from .losses import DistillConfig, EmbeddingPair, cross_entropy_loss, temperature_parameters, \
-    total_loss
+from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError, \
+    DomainError
+from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
+    temperature_parameters, total_loss
 from .models import Model, ModelSpec, ProjectionHead, init_weights, project
 
 CHECKPOINT_MAGIC = b"DCDC"
@@ -245,14 +246,70 @@ def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> fl
     return 100.0 * hits / len(dataset)
 
 
-def _final_accuracies(logs: list[EpochLog], model: Model, train: Dataset, test: Dataset,
-                      stats, batch_size: int) -> tuple[float, float]:
-    """Train and test accuracy of the final weights; the last epoch already
-    measured them, so only a run of zero epochs evaluates here."""
-    if logs:
-        return logs[-1].train_acc, logs[-1].test_acc
-    return (evaluate(model, train, stats, batch_size),
-            evaluate(model, test, stats, batch_size))
+def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test: Dataset,
+         stats, optim: OptimSpec, plan: BatchPlan, frozen=None,
+         temperature: tuple[Parameter, ...] = ()) -> tuple[list[EpochLog], dict]:
+    """The one SGD loop: ``optim.epochs`` epochs over ``batches()``, each
+    followed by an evaluation of ``model`` on both splits.
+
+    ``step_loss(batch, targets, step)`` builds the step's
+    :class:`LossBreakdown` on the open tape, where ``targets`` is
+    ``frozen(batch)`` (None without ``frozen``).  ``frozen`` runs before
+    the tape opens, so the frozen teacher's forward pass records no nodes
+    and backward stops at its outputs.  ``temperature`` is the ``(tau, b)``
+    pair that the epoch logs and final metrics report.  Returns the epoch
+    logs and the final metrics; a run of zero epochs evaluates its initial
+    weights once.
+    """
+    def accuracies() -> dict:
+        return {"train_acc": evaluate(model, train, stats, plan.batch_size),
+                "test_acc": evaluate(model, test, stats, plan.batch_size)}
+
+    state: dict[int, np.ndarray] = {}
+    logs: list[EpochLog] = []
+    step = 0
+    for epoch in range(optim.epochs):
+        lr = optim.lr_at(epoch)
+        sums = np.zeros(5)
+        seen = 0
+        for batch in batches(train, plan, epoch, stats):
+            targets = frozen(batch) if frozen else None
+            with Tape() as tape:
+                try:
+                    bd = step_loss(batch, targets, step)
+                except DomainError as exc:
+                    raise DivergenceError(f"training loss: {exc}", step) from exc
+                if not bd.total.is_finite():
+                    raise DivergenceError("training loss is non-finite", step)
+                tape.backward(bd.total)
+            collect_grads(tape, params)
+            sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
+            if temperature:  # np.clip lets a NaN tau through
+                tau = temperature[0]
+                assert tau.bounds[0] <= float(tau.value.data) <= tau.bounds[1], \
+                    "temperature escaped its clamp interval"
+            n = len(batch.labels)
+            f = bd.as_floats()
+            sums += n * np.array([f["sup"], f["distill_kl"], f["contrast"], f["consist"],
+                                  f["total"]])
+            seen += n
+            step += 1
+        logs.append(EpochLog(epoch, *(sums / max(seen, 1)),
+                             *(float(p.value.data) for p in temperature), **accuracies()))
+    # the last epoch already measured the final weights
+    final = ({"train_acc": logs[-1].train_acc, "test_acc": logs[-1].test_acc} if logs
+             else accuracies())
+    final.update(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
+    return logs, final
+
+
+def _checkpoint(tensors: dict, kind: str, spec: ModelSpec, optim: OptimSpec, stats,
+                final: dict, **extra) -> Checkpoint:
+    """A trained run's checkpoint; ``extra`` adds kind-specific metadata keys."""
+    return Checkpoint(tensors, {
+        "kind": kind, "model_spec": spec.to_dict(), "optim": optim.to_dict(),
+        "seed": optim.seed, "channel_mean": [float(v) for v in stats[0]],
+        "channel_std": [float(v) for v in stats[1]], "final_metrics": final, **extra})
 
 
 def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSpec,
@@ -260,42 +317,16 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
     """Supervised cross-entropy training; deterministic per (seed, config, data)."""
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     model = init_weights(spec, optim.seed)
-    params = model.parameters()
     stats = channel_stats(train)
-    state: dict[int, np.ndarray] = {}
-    logs: list[EpochLog] = []
-    step = 0
-    for epoch in range(optim.epochs):
-        lr = optim.lr_at(epoch)
-        running, seen = 0.0, 0
-        for batch in batches(train, plan, epoch, stats):
-            with Tape() as tape:
-                _, logits = model.forward(batch.images)
-                loss = cross_entropy_loss(logits, batch.labels)
-                if not loss.is_finite():
-                    raise DivergenceError("supervised loss is non-finite", step)
-                tape.backward(loss)
-            collect_grads(tape, params)
-            sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
-            running += loss.item() * len(batch.labels)
-            seen += len(batch.labels)
-            step += 1
-        log = EpochLog(epoch, sup=running / max(seen, 1), total=running / max(seen, 1),
-                       train_acc=evaluate(model, train, stats, plan.batch_size),
-                       test_acc=evaluate(model, test, stats, plan.batch_size))
-        logs.append(log)
-    final_train, final_test = _final_accuracies(logs, model, train, test, stats,
-                                                plan.batch_size)
-    metadata = {
-        "kind": "teacher",
-        "model_spec": spec.to_dict(),
-        "optim": optim.to_dict(),
-        "seed": optim.seed,
-        "channel_mean": [float(v) for v in stats[0]],
-        "channel_std": [float(v) for v in stats[1]],
-        "final_metrics": {"train_acc": final_train, "test_acc": final_test},
-    }
-    return Checkpoint(model_tensors(model), metadata), logs
+
+    def step_loss(batch, _targets, _step) -> LossBreakdown:
+        _, logits = model.forward(batch.images)
+        ce = cross_entropy_loss(logits, batch.labels)
+        zero = Tensor(0.0)
+        return LossBreakdown(ce, zero, zero, zero, zero, ce)
+
+    logs, final = _fit(model, model.parameters(), step_loss, train, test, stats, optim, plan)
+    return _checkpoint(model_tensors(model), "teacher", spec, optim, stats, final), logs
 
 
 def _project(head: ProjectionHead, features, step: int):
@@ -364,72 +395,29 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
         params += [tau, b]
     cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
     full_batch = min(plan.batch_size, len(train))
-    state: dict[int, np.ndarray] = {}
-    logs: list[EpochLog] = []
-    step = 0
-    for epoch in range(optim.epochs):
-        lr = optim.lr_at(epoch)
-        sums = np.zeros(5)
-        seen = 0
-        for batch in batches(train, plan, epoch, stats):
-            if cached is not None and len(batch.index) == full_batch:
-                t_feats, t_logits = (Tensor(out[batch.index]) for out in cached)
-            else:
-                t_feats, t_logits = teacher.forward(batch.images)  # untracked: no tape active
-            with Tape() as tape:
-                s_feats, s_logits = student.forward(batch.images)
-                # the projection pipeline is unused at beta=0; skipping it
-                # keeps the reduced objectives exact and robust
-                pair = None
-                if cfg.beta != 0.0:
-                    pair = EmbeddingPair(_project(s_head, s_feats, step),
-                                         _project(t_head, t_feats, step))
-                bd = total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
-                if not bd.total.is_finite():
-                    raise DivergenceError("distillation loss is non-finite", step)
-                tape.backward(bd.total)
-            collect_grads(tape, params)
-            sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
-            tau_val = float(tau.value.data)
-            assert 0.0 <= tau_val <= cfg.tau_max, "temperature escaped its clamp interval"
-            n = len(batch.labels)
-            f = bd.as_floats()
-            sums += n * np.array([f["sup"], f["distill_kl"], f["contrast"], f["consist"],
-                                  f["total"]])
-            seen += n
-            step += 1
-        means = sums / max(seen, 1)
-        logs.append(EpochLog(epoch, sup=means[0], distill_kl=means[1], contrast=means[2],
-                             consist=means[3], total=means[4], tau=float(tau.value.data),
-                             b=float(b.value.data),
-                             train_acc=evaluate(student, train, stats, plan.batch_size),
-                             test_acc=evaluate(student, test, stats, plan.batch_size)))
-    final_train, final_test = _final_accuracies(logs, student, train, test, stats,
-                                                plan.batch_size)
+
+    def teacher_outputs(batch):  # runs before the step's tape opens: no teacher nodes
+        if cached is not None and len(batch.index) == full_batch:
+            return tuple(Tensor(out[batch.index]) for out in cached)
+        return teacher.forward(batch.images)
+
+    def step_loss(batch, targets, step) -> LossBreakdown:
+        t_feats, t_logits = targets
+        s_feats, s_logits = student.forward(batch.images)
+        # the projection pipeline is unused at beta=0; skipping it
+        # keeps the reduced objectives exact and robust
+        pair = None
+        if cfg.beta != 0.0:
+            pair = EmbeddingPair(_project(s_head, s_feats, step),
+                                 _project(t_head, t_feats, step))
+        return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
+
+    logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,
+                       frozen=teacher_outputs, temperature=(tau, b))
     tensors = model_tensors(student)
-    tensors["head.student.weight"] = s_head.weight.value.data.copy()
-    tensors["head.teacher.weight"] = t_head.weight.value.data.copy()
-    tensors["temperature.tau"] = tau.value.data.copy()
-    tensors["temperature.b"] = b.value.data.copy()
-    metadata = {
-        "kind": "student",
-        "model_spec": student_spec.to_dict(),
-        "teacher_spec": teacher.spec.to_dict(),
-        "distill_config": {
-            "alpha": cfg.alpha, "beta": cfg.beta, "lambda_kl": cfg.lambda_kl,
-            "tau_init": cfg.tau_init, "b_init": cfg.b_init, "tau_max": cfg.tau_max,
-            "kd_temperature": cfg.kd_temperature, "proj_dim": cfg.proj_dim,
-            "learn_temperature": cfg.learn_temperature,
-            "detach_consistency_target": cfg.detach_consistency_target,
-        },
-        "optim": optim.to_dict(),
-        "seed": optim.seed,
-        "channel_mean": [float(v) for v in stats[0]],
-        "channel_std": [float(v) for v in stats[1]],
-        "final_metrics": {"train_acc": final_train, "test_acc": final_test,
-                          "tau": float(tau.value.data), "b": float(b.value.data)},
-    }
-    return Checkpoint(tensors, metadata), logs
+    tensors.update((p.name, p.value.data.copy()) for p in (s_head.weight, t_head.weight, tau, b))
+    return _checkpoint(tensors, "student", student_spec, optim, stats, final,
+                       teacher_spec=teacher.spec.to_dict(), distill_config=asdict(cfg)), logs
 
 
 def restore_student_head(ckpt: Checkpoint) -> ProjectionHead:

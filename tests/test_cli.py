@@ -232,6 +232,37 @@ def test_nan_lr_or_schedule_rejected_before_teacher_training(tmp_path):
         assert not os.path.exists(os.path.join(out, "teacher.ckpt"))
 
 
+DIVERGE = ["--set", "lr=1e200", "--set", "epochs=3"]
+# a diverging step overflows the forward pass before its loss turns non-finite
+OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
+@OVERFLOWS
+@pytest.mark.parametrize("command", [["train-teacher"], ["distill", "--beta", "0"],
+                                     ["distill", "--beta", "1"]])
+def test_diverging_loss_exits_divergence_without_checkpoint(command, teacher_run, tmp_path,
+                                                            capsys):
+    if command[0] == "distill":
+        command = command + ["--teacher", os.path.join(teacher_run, "teacher.ckpt")]
+    out = tmp_path / "run"
+    assert main(command + ["--out", str(out)] + FAST + DIVERGE) == EXIT_DIVERGENCE
+    assert "divergence:" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["config.txt"]  # no checkpoint, epochs.csv or DONE
+
+
+@OVERFLOWS
+def test_diverging_ablate_cells_record_divergence(teacher_run, tmp_path):
+    out = tmp_path / "abl"
+    code = main(["ablate", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+                 "--out", str(out), "--grid", "beta=0,1"] + FAST + DIVERGE)
+    assert code == EXIT_DIVERGENCE
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(row["error"].startswith("DivergenceError: ") for row in rows), rows
+
+
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a worker pool was started")

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from dcd.data import synth_blob_split
-from dcd.errors import ConfigError, FormatError, ShapeMismatchError
+from dcd import metrics
+from dcd.autodiff import Tensor
+from dcd.errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
+from dcd.losses import cross_entropy_loss
 from dcd.metrics import (AccuracyTable, CorrelationReport, export_embeddings,
                          fixture_relative_improvement, linear_probe, load_fixture_table,
                          logit_correlation_diff, negative_buffer_bytes,
@@ -194,6 +197,22 @@ def test_linear_probe_deterministic(trained_blob_model):
     a = linear_probe(model, train, test, stats, epochs=5, seed=3)
     b = linear_probe(model, train, test, stats, epochs=5, seed=3)
     assert a == b
+
+
+def test_linear_probe_divergence_names_the_global_step(monkeypatch):
+    train, test = synth_blob_split(2, 50, 40, 8, seed=22, std=0.02)
+    model = init_weights(ModelSpec("mlp", (16, 16), 2, (1, 1, 8)), seed=1)
+    calls = []
+
+    def nan_on_third_call(logits, labels):
+        calls.append(len(labels))
+        loss = cross_entropy_loss(logits, labels)
+        return Tensor(np.float64("nan")) if len(calls) == 3 else loss
+
+    monkeypatch.setattr(metrics, "cross_entropy_loss", nan_on_third_call)
+    with pytest.raises(DivergenceError) as err:  # 100 rows: 2 steps per epoch
+        linear_probe(model, train, test, None, epochs=3, batch_size=64, seed=0)
+    assert err.value.step == 2
 
 
 def test_random_frozen_features_beat_chance_on_blobs():

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from dcd.autodiff import Parameter
+from dcd.autodiff import Parameter, collect_grads
 from dcd.data import BatchPlan, batches, synth_blob_split
 from dcd.errors import CheckpointFormatError, ConfigError
 from dcd.losses import DistillConfig
-from dcd.models import ModelSpec, mlp_pair
+from dcd.models import ModelSpec, init_weights, mlp_pair
 from dcd import train as train_mod
 from dcd.cli import EXIT_CHECKPOINT, main
 from dcd.train import (Checkpoint, OptimSpec, distill, evaluate, load_checkpoint,
@@ -350,6 +350,49 @@ def test_teacher_forward_rows(augment, epochs, batch_size, rows, blob_env, blob_
     distill(blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
             OptimSpec(lr=0.02, epochs=epochs, seed=3), BatchPlan(batch_size, 3, augment))
     assert sum(seen) == rows
+
+
+def test_teacher_forward_stays_off_the_tape(blob_env, blob_teacher, monkeypatch):
+    """Cached rows, a short tail's teacher forward and an augmented batch's
+    teacher forward all leave the step's tape with the same node count."""
+    train, test, _, student_spec = blob_env
+    nodes = []
+
+    def recording(tape, params):
+        nodes.append(len(tape.nodes))
+        collect_grads(tape, params)
+
+    monkeypatch.setattr(train_mod, "collect_grads", recording)
+    for augment in ("none", "flip"):  # 120 rows in batches of 50: a 20-row tail
+        distill(blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
+                OptimSpec(lr=0.02, epochs=1, seed=3), BatchPlan(50, 3, augment))
+    assert len(nodes) == 2 * 3
+    assert len(set(nodes)) == 1, nodes
+
+
+def test_distill_zero_epochs_returns_initialized_student(blob_env, blob_teacher,
+                                                          monkeypatch):
+    train, test, _, student_spec = blob_env
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "evaluate", counting)
+    cfg = DistillConfig(proj_dim=4, tau_init=1.5, b_init=0.25)
+    ckpt, logs = distill(blob_teacher, student_spec, train, test, cfg,
+                         OptimSpec(lr=0.02, epochs=0, seed=3), BatchPlan(32, 3))
+    assert logs == []
+    assert len(calls) == 2
+    fresh = init_weights(student_spec, 3)
+    stats = stats_from_metadata(blob_teacher.metadata)
+    final = ckpt.metadata["final_metrics"]
+    assert final["train_acc"] == evaluate(fresh, train, stats, 32)
+    assert final["test_acc"] == evaluate(fresh, test, stats, 32)
+    assert (final["tau"], final["b"]) == (cfg.tau_init, cfg.b_init)
+    assert float(ckpt.tensors["temperature.tau"]) == cfg.tau_init
+    assert float(ckpt.tensors["temperature.b"]) == cfg.b_init
 
 
 def test_checkpoint_feeds_distill_like_memory_handoff(blob_env, tmp_path):
