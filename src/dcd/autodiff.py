@@ -515,34 +515,40 @@ def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
     """Max pooling that ignores NaN; ties resolve to the first window position
     in scan order.
 
-    Saves the input and the output for backward, which sends each window's
-    gradient to the first position holding the window maximum.  A window
-    with nothing above -inf (all -inf or NaN) outputs -inf and sends its
+    On a tape it saves only each window's winning position, one byte per
+    output for windows of up to 256 positions (a wider integer beyond),
+    and backward sends each window's gradient there.  A window with
+    nothing above -inf (all -inf or NaN) outputs -inf and sends its
     gradient to its first position.  A zero maximum is always +0.0.
+    Without a tape (evaluation, a frozen teacher) no positions are kept.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
     sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
+    regions = [(slice(None), slice(None), slice(di, di + ho * th, th), slice(dj, dj + wo * tw, tw))
+               for di in range(sh) for dj in range(sw)]
     best = np.full((n, c, ho, wo), -np.inf, dtype=np.float64)
-    for di in range(sh):
-        for dj in range(sw):
-            # fmax returns best where the slice holds NaN
-            np.fmax(x.data[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw], best, out=best)
+    arg = None
+    if active_tape() is not None:
+        arg = np.zeros((n, c, ho, wo), dtype=np.min_scalar_type(len(regions) - 1))
+        won = np.empty_like(arg)
+    for pos, region in enumerate(regions):
+        patch = x.data[region]
+        if arg is not None and pos:
+            # pos exceeds every earlier position, so arg keeps the latest strict
+            # winner: the first position holding the maximum (NaN never wins;
+            # a window that nothing beats keeps its start value, position 0)
+            np.greater(patch, best, out=won)
+            won *= pos
+            np.maximum(arg, won, out=arg)
+        np.fmax(patch, best, out=best)  # fmax returns best where the patch holds NaN
     best += 0.0  # as in relu: fmax's pick between -0.0 and +0.0 is not fixed
 
-    def bwd(g, xd=x.data, bd=best, geom=(sh, sw, th, tw, ho, wo)):
-        sh_, sw_, th_, tw_, ho_, wo_ = geom
-        buf = np.zeros(xd.shape, dtype=np.float64)
-        taken = bd == -np.inf  # nothing beat the -inf start: the first position wins
-        buf[:, :, :ho_ * th_:th_, :wo_ * tw_:tw_] += g * taken
-        for di in range(sh_):
-            for dj in range(sw_):
-                region = (slice(None), slice(None),
-                          slice(di, di + ho_ * th_, th_), slice(dj, dj + wo_ * tw_, tw_))
-                hit = (xd[region] == bd) & ~taken
-                taken |= hit
-                buf[region] += g * hit
+    def bwd(g, shape=x.shape, arg=arg, regions=regions):
+        buf = np.zeros(shape, dtype=np.float64)
+        for pos, region in enumerate(regions):
+            buf[region] += g * (arg == pos)
         return (buf,)
 
     return _emit("maxpool2d", (x,), best, bwd)

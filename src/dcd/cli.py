@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
                    synth_blob_split)
-from .errors import (CheckpointFormatError, ConfigError, DivergenceError, FormatError,
-                     ShapeMismatchError)
+from .errors import (CheckpointFormatError, ConfigError, DivergenceError, DomainError,
+                     FormatError, ShapeMismatchError)
 from .losses import TAU_INIT_DEFAULT, DistillConfig
 from .metrics import export_embeddings, linear_probe
 from .models import ModelSpec
@@ -279,7 +279,10 @@ def cmd_eval(cfg: dict, ckpt_path: str) -> int:
     model = restore_model(ckpt)
     stats = stats_from_metadata(ckpt.metadata)
     _, test = load_datasets(cfg)
-    acc = evaluate(model, test, stats, cfg["batch_size"])
+    try:
+        acc = evaluate(model, test, stats, cfg["batch_size"])
+    except DomainError as exc:
+        raise DivergenceError(f"checkpoint {ckpt_path!r}: {exc}") from exc
     print(f"top1_accuracy: {acc:.2f}")
     return EXIT_OK
 

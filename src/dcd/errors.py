@@ -36,8 +36,9 @@ class CheckpointFormatError(FormatError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; carries the global step index."""
+    """Training produced non-finite values, or a trained model gives non-finite
+    outputs; carries the global step index when training was under way."""
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message if step is None else f"{message} (step {step})")
         self.step = step

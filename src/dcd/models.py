@@ -1,9 +1,11 @@
 """Compact teacher/student networks and the shared projection heads.
 
-Two families: plain ReLU MLPs and small ConvNets (3x3 conv -> ReLU ->
-2x2 max-pool per block, global average pooling, linear classifier).
-No batch normalization anywhere, so forward passes are pure functions
-of the weights and finite-difference checks stay exact.
+Two families: plain ReLU MLPs and small ConvNets (3x3 conv -> 2x2
+max-pool -> ReLU per block, global average pooling, linear classifier).
+Max is monotone and ReLU is ``fmax(., 0)``, so pooling first gives the
+same values as conv -> ReLU -> pool, with the ReLU on a 4x smaller
+tensor.  No batch normalization anywhere, so forward passes are pure
+functions of the weights and finite-difference checks stay exact.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class ConvNet:
                 f"expects inputs of {self.spec.in_shape}, got {images.shape[1:]}")
         h = images
         for k in self.kernels:
-            h = ad.maxpool2d(ad.relu(ad.conv2d(h, k.value, stride=1, pad=1)), 2)
+            h = ad.relu(ad.maxpool2d(ad.conv2d(h, k.value, stride=1, pad=1), 2))
         n, c, hh, ww = h.shape
         features = ad.reshape(ad.avgpool2d(h, (hh, ww)), (n, c))
         logits = ad.add_rowvec(ad.matmul(features, self.cls_w.value), self.cls_b.value)

@@ -86,8 +86,13 @@ def sgd_step(params: list[Parameter], lr: float, momentum: float, weight_decay: 
         if weight_decay != 0.0 and p.decay:
             g = g + weight_decay * p.value.data
         v = state.get(id(p))
-        v = g if v is None else momentum * v + g
-        state[id(p)] = v
+        if v is None:
+            # a copy: g may be the tape's array, or a numpy scalar that the
+            # in-place update below would rebind instead of update
+            state[id(p)] = v = np.array(g, dtype=np.float64)
+        else:
+            v *= momentum
+            v += g
         p.value.data -= lr * v
         p.clamp()
 
@@ -237,11 +242,24 @@ def write_epoch_csv(logs: list[EpochLog], path: str) -> None:
                               for v in log.row()) + "\n")
 
 
+# numpy's floating-point warnings are muted where the values they warn about
+# are checked: an overflow ends in non-finite values, which raise typed errors
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> float:
-    """Top-1 accuracy (%) over an in-order unaugmented pass."""
+    """Top-1 accuracy (%) over an in-order unaugmented pass.
+
+    Raises :class:`DomainError` when the model's logits are non-finite:
+    ``argmax`` would pick class 0 for a NaN row and report a made-up
+    accuracy.
+    """
     hits = 0
     for batch in eval_batches(dataset, stats, batch_size):
-        _, logits = model.forward(batch.images)
+        with np.errstate(**_QUIET):
+            _, logits = model.forward(batch.images)
+        if not logits.is_finite():
+            raise DomainError(f"evaluate: the model's logits on {dataset.name!r} are non-finite")
         hits += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
     return 100.0 * hits / len(dataset)
 
@@ -262,43 +280,47 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     weights once.
     """
     def accuracies() -> dict:
-        return {"train_acc": evaluate(model, train, stats, plan.batch_size),
-                "test_acc": evaluate(model, test, stats, plan.batch_size)}
+        try:
+            return {"train_acc": evaluate(model, train, stats, plan.batch_size),
+                    "test_acc": evaluate(model, test, stats, plan.batch_size)}
+        except DomainError as exc:
+            raise DivergenceError(str(exc), max(step - 1, 0)) from exc
 
     state: dict[int, np.ndarray] = {}
     logs: list[EpochLog] = []
     step = 0
-    for epoch in range(optim.epochs):
-        lr = optim.lr_at(epoch)
-        sums = np.zeros(5)
-        seen = 0
-        for batch in batches(train, plan, epoch, stats):
-            targets = frozen(batch) if frozen else None
-            with Tape() as tape:
-                try:
-                    bd = step_loss(batch, targets, step)
-                except DomainError as exc:
-                    raise DivergenceError(f"training loss: {exc}", step) from exc
-                if not bd.total.is_finite():
-                    raise DivergenceError("training loss is non-finite", step)
-                tape.backward(bd.total)
-            collect_grads(tape, params)
-            sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
-            if temperature:  # np.clip lets a NaN tau through
-                tau = temperature[0]
-                assert tau.bounds[0] <= float(tau.value.data) <= tau.bounds[1], \
-                    "temperature escaped its clamp interval"
-            n = len(batch.labels)
-            f = bd.as_floats()
-            sums += n * np.array([f["sup"], f["distill_kl"], f["contrast"], f["consist"],
-                                  f["total"]])
-            seen += n
-            step += 1
-        logs.append(EpochLog(epoch, *(sums / max(seen, 1)),
-                             *(float(p.value.data) for p in temperature), **accuracies()))
-    # the last epoch already measured the final weights
-    final = ({"train_acc": logs[-1].train_acc, "test_acc": logs[-1].test_acc} if logs
-             else accuracies())
+    with np.errstate(**_QUIET):
+        for epoch in range(optim.epochs):
+            lr = optim.lr_at(epoch)
+            sums = np.zeros(5)
+            seen = 0
+            for batch in batches(train, plan, epoch, stats):
+                targets = frozen(batch) if frozen else None
+                with Tape() as tape:
+                    try:
+                        bd = step_loss(batch, targets, step)
+                    except DomainError as exc:
+                        raise DivergenceError(f"training loss: {exc}", step) from exc
+                    if not bd.total.is_finite():
+                        raise DivergenceError("training loss is non-finite", step)
+                    tape.backward(bd.total)
+                collect_grads(tape, params)
+                sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
+                if temperature:  # np.clip lets a NaN tau through
+                    tau = temperature[0]
+                    assert tau.bounds[0] <= float(tau.value.data) <= tau.bounds[1], \
+                        "temperature escaped its clamp interval"
+                n = len(batch.labels)
+                f = bd.as_floats()
+                sums += n * np.array([f["sup"], f["distill_kl"], f["contrast"], f["consist"],
+                                      f["total"]])
+                seen += n
+                step += 1
+            logs.append(EpochLog(epoch, *(sums / max(seen, 1)),
+                                 *(float(p.value.data) for p in temperature), **accuracies()))
+        # the last epoch already measured the final weights
+        final = ({"train_acc": logs[-1].train_acc, "test_acc": logs[-1].test_acc} if logs
+                 else accuracies())
     final.update(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
     return logs, final
 

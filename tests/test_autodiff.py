@@ -13,7 +13,7 @@ from dcd.data import BatchPlan, Dataset
 from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
 from dcd.losses import DistillConfig, cross_entropy_loss
-from dcd.models import ModelSpec, convnet_pair, init_weights
+from dcd.models import ConvNet, ModelSpec, convnet_pair, init_weights
 from dcd.train import OptimSpec, distill, train_teacher
 
 STEP = 1e-5
@@ -610,3 +610,96 @@ def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
         for name in new.tensors:
             assert_same_bits(new.tensors[name], ref.tensors[name])
         assert new.metadata == ref.metadata
+
+
+def old_order_forward(self, images):
+    """ConvNet.forward with the reference kernels in the former block order,
+    conv -> ReLU -> max-pool."""
+    h = images
+    for k in self.kernels:
+        h = ref_maxpool2d(ref_relu(ref_conv2d(h, k.value, 1, 1)), 2)
+    n, c, hh, ww = h.shape
+    features = ad.reshape(ad.avgpool2d(h, (hh, ww)), (n, c))
+    logits = ad.add_rowvec(ad.matmul(features, self.cls_w.value), self.cls_b.value)
+    return features, logits
+
+
+def test_pool_before_relu_keeps_convnet_checkpoints_bitwise(monkeypatch):
+    shipped = tiny_convnet_run()
+    monkeypatch.setattr(ConvNet, "forward", old_order_forward)
+    reference = tiny_convnet_run()
+    for new, ref in zip(shipped, reference):
+        assert list(new.tensors) == list(ref.tensors)
+        for name in new.tensors:
+            assert_same_bits(new.tensors[name], ref.tensors[name])
+        assert new.metadata == ref.metadata
+
+
+@pytest.mark.parametrize("values", ["awkward", "ties"])
+def test_pool_before_relu_block_matches_old_order(values, rng):
+    shape = (4, 3, 8, 8)
+    if values == "awkward":
+        x = awkward_values(rng, shape)
+    else:  # finite, with tied, zero and all-nonpositive windows after the conv
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+    k = rng.choice([-1.0, 0.0, 1.0], size=(5, 3, 3, 3))
+    w = rng.uniform(-1.5, 1.5, (4, 5, 4, 4))
+    out, (gx, gk) = value_and_grads(
+        lambda a, b: ad.relu(ad.maxpool2d(ad.conv2d(a, b, 1, 1), 2)), [x, k], w)
+    ref, (ref_gx, ref_gk) = value_and_grads(
+        lambda a, b: ref_maxpool2d(ref_relu(ref_conv2d(a, b, 1, 1)), 2), [x, k], w)
+    assert_same_bits(out, ref)
+    assert_same_bits(gk, ref_gk)
+    # an all-nonpositive window sends -0.0 where g < 0 in the old order, +0.0 now
+    assert np.array_equal(gx, ref_gx)
+
+
+def test_maxpool_window_over_256_positions_matches_reference(rng):
+    shape = (2, 3, 20, 20)
+    x = awkward_values(rng, shape)
+    w = rng.uniform(-1.5, 1.5, (2, 3, 4, 4))
+    out, grads = value_and_grads(lambda t: ad.maxpool2d(t, 17, 1), [x], w)
+    ref_out, ref_grads = value_and_grads(lambda t: ref_maxpool2d(t, 17, 1), [x], w)
+    assert_same_bits(out, ref_out + 0.0)
+    assert_same_bits(grads[0], ref_grads[0])
+
+
+def _saved_arrays(fn):
+    """The arrays a backward closure keeps, in its defaults and free variables."""
+    found, todo = [], [*(fn.__defaults__ or ()),
+                       *(cell.cell_contents for cell in fn.__closure__ or ())]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+    return found
+
+
+def test_maxpool_saves_one_byte_per_output(rng):
+    x = Tensor(rng.uniform(-1, 1, (4, 3, 8, 8)))
+    with Tape() as tape:
+        out = ad.maxpool2d(x, 2)
+    (node,) = tape.nodes
+    saved = _saved_arrays(node.backward)
+    assert not [a for a in saved if a.dtype.kind == "f" and a.size >= x.size]
+    assert sum(a.nbytes for a in saved) == out.size
+
+
+def test_convnet_step_peak_memory(rng):
+    spec, _ = convnet_pair((3, 32, 32), 100)  # the shipped teacher
+    model = init_weights(spec, 0)
+    images = Tensor(rng.uniform(0, 1, (32, 3, 32, 32)))
+    labels = rng.integers(0, 100, 32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            _, logits = model.forward(images)
+            tape.backward(cross_entropy_loss(logits, labels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 33.6 MB with the pool before the ReLU and one byte per pooling window;
+    # 47.9 MB when the tape kept the full-size ReLU output for the pool
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"

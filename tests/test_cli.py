@@ -263,6 +263,62 @@ def test_diverging_ablate_cells_record_divergence(teacher_run, tmp_path):
     assert all(row["error"].startswith("DivergenceError: ") for row in rows), rows
 
 
+# one step leaves finite weights near 1e200, whose eval logits overflow
+HUGE_STEP = ["--set", "lr=1e200", "--set", "epochs=1", "--set", "blob_train_per_class=20",
+             "--set", "blob_test_per_class=5"]
+
+
+def test_non_finite_eval_logits_exit_divergence_without_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train-teacher", "--out", str(out)] + HUGE_STEP) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert "evaluate:" in err and "non-finite" in err and "(step 0)" in err
+    assert sorted(os.listdir(out)) == ["config.txt"]
+
+
+def test_non_finite_eval_logits_fail_every_ablate_cell(tmp_path):
+    teacher = tmp_path / "teacher"
+    assert main(["train-teacher", "--out", str(teacher)] + HUGE_STEP[2:]) == EXIT_OK
+    out = tmp_path / "abl"
+    code = main(["ablate", "--teacher", str(teacher / "teacher.ckpt"), "--out", str(out),
+                 "--grid", "beta=0,1"] + HUGE_STEP)
+    assert code == EXIT_DIVERGENCE
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["test_acc"] for row in rows] == ["nan", "nan"]
+    assert all(row["error"].startswith("DivergenceError: evaluate:") for row in rows), rows
+    for cell in ("cell0-seed0", "cell1-seed0"):
+        assert sorted(os.listdir(out / cell)) == ["config.txt"]
+
+
+def test_eval_of_checkpoint_with_non_finite_logits_exits_divergence(teacher_run, tmp_path,
+                                                                     capsys):
+    ckpt = load_checkpoint(os.path.join(teacher_run, "teacher.ckpt"))
+    for arr in ckpt.tensors.values():
+        arr *= 1e200
+    huge = str(tmp_path / "huge.ckpt")
+    save_checkpoint(ckpt, huge)
+    assert main(["eval", "--ckpt", huge] + FAST) == EXIT_DIVERGENCE
+    captured = capsys.readouterr()
+    assert "top1_accuracy" not in captured.out
+    assert captured.err.startswith(f"divergence: checkpoint {huge!r}: evaluate:")
+
+
+@pytest.mark.parametrize("command", [["train-teacher"], ["distill", "--beta", "0"],
+                                     ["distill", "--beta", "1"]])
+def test_diverging_run_prints_only_the_divergence_line(command, teacher_run, tmp_path):
+    if command[0] == "distill":
+        command = command + ["--teacher", os.path.join(teacher_run, "teacher.ckpt")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dcd.cli"] + command
+                          + ["--out", str(tmp_path / "run")] + FAST + DIVERGE,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_DIVERGENCE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divergence: "), proc.stderr
+
+
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a worker pool was started")

@@ -65,6 +65,33 @@ def test_sgd_two_steps_match_hand_unroll():
     assert abs(p.value.data[0] - ph) < 1e-15
 
 
+def test_sgd_momentum_state_follows_numpy_scalar_gradients():
+    # exp of a 0-d array returns a numpy scalar, as the tau/b gradients can be
+    mom, lr = 0.9, 0.1
+    g1, g2 = np.exp(np.asarray(0.3)), np.exp(np.asarray(-1.1))
+    assert not isinstance(g1, np.ndarray)
+    p = Parameter(np.asarray(0.5), name="tau", decay=False)
+    state = {}
+    for g in (g1, g2):
+        p.grad = g
+        sgd_step([p], lr, mom, 0.0, state)
+    v = mom * g1 + g2
+    assert state[id(p)].tobytes() == np.float64(v).tobytes()
+    assert p.value.data.tobytes() == np.float64(0.5 - lr * g1 - lr * v).tobytes()
+
+
+def test_sgd_momentum_state_does_not_alias_the_gradient():
+    g1, g2 = np.asarray([0.3, -0.4]), np.asarray([-0.2, 0.1])
+    kept = g1.copy()
+    p = Parameter(np.asarray([2.0, 1.0]), name="p")
+    state = {}
+    for g in (g1, g2):
+        p.grad = g
+        sgd_step([p], 0.1, 0.9, 0.0, state)
+    assert np.array_equal(g1, kept)
+    assert state[id(p)].tobytes() == (0.9 * kept + g2).tobytes()
+
+
 def test_sgd_skips_decay_for_flagged_params():
     p = Parameter(np.asarray([1.0]), name="tau", decay=False)
     p.grad = np.asarray([0.0])
