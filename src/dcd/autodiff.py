@@ -83,33 +83,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, id={self.id})"
 
-    # Thin operator sugar over the functional API below.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def constant(data) -> Tensor:
     """Wrap an array-like as an untracked constant leaf."""

@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
                    synth_blob_split)
-from .errors import (CheckpointFormatError, ConfigError, DivergenceError, DomainError,
-                     FormatError, ShapeMismatchError)
+from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
+                     DomainError, FormatError, ShapeMismatchError)
 from .losses import TAU_INIT_DEFAULT, DistillConfig
 from .metrics import export_embeddings, linear_probe
 from .models import ModelSpec
@@ -274,43 +274,46 @@ def cmd_distill(cfg: dict, teacher_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: dict, ckpt_path: str) -> int:
+@contextlib.contextmanager
+def _restored(ckpt_path: str):
+    """The checkpoint, its model and its statistics; a ``DomainError`` or
+    ``DegenerateInputError`` from the model's outputs in the block becomes a
+    ``DivergenceError`` naming the checkpoint (exit 3)."""
     ckpt = load_checkpoint(ckpt_path)
     model = restore_model(ckpt)
-    stats = stats_from_metadata(ckpt.metadata)
-    _, test = load_datasets(cfg)
     try:
-        acc = evaluate(model, test, stats, cfg["batch_size"])
-    except DomainError as exc:
+        yield ckpt, model, stats_from_metadata(ckpt.metadata)
+    except (DomainError, DegenerateInputError) as exc:
         raise DivergenceError(f"checkpoint {ckpt_path!r}: {exc}") from exc
+
+
+def cmd_eval(cfg: dict, ckpt_path: str) -> int:
+    with _restored(ckpt_path) as (_, model, stats):
+        _, test = load_datasets(cfg)
+        acc = evaluate(model, test, stats, cfg["batch_size"])
     print(f"top1_accuracy: {acc:.2f}")
     return EXIT_OK
 
 
 def cmd_transfer(cfg: dict, ckpt_path: str) -> int:
-    ckpt = load_checkpoint(ckpt_path)
-    model = restore_model(ckpt)
-    stats = stats_from_metadata(ckpt.metadata)
-    train, test = load_datasets(cfg)
-    expected = ModelSpec.from_dict(ckpt.metadata["model_spec"]).in_shape
-    got = tuple(int(v) for v in train.images.shape[1:])
-    if got != tuple(expected):
-        raise ConfigError(f"transfer data shape {got} does not match "
-                          f"the checkpoint's input shape {tuple(expected)}")
-    acc = linear_probe(model, train, test, stats, lr=cfg["probe_lr"],
-                       epochs=cfg["probe_epochs"], batch_size=cfg["batch_size"],
-                       seed=cfg["seed"])
+    with _restored(ckpt_path) as (_, model, stats):
+        train, test = load_datasets(cfg)
+        got = tuple(int(v) for v in train.images.shape[1:])
+        if got != model.spec.in_shape:
+            raise ConfigError(f"transfer data shape {got} does not match "
+                              f"the checkpoint's input shape {model.spec.in_shape}")
+        acc = linear_probe(model, train, test, stats, lr=cfg["probe_lr"],
+                           epochs=cfg["probe_epochs"], batch_size=cfg["batch_size"],
+                           seed=cfg["seed"])
     print(f"transfer_top1_accuracy: {acc:.2f}")
     return EXIT_OK
 
 
 def cmd_export_embeddings(cfg: dict, ckpt_path: str, out_path: str) -> int:
-    ckpt = load_checkpoint(ckpt_path)
-    model = restore_model(ckpt)
-    head = restore_student_head(ckpt)
-    stats = stats_from_metadata(ckpt.metadata)
-    _, test = load_datasets(cfg)
-    count = export_embeddings(model, head, test, stats, out_path, cfg["batch_size"])
+    with _restored(ckpt_path) as (ckpt, model, stats):
+        head = restore_student_head(ckpt)
+        _, test = load_datasets(cfg)
+        count = export_embeddings(model, head, test, stats, out_path, cfg["batch_size"])
     print(f"exported {count} embeddings to {out_path}")
     return EXIT_OK
 

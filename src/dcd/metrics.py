@@ -1,6 +1,10 @@
 """Evaluation metrics: accuracy, transfer probes, aggregate improvement,
 logit-correlation diagnostics, buffer accounting and embedding export.
 
+Model passes go through :func:`dcd.train.inference`, which raises
+``DomainError`` on non-finite outputs, and the linear probe trains in
+:func:`dcd.train._fit`, the one training loop.
+
 The reference accuracy grids used by :func:`relative_improvement` ship
 as plain-text fixtures (whitespace-separated, ``n/a`` preserved); this
 module treats them strictly as data.
@@ -15,12 +19,12 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Tensor, add_rowvec, collect_grads, matmul
-from .data import Dataset, eval_batches
-from .errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
-from .losses import cross_entropy_loss
+from .autodiff import Parameter, Tensor, add_rowvec, matmul
+from .data import BatchPlan, Dataset
+from .errors import ConfigError, FormatError, ShapeMismatchError
+from .losses import LossBreakdown, cross_entropy_loss
 from .models import Model, ProjectionHead, project
-from .train import sgd_step
+from .train import OptimSpec, _fit, inference
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -36,13 +40,23 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def extract_features(model: Model, dataset: Dataset, stats, batch_size: int = 256,
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate features over an in-order unaugmented pass (untracked)."""
-    feats, labels = [], []
-    for batch in eval_batches(dataset, stats, batch_size):
-        f, _ = model.forward(batch.images)
-        feats.append(f.data)
-        labels.append(batch.labels)
+    """Penultimate features and labels over :func:`inference`."""
+    labels, feats = zip(*((batch.labels, f) for batch, f in inference(
+        model, dataset, stats, batch_size, lambda f, _: f,
+        "extract_features: the model's features")))
     return np.concatenate(feats), np.concatenate(labels)
+
+
+class _LinearProbe:
+    """A linear classifier over feature rows, shaped like a model for ``_fit``."""
+
+    def __init__(self, dim: int, classes: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.weight = Parameter(rng.normal(scale=0.01, size=(dim, classes)), name="probe.weight")
+        self.bias = Parameter(np.zeros(classes), name="probe.bias")
+
+    def forward(self, features: Tensor) -> tuple[Tensor, Tensor]:
+        return features, add_rowvec(matmul(features, self.weight.value), self.bias.value)
 
 
 def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
@@ -51,37 +65,29 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
     """Train a linear classifier on frozen penultimate features; test top-1 (%).
 
     Standardization statistics come from the model's own training data
-    and are reused verbatim on the transfer splits.
+    and are reused verbatim on the transfer splits.  The probe trains in
+    ``_fit`` with momentum 0.9, so its divergence errors are ``_fit``'s.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigError(f"probe lr must be finite and positive, got {lr}")
     if epochs < 0:
         raise ConfigError(f"probe epochs must be non-negative, got {epochs}")
-    x_train, y_train = extract_features(frozen_model, train, stats, batch_size)
-    x_test, y_test = extract_features(frozen_model, test, stats, batch_size)
-    dim = x_train.shape[1]
-    classes = max(train.class_count, test.class_count)
-    rng = np.random.default_rng(seed)
-    w = Parameter(rng.normal(scale=0.01, size=(dim, classes)), name="probe.weight")
-    bias = Parameter(np.zeros(classes), name="probe.bias")
-    state: dict[int, np.ndarray] = {}
-    n = x_train.shape[0]
-    step = 0
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            with Tape() as tape:
-                logits = add_rowvec(matmul(Tensor(x_train[idx]), w.value), bias.value)
-                loss = cross_entropy_loss(logits, y_train[idx])
-                if not loss.is_finite():
-                    raise DivergenceError("probe loss is non-finite", step)
-                tape.backward(loss)
-            collect_grads(tape, [w, bias])
-            sgd_step([w, bias], lr, 0.9, 0.0, state)
-            step += 1
-    test_logits = x_test @ w.value.data + bias.value.data
-    return top1_accuracy(test_logits, y_test)
+    # feature rows stand in for the images of the probe's datasets
+    splits = [Dataset(*extract_features(frozen_model, split, stats, batch_size),
+                      split.class_count, f"{split.name} features") for split in (train, test)]
+    probe = _LinearProbe(splits[0].images.shape[1],
+                         max(train.class_count, test.class_count), seed)
+
+    def step_loss(batch, _targets, _step) -> LossBreakdown:
+        _, logits = probe.forward(batch.images)
+        ce = cross_entropy_loss(logits, batch.labels)
+        zero = Tensor(0.0)
+        return LossBreakdown(ce, zero, zero, zero, zero, ce)
+
+    _, final = _fit(probe, [probe.weight, probe.bias], step_loss, *splits, None,
+                    OptimSpec(lr, momentum=0.9, epochs=epochs, seed=seed),
+                    BatchPlan(batch_size, seed))
+    return final["test_acc"]
 
 
 def relative_improvement(acc_new: list[float], acc_kd: list[float], acc_van: list[float],
@@ -215,18 +221,19 @@ def negative_buffer_bytes(batch_size: int, proj_dim: int) -> int:
 
 def export_embeddings(model: Model, head: ProjectionHead, dataset: Dataset, stats,
                       path: str, batch_size: int = 256) -> int:
-    """Write label + normalized projection rows as CSV; returns the row count."""
+    """Write label + normalized projection rows as CSV; returns the row count.
+    Non-finite (``DomainError``) or zero-norm (``DegenerateInputError``)
+    projections raise before the file is opened."""
+    rows = [(batch.labels, z) for batch, z in inference(
+        model, dataset, stats, batch_size, lambda f, _: project(head, f),
+        "export_embeddings: the embeddings")]
     dim = head.weight.value.shape[1]
     with open(path, "w") as fh:
         fh.write("label," + ",".join(f"e{k}" for k in range(dim)) + "\n")
-        count = 0
-        for batch in eval_batches(dataset, stats, batch_size):
-            feats, _ = model.forward(batch.images)
-            z = project(head, feats).data
-            for label, row in zip(batch.labels, z):
+        for labels, z in rows:
+            for label, row in zip(labels, z):
                 fh.write(str(int(label)) + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
-                count += 1
-    return count
+    return len(dataset)
 
 
 def read_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:

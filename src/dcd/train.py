@@ -247,20 +247,26 @@ def write_epoch_csv(logs: list[EpochLog], path: str) -> None:
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
-def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> float:
-    """Top-1 accuracy (%) over an in-order unaugmented pass.
-
-    Raises :class:`DomainError` when the model's logits are non-finite:
-    ``argmax`` would pick class 0 for a NaN row and report a made-up
-    accuracy.
+def inference(model: Model, dataset: Dataset, stats, batch_size: int, output, what: str):
+    """The one inference pass: each batch of an in-order, unaugmented, untaped
+    pass with ``output(features, logits)`` as an array, computed with numpy's
+    warnings muted; a non-finite output raises :class:`DomainError` naming ``what``.
     """
-    hits = 0
     for batch in eval_batches(dataset, stats, batch_size):
         with np.errstate(**_QUIET):
-            _, logits = model.forward(batch.images)
-        if not logits.is_finite():
-            raise DomainError(f"evaluate: the model's logits on {dataset.name!r} are non-finite")
-        hits += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
+            out = output(*model.forward(batch.images)).data
+        if not np.isfinite(out).all():
+            raise DomainError(f"{what} on {dataset.name!r} are non-finite")
+        yield batch, out
+
+
+def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> float:
+    """Top-1 accuracy (%) over :func:`inference`, so non-finite logits raise
+    :class:`DomainError` (``argmax`` would pick class 0 for a NaN row)."""
+    hits = 0
+    for batch, logits in inference(model, dataset, stats, batch_size, lambda _, z: z,
+                                   "evaluate: the model's logits"):
+        hits += int((np.argmax(logits, axis=1) == batch.labels).sum())
     return 100.0 * hits / len(dataset)
 
 
@@ -272,7 +278,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
 
     ``step_loss(batch, targets, step)`` builds the step's
     :class:`LossBreakdown` on the open tape, where ``targets`` is
-    ``frozen(batch)`` (None without ``frozen``).  ``frozen`` runs before
+    ``frozen(batch, step)`` (None without ``frozen``).  ``frozen`` runs before
     the tape opens, so the frozen teacher's forward pass records no nodes
     and backward stops at its outputs.  ``temperature`` is the ``(tau, b)``
     pair that the epoch logs and final metrics report.  Returns the epoch
@@ -295,7 +301,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
             sums = np.zeros(5)
             seen = 0
             for batch in batches(train, plan, epoch, stats):
-                targets = frozen(batch) if frozen else None
+                targets = frozen(batch, step) if frozen else None
                 with Tape() as tape:
                     try:
                         bd = step_loss(batch, targets, step)
@@ -383,8 +389,18 @@ def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats, plan: BatchPl
         start = min(start, m - bs)  # the last window ends at the final row
         rows = slice(start, start + bs)
         images = standardize(train.images[rows].astype(np.float64), stats)
-        f, z = teacher.forward(Tensor(images))
+        f, z = _teacher_forward(teacher, Tensor(images), 0)
         feats[rows], logits[rows] = f.data, z.data
+    return feats, logits
+
+
+def _teacher_forward(teacher: Model, images: Tensor, step: int) -> tuple[Tensor, Tensor]:
+    """The frozen teacher's outputs, with numpy's warnings muted; non-finite ones
+    raise :class:`DivergenceError` naming the teacher, not the student's loss."""
+    with np.errstate(**_QUIET):
+        feats, logits = teacher.forward(images)
+    if not (feats.is_finite() and logits.is_finite()):
+        raise DivergenceError("frozen teacher: its features or logits are non-finite", step)
     return feats, logits
 
 
@@ -398,7 +414,8 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     before the first epoch (:func:`_frozen_teacher_outputs`), and every
     full batch gathers its rows from those outputs; only a short last
     batch runs the teacher again.  With augmentation it runs on every
-    batch.
+    batch.  Non-finite teacher outputs on either path end the run in a
+    :class:`DivergenceError` naming the frozen teacher.
     """
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
@@ -418,10 +435,10 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
     full_batch = min(plan.batch_size, len(train))
 
-    def teacher_outputs(batch):  # runs before the step's tape opens: no teacher nodes
+    def teacher_outputs(batch, step):  # runs before the step's tape opens: no teacher nodes
         if cached is not None and len(batch.index) == full_batch:
             return tuple(Tensor(out[batch.index]) for out in cached)
-        return teacher.forward(batch.images)
+        return _teacher_forward(teacher, batch.images, step)
 
     def step_loss(batch, targets, step) -> LossBreakdown:
         t_feats, t_logits = targets
@@ -446,5 +463,4 @@ def restore_student_head(ckpt: Checkpoint) -> ProjectionHead:
     w = ckpt.tensors.get("head.student.weight")
     if w is None:
         raise CheckpointFormatError("checkpoint has no student projection head")
-    head = ProjectionHead(Parameter(w.copy(), name="head.student.weight"), "student")
-    return head
+    return ProjectionHead(Parameter(w.copy(), name="head.student.weight"), "student")

@@ -514,3 +514,63 @@ def test_verify_command_passes(capsys):
     out = capsys.readouterr().out
     assert "relative_improvement: 20.31" in out
     assert "[FAIL]" not in out
+
+
+@pytest.fixture(scope="module")
+def student_run(teacher_run, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("runs") / "student")
+    assert main(["distill", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+                 "--out", out, "--seed", "2"] + FAST) == EXIT_OK
+    return out
+
+
+def _broken_copy(src, dst, how):
+    """A copy of a checkpoint whose model gives non-finite features
+    (``huge``: every model tensor times 1e200) or all-zero features
+    (``dead``: the last hidden layer outputs relu(-1) for every row)."""
+    ckpt = load_checkpoint(src)
+    if how == "huge":
+        for name, arr in ckpt.tensors.items():
+            if name.startswith("model."):
+                arr *= 1e200
+    else:
+        ckpt.tensors["model.layer1.weight"][...] = 0.0
+        ckpt.tensors["model.layer1.bias"][...] = -1.0
+    save_checkpoint(ckpt, str(dst))
+    return str(dst)
+
+
+def _only_divergence_line(argv):
+    """Run ``python -m dcd.cli`` and return its one stderr line, which must
+    be a ``divergence:`` message with exit 3."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dcd.cli"] + argv + FAST,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_DIVERGENCE, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divergence: "), proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("how,command", [("huge", "transfer"), ("huge", "export-embeddings"),
+                                         ("dead", "export-embeddings")])
+def test_pass_over_broken_checkpoint_exits_divergence(how, command, student_run, tmp_path):
+    ckpt = _broken_copy(os.path.join(student_run, "student.ckpt"), tmp_path / "s.ckpt", how)
+    csv_path = tmp_path / "emb.csv"
+    argv = [command, "--ckpt", ckpt]
+    if command == "export-embeddings":
+        argv += ["--csv", str(csv_path)]
+    assert _only_divergence_line(argv).startswith(f"divergence: checkpoint {ckpt!r}: ")
+    assert sorted(os.listdir(tmp_path)) == ["s.ckpt"]  # no embeddings CSV
+
+
+@pytest.mark.parametrize("augment", ["none", "flip"])
+def test_distill_from_non_finite_teacher_names_the_teacher(augment, teacher_run, tmp_path):
+    teacher = _broken_copy(os.path.join(teacher_run, "teacher.ckpt"), tmp_path / "t.ckpt",
+                           "huge")
+    out = tmp_path / "run"
+    line = _only_divergence_line(["distill", "--teacher", teacher, "--out", str(out),
+                                  "--set", f"augment={augment}"])
+    assert line.startswith("divergence: frozen teacher: "), line
+    assert sorted(os.listdir(out)) == ["config.txt"]  # no student.ckpt, epochs.csv or DONE
