@@ -211,10 +211,12 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _model_spec(cfg: dict, role: str, train: Dataset) -> ModelSpec:
+def _spec_and_data(cfg: dict, role: str) -> tuple[ModelSpec, Dataset, Dataset]:
+    """The ``role`` model's spec and the (train, test) splits that shape it."""
+    train, test = load_datasets(cfg)
     c, h, w = train.images.shape[1:]
-    return ModelSpec(cfg[f"{role}_family"], cfg[f"{role}_widths"],
-                     train.class_count, (int(c), int(h), int(w)))
+    return (ModelSpec(cfg[f"{role}_family"], cfg[f"{role}_widths"], train.class_count,
+                      (int(c), int(h), int(w))), train, test)
 
 
 def _optim(cfg: dict) -> OptimSpec:
@@ -237,38 +239,32 @@ def _distill_config(cfg: dict) -> DistillConfig:
                          detach_consistency_target=cfg["detach_consistency"])
 
 
-def _write_run(out_dir: str, name: str, ckpt, logs) -> None:
-    """Write the checkpoint, then ``epochs.csv``, then the ``DONE`` marker."""
+def _train_run(run_cfg: dict, out_dir: str, name: str, fit) -> dict:
+    """Make ``out_dir``, echo ``run_cfg`` into it, run ``fit()`` for the
+    ``(checkpoint, epoch logs)`` pair, then write the checkpoint as ``name``,
+    ``epochs.csv`` and the ``DONE`` marker, in that order; returns the final metrics."""
+    os.makedirs(out_dir, exist_ok=True)
+    echo_config(run_cfg, out_dir)
+    ckpt, logs = fit()
     save_checkpoint(ckpt, os.path.join(out_dir, name))
     write_epoch_csv(logs, os.path.join(out_dir, "epochs.csv"))
     with open(os.path.join(out_dir, "DONE"), "w") as fh:
         fh.write("ok\n")
+    return ckpt.metadata["final_metrics"]
 
 
 def cmd_train_teacher(cfg: dict) -> int:
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    echo_config(cfg, out_dir)
-    train, test = load_datasets(cfg)
-    spec = _model_spec(cfg, "teacher", train)
-    ckpt, logs = train_teacher(spec, train, test, _optim(cfg), _plan(cfg))
-    _write_run(out_dir, "teacher.ckpt", ckpt, logs)
-    metrics = ckpt.metadata["final_metrics"]
+    metrics = _train_run(cfg, cfg["out_dir"], "teacher.ckpt", lambda: train_teacher(
+        *_spec_and_data(cfg, "teacher"), _optim(cfg), _plan(cfg)))
     print(f"teacher: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f}")
     return EXIT_OK
 
 
 def cmd_distill(cfg: dict, teacher_path: str) -> int:
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    echo_config(cfg, out_dir)
-    teacher_ckpt = load_checkpoint(teacher_path)
-    train, test = load_datasets(cfg)
-    spec = _model_spec(cfg, "student", train)
-    ckpt, logs = distill(teacher_ckpt, spec, train, test, _distill_config(cfg),
-                         _optim(cfg), _plan(cfg))
-    _write_run(out_dir, "student.ckpt", ckpt, logs)
-    metrics = ckpt.metadata["final_metrics"]
+    # the teacher checkpoint is read before the data
+    metrics = _train_run(cfg, cfg["out_dir"], "student.ckpt", lambda: distill(
+        load_checkpoint(teacher_path), *_spec_and_data(cfg, "student"), _distill_config(cfg),
+        _optim(cfg), _plan(cfg)))
     print(f"student: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f} "
           f"tau={metrics['tau']:.4f} b={metrics['b']:.4f}")
     return EXIT_OK
@@ -342,18 +338,16 @@ def parse_grid(expr: str) -> list[dict[str, float]]:
 def _ablation_run(shared: tuple, task: tuple) -> tuple[int, int, float, str]:
     """Distill one (cell, seed) of a sweep into its run directory.
 
-    Returns ``(cell_index, seed_index, test_acc, error)``; a failed
-    distillation gives a NaN accuracy and the error text.
+    Returns ``(cell_index, seed_index, test_acc, error)``; a failed run
+    gives a NaN accuracy and the error text.
     """
     teacher_ckpt, spec, train, test, out_dir = shared
     cell_index, seed_index, run_cfg, distill_cfg, optim, plan = task
     run_dir = os.path.join(out_dir, f"cell{cell_index}-seed{seed_index}")
-    os.makedirs(run_dir, exist_ok=True)
-    echo_config(run_cfg, run_dir)
     try:
-        ckpt, logs = distill(teacher_ckpt, spec, train, test, distill_cfg, optim, plan)
-        _write_run(run_dir, "student.ckpt", ckpt, logs)
-        return (cell_index, seed_index, ckpt.metadata["final_metrics"]["test_acc"], "")
+        metrics = _train_run(run_cfg, run_dir, "student.ckpt", lambda: distill(
+            teacher_ckpt, spec, train, test, distill_cfg, optim, plan))
+        return (cell_index, seed_index, metrics["test_acc"], "")
     except Exception as exc:
         return (cell_index, seed_index, float("nan"), f"{type(exc).__name__}: {exc}")
 
@@ -466,9 +460,8 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
                           _optim(run_cfg), _plan(run_cfg)))
     os.makedirs(out_dir, exist_ok=True)
     echo_config(cfg, out_dir)
-    teacher_ckpt = load_checkpoint(teacher_path)
-    train, test = load_datasets(cfg)
-    shared = (teacher_ckpt, _model_spec(cfg, "student", train), train, test, out_dir)
+    with _restored(teacher_path) as (teacher_ckpt, _, _):  # a malformed teacher stops the sweep
+        shared = (teacher_ckpt, *_spec_and_data(cfg, "student"), out_dir)
     if jobs > 1:
         rows = _run_in_workers(shared, tasks, jobs, out_dir)
     else:

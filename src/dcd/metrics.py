@@ -22,9 +22,8 @@ import numpy as np
 from .autodiff import Parameter, Tensor, add_rowvec, matmul
 from .data import BatchPlan, Dataset
 from .errors import ConfigError, FormatError, ShapeMismatchError
-from .losses import LossBreakdown, cross_entropy_loss
 from .models import Model, ProjectionHead, project
-from .train import OptimSpec, _fit, inference
+from .train import OptimSpec, _fit, _supervised_step, inference
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -66,7 +65,8 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
 
     Standardization statistics come from the model's own training data
     and are reused verbatim on the transfer splits.  The probe trains in
-    ``_fit`` with momentum 0.9, so its divergence errors are ``_fit``'s.
+    ``_fit`` with momentum 0.9, so its divergence errors are ``_fit``'s, and
+    is evaluated once, after its last epoch.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigError(f"probe lr must be finite and positive, got {lr}")
@@ -77,16 +77,9 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
                       split.class_count, f"{split.name} features") for split in (train, test)]
     probe = _LinearProbe(splits[0].images.shape[1],
                          max(train.class_count, test.class_count), seed)
-
-    def step_loss(batch, _targets, _step) -> LossBreakdown:
-        _, logits = probe.forward(batch.images)
-        ce = cross_entropy_loss(logits, batch.labels)
-        zero = Tensor(0.0)
-        return LossBreakdown(ce, zero, zero, zero, zero, ce)
-
-    _, final = _fit(probe, [probe.weight, probe.bias], step_loss, *splits, None,
+    _, final = _fit(probe, [probe.weight, probe.bias], _supervised_step(probe), *splits, None,
                     OptimSpec(lr, momentum=0.9, epochs=epochs, seed=seed),
-                    BatchPlan(batch_size, seed))
+                    BatchPlan(batch_size, seed), epoch_logs=False)
     return final["test_acc"]
 
 

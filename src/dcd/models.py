@@ -11,6 +11,7 @@ functions of the weights and finite-difference checks stay exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,11 @@ class ModelSpec:
         c, h, w = self.in_shape
         return c * h * w
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "widths": list(self.widths),
-                "num_classes": self.num_classes, "in_shape": list(self.in_shape)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(d["family"], tuple(d["widths"]), int(d["num_classes"]),
-                   tuple(d["in_shape"]))
+        """The spec that ``asdict`` gave; its counts must be integers."""
+        return cls(d["family"], tuple(map(operator.index, d["widths"])),
+                   operator.index(d["num_classes"]), tuple(map(operator.index, d["in_shape"])))
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

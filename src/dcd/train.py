@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,11 +27,8 @@ from .models import Model, ModelSpec, ProjectionHead, init_weights, project
 CHECKPOINT_MAGIC = b"DCDC"
 CHECKPOINT_VERSION = 1
 
-_DTYPE_TAGS = {0: "<f8", 1: "<f4", 2: "<i8"}
-_TAG_FOR_KIND = {"f8": 0, "f4": 1, "i8": 2}
-
-EPOCH_CSV_COLUMNS = ("epoch", "sup", "distill_kl", "contrast", "consist", "total",
-                     "tau", "b", "train_acc", "test_acc")
+# a tensor's dtype tag -> its payload's dtype
+_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4"), 2: np.dtype("<i8")}
 
 
 @dataclass(frozen=True)
@@ -66,11 +63,6 @@ class OptimSpec:
                 lr *= mult
         return lr
 
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "momentum": self.momentum, "weight_decay": self.weight_decay,
-                "schedule": [list(s) for s in self.schedule], "epochs": self.epochs,
-                "seed": self.seed}
-
 
 def sgd_step(params: list[Parameter], lr: float, momentum: float, weight_decay: float,
              state: dict[int, np.ndarray]) -> None:
@@ -101,34 +93,24 @@ def sgd_step(params: list[Parameter], lr: float, momentum: float, weight_decay: 
 class Checkpoint:
     tensors: dict[str, np.ndarray]
     metadata: dict
-    version: int = CHECKPOINT_VERSION
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", ckpt.version)
     meta = json.dumps(ckpt.metadata, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<Q", len(meta))
-    blob += meta
-    blob += struct.pack("<I", len(ckpt.tensors))
+    blob = bytearray(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(meta)) + meta
+                     + struct.pack("<I", len(ckpt.tensors)))
     for name, arr in ckpt.tensors.items():
         arr = np.asarray(arr)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        kind = {"float64": "f8", "float32": "f4", "int64": "i8"}.get(arr.dtype.name)
-        if kind is None:
+        tag = next((t for t, dtype in _DTYPES.items() if dtype.name == arr.dtype.name), None)
+        if tag is None:
             raise ConfigError(f"unsupported checkpoint dtype {arr.dtype} for {name!r}")
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<BB", _TAG_FOR_KIND[kind], arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += arr.astype(_DTYPE_TAGS[_TAG_FOR_KIND[kind]]).tobytes()
+        blob += struct.pack("<H", len(encoded)) + encoded
+        blob += struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
+        blob += arr.astype(_DTYPES[tag]).tobytes()  # C order, whatever the layout
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
     os.replace(tmp, path)
 
 
@@ -176,30 +158,41 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset = meta_start + len(meta_text[:exc.pos].encode("utf-8"))
         raise CheckpointFormatError(f"metadata is not valid JSON: {exc.msg}",
                                     offset=offset) from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointFormatError("metadata is not a JSON object", offset=meta_start)
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len, "tensor name")
         tag, ndim = r.unpack("<BB")
-        if tag not in _DTYPE_TAGS:
+        if tag not in _DTYPES:
             raise CheckpointFormatError(f"unknown dtype tag {tag}", offset=r.pos - 2)
-        shape = tuple(r.unpack("<" + "I" * ndim)) if ndim else ()
-        dtype = np.dtype(_DTYPE_TAGS[tag])
-        payload = r.take(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize)
-        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        shape = r.unpack("<" + "I" * ndim)
+        # Python integers: a product of header dims can overflow int64
+        payload = r.take(math.prod(shape) * _DTYPES[tag].itemsize)
+        tensors[name] = np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(shape).copy()
     if r.pos != len(raw):
         raise CheckpointFormatError("trailing bytes after final tensor", offset=r.pos)
-    return Checkpoint(tensors, metadata, version)
+    return Checkpoint(tensors, metadata)
 
 
-def model_tensors(model: Model) -> dict[str, np.ndarray]:
-    return {p.name: p.value.data.copy() for p in model.parameters()}
+def _from_metadata(metadata: dict, key: str, parse):
+    """``parse(metadata[key])``, or a :class:`CheckpointFormatError` naming ``key``."""
+    try:
+        return parse(metadata[key])
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise CheckpointFormatError(f"metadata {key!r} is missing or malformed: "
+                                    f"{type(exc).__name__}: {exc}") from exc
 
 
-def restore_model(ckpt: Checkpoint, spec_key: str = "model_spec") -> Model:
-    spec = ModelSpec.from_dict(ckpt.metadata[spec_key])
-    model = init_weights(spec, int(ckpt.metadata.get("seed", 0)))
+def _spec(metadata: dict) -> ModelSpec:
+    return _from_metadata(metadata, "model_spec", ModelSpec.from_dict)
+
+
+def restore_model(ckpt: Checkpoint) -> Model:
+    # every parameter is overwritten below, so the init seed does not matter
+    model = init_weights(_spec(ckpt.metadata), 0)
     for p in model.parameters():
         stored = ckpt.tensors.get(p.name)
         if stored is None:
@@ -212,8 +205,17 @@ def restore_model(ckpt: Checkpoint, spec_key: str = "model_spec") -> Model:
 
 
 def stats_from_metadata(metadata: dict) -> tuple[np.ndarray, np.ndarray]:
-    return (np.asarray(metadata["channel_mean"], dtype=np.float64),
-            np.asarray(metadata["channel_std"], dtype=np.float64))
+    """The standardization statistics of a checkpoint: one finite mean and
+    one finite, positive std per input channel of its ``model_spec``."""
+    channels = _spec(metadata).in_shape[0]
+    mean, std = (_from_metadata(metadata, key, lambda v: np.asarray(v, dtype=np.float64))
+                 for key in ("channel_mean", "channel_std"))
+    if not (mean.shape == std.shape == (channels,) and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0).all()):
+        raise CheckpointFormatError(f"metadata 'channel_mean' and 'channel_std' must hold one "
+                                    f"finite mean and positive std per input channel "
+                                    f"({channels}), got {mean} and {std}")
+    return mean, std
 
 
 @dataclass
@@ -230,8 +232,12 @@ class EpochLog:
     test_acc: float = 0.0
 
     def row(self) -> list:
-        return [self.epoch, self.sup, self.distill_kl, self.contrast, self.consist,
-                self.total, self.tau, self.b, self.train_acc, self.test_acc]
+        return list(astuple(self))
+
+
+EPOCH_CSV_COLUMNS = tuple(f.name for f in fields(EpochLog))
+# the epoch columns that average a LossBreakdown term over the epoch
+_LOSS_COLUMNS = tuple(c for c in EPOCH_CSV_COLUMNS if c in {f.name for f in fields(LossBreakdown)})
 
 
 def write_epoch_csv(logs: list[EpochLog], path: str) -> None:
@@ -272,9 +278,11 @@ def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> fl
 
 def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test: Dataset,
          stats, optim: OptimSpec, plan: BatchPlan, frozen=None,
-         temperature: tuple[Parameter, ...] = ()) -> tuple[list[EpochLog], dict]:
+         temperature: tuple[Parameter, ...] = (), epoch_logs: bool = True,
+         ) -> tuple[list[EpochLog], dict]:
     """The one SGD loop: ``optim.epochs`` epochs over ``batches()``, each
-    followed by an evaluation of ``model`` on both splits.
+    followed by an evaluation of ``model`` on both splits unless
+    ``epoch_logs`` is false, which skips the epoch logs and their evaluations.
 
     ``step_loss(batch, targets, step)`` builds the step's
     :class:`LossBreakdown` on the open tape, where ``targets`` is
@@ -282,9 +290,12 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     the tape opens, so the frozen teacher's forward pass records no nodes
     and backward stops at its outputs.  ``temperature`` is the ``(tau, b)``
     pair that the epoch logs and final metrics report.  Returns the epoch
-    logs and the final metrics; a run of zero epochs evaluates its initial
-    weights once.
+    logs and the final metrics, which measure the final weights; a run of
+    zero epochs evaluates its initial weights once.
     """
+    def temperatures() -> dict:
+        return dict(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
+
     def accuracies() -> dict:
         try:
             return {"train_acc": evaluate(model, train, stats, plan.batch_size),
@@ -298,7 +309,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     with np.errstate(**_QUIET):
         for epoch in range(optim.epochs):
             lr = optim.lr_at(epoch)
-            sums = np.zeros(5)
+            sums = np.zeros(len(_LOSS_COLUMNS))
             seen = 0
             for batch in batches(train, plan, epoch, stats):
                 targets = frozen(batch, step) if frozen else None
@@ -318,26 +329,36 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
                         "temperature escaped its clamp interval"
                 n = len(batch.labels)
                 f = bd.as_floats()
-                sums += n * np.array([f["sup"], f["distill_kl"], f["contrast"], f["consist"],
-                                      f["total"]])
+                sums += n * np.array([f[c] for c in _LOSS_COLUMNS])
                 seen += n
                 step += 1
-            logs.append(EpochLog(epoch, *(sums / max(seen, 1)),
-                                 *(float(p.value.data) for p in temperature), **accuracies()))
-        # the last epoch already measured the final weights
+            if epoch_logs:
+                logs.append(EpochLog(epoch, **dict(zip(_LOSS_COLUMNS, sums / max(seen, 1))),
+                                     **temperatures(), **accuracies()))
+        # the last epoch log already measured the final weights
         final = ({"train_acc": logs[-1].train_acc, "test_acc": logs[-1].test_acc} if logs
                  else accuracies())
-    final.update(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
-    return logs, final
+    return logs, {**final, **temperatures()}
 
 
-def _checkpoint(tensors: dict, kind: str, spec: ModelSpec, optim: OptimSpec, stats,
+def _checkpoint(params: list[Parameter], kind: str, spec: ModelSpec, optim: OptimSpec, stats,
                 final: dict, **extra) -> Checkpoint:
-    """A trained run's checkpoint; ``extra`` adds kind-specific metadata keys."""
-    return Checkpoint(tensors, {
-        "kind": kind, "model_spec": spec.to_dict(), "optim": optim.to_dict(),
+    """A trained run's checkpoint of ``params`` in order; ``extra`` adds
+    kind-specific metadata keys."""
+    return Checkpoint({p.name: p.value.data.copy() for p in params}, {
+        "kind": kind, "model_spec": asdict(spec), "optim": asdict(optim),
         "seed": optim.seed, "channel_mean": [float(v) for v in stats[0]],
         "channel_std": [float(v) for v in stats[1]], "final_metrics": final, **extra})
+
+
+def _supervised_step(model):
+    """The step loss of plain cross-entropy training on ``model``'s logits."""
+    def step_loss(batch, _targets, _step) -> LossBreakdown:
+        _, logits = model.forward(batch.images)
+        ce = cross_entropy_loss(logits, batch.labels)
+        zero = Tensor(0.0)
+        return LossBreakdown(ce, zero, zero, zero, zero, ce)
+    return step_loss
 
 
 def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSpec,
@@ -346,15 +367,9 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     model = init_weights(spec, optim.seed)
     stats = channel_stats(train)
-
-    def step_loss(batch, _targets, _step) -> LossBreakdown:
-        _, logits = model.forward(batch.images)
-        ce = cross_entropy_loss(logits, batch.labels)
-        zero = Tensor(0.0)
-        return LossBreakdown(ce, zero, zero, zero, zero, ce)
-
-    logs, final = _fit(model, model.parameters(), step_loss, train, test, stats, optim, plan)
-    return _checkpoint(model_tensors(model), "teacher", spec, optim, stats, final), logs
+    params = model.parameters()
+    logs, final = _fit(model, params, _supervised_step(model), train, test, stats, optim, plan)
+    return _checkpoint(params, "teacher", spec, optim, stats, final), logs
 
 
 def _project(head: ProjectionHead, features, step: int):
@@ -419,19 +434,15 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     """
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
-    if "channel_mean" in teacher_ckpt.metadata:
-        stats = stats_from_metadata(teacher_ckpt.metadata)
-    else:
-        stats = channel_stats(train)
+    stats = stats_from_metadata(teacher_ckpt.metadata)
     student = init_weights(student_spec, optim.seed)
     t_head = ProjectionHead.create(teacher.spec.feature_dim, cfg.proj_dim, "teacher",
                                    [optim.seed, 1])
     s_head = ProjectionHead.create(student_spec.feature_dim, cfg.proj_dim, "student",
                                    [optim.seed, 2])
     tau, b = temperature_parameters(cfg)
-    params = student.parameters() + [t_head.weight, s_head.weight]
-    if cfg.learn_temperature:
-        params += [tau, b]
+    saved = student.parameters() + [s_head.weight, t_head.weight, tau, b]
+    params = saved if cfg.learn_temperature else saved[:-2]
     cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
     full_batch = min(plan.batch_size, len(train))
 
@@ -453,14 +464,17 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
 
     logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,
                        frozen=teacher_outputs, temperature=(tau, b))
-    tensors = model_tensors(student)
-    tensors.update((p.name, p.value.data.copy()) for p in (s_head.weight, t_head.weight, tau, b))
-    return _checkpoint(tensors, "student", student_spec, optim, stats, final,
-                       teacher_spec=teacher.spec.to_dict(), distill_config=asdict(cfg)), logs
+    return _checkpoint(saved, "student", student_spec, optim, stats, final,
+                       teacher_spec=asdict(teacher.spec), distill_config=asdict(cfg)), logs
 
 
 def restore_student_head(ckpt: Checkpoint) -> ProjectionHead:
+    """The student projection head: a 2-D tensor with one row per feature
+    of the checkpoint's model."""
     w = ckpt.tensors.get("head.student.weight")
-    if w is None:
-        raise CheckpointFormatError("checkpoint has no student projection head")
+    rows = _spec(ckpt.metadata).feature_dim
+    if w is None or w.ndim != 2 or w.shape[0] != rows:
+        raise CheckpointFormatError(f"checkpoint has no student projection head of shape ({rows}, "
+                                    f"proj_dim): 'head.student.weight' is "
+                                    f"{'missing' if w is None else w.shape}")
     return ProjectionHead(Parameter(w.copy(), name="head.student.weight"), "student")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcd import recipes
-from dcd.train import train_teacher
+from dcd.train import distill, train_teacher
 from dcd.verify import loss_close, unit_rows  # noqa: F401  re-exported for the test modules
 
 
@@ -52,3 +52,22 @@ def blob_recipe_teacher():
     teacher_spec, _ = recipes.blob_model_pair()
     return train_teacher(teacher_spec, teacher_train, test,
                          recipes.BLOB_TEACHER_OPTIM, recipes.BLOB_TEACHER_PLAN)
+
+
+@pytest.fixture(scope="session")
+def blob_recipe_student(blob_recipe_teacher):
+    """``run(cfg, seed)``: the shipped blob recipe's student checkpoint and epoch
+    logs under the ``DistillConfig`` ``cfg`` at ``seed``, each distinct run
+    distilled once per session (criteria 6 and 7 and the monotone sanity
+    test share the dcd_kd runs)."""
+    _, student_train, test = recipes.blob_trend_datasets()
+    _, student_spec = recipes.blob_model_pair()
+    runs = {}
+
+    def run(cfg, seed):
+        if (cfg, seed) not in runs:
+            runs[cfg, seed] = distill(blob_recipe_teacher[0], student_spec, student_train, test,
+                                      cfg, recipes.blob_student_optim(seed),
+                                      recipes.blob_student_plan(seed))
+        return runs[cfg, seed]
+    return run

@@ -68,31 +68,20 @@ def test_criterion_5_invariant_suite():
            started, 120)
 
 
-def _trend_arms(t_ckpt, student_spec, student_train, test, arms, seeds=(0, 1, 2)):
+def _trend_arms(student_run, arms, seeds=(0, 1, 2)):
     means = {}
     for name, overrides in arms.items():
         accs = []
         for seed in seeds:
-            cfg = recipes.blob_distill_config(**overrides)
-            ckpt, _ = distill(t_ckpt, student_spec, student_train, test, cfg,
-                              recipes.blob_student_optim(seed),
-                              recipes.blob_student_plan(seed))
+            ckpt, _ = student_run(recipes.blob_distill_config(**overrides), seed)
             accs.append(ckpt.metadata["final_metrics"]["test_acc"])
         means[name] = float(np.mean(accs))
     return means
 
 
-@pytest.fixture(scope="module")
-def blob_teacher(blob_recipe_teacher):
-    _, student_train, test = recipes.blob_trend_datasets()
-    _, student_spec = recipes.blob_model_pair()
-    return blob_recipe_teacher[0], student_spec, student_train, test
-
-
-def test_criterion_6_blob_distillation_trend(blob_teacher):
+def test_criterion_6_blob_distillation_trend(blob_recipe_student):
     started = time.time()
-    t_ckpt, student_spec, student_train, test = blob_teacher
-    means = _trend_arms(t_ckpt, student_spec, student_train, test, {
+    means = _trend_arms(blob_recipe_student, {
         "vanilla": dict(beta=0.0, lambda_kl=0.0),
         "kd": dict(beta=0.0, lambda_kl=1.0),
         "dcd_kd": dict(beta=1.0, lambda_kl=1.0),
@@ -153,10 +142,9 @@ def test_criterion_6_cifar_distillation_trend():
            started, 3600)
 
 
-def test_criterion_7_beta_ablation_monotonicity(blob_teacher):
+def test_criterion_7_beta_ablation_monotonicity(blob_recipe_student):
     started = time.time()
-    t_ckpt, student_spec, student_train, test = blob_teacher
-    means = _trend_arms(t_ckpt, student_spec, student_train, test, {
+    means = _trend_arms(blob_recipe_student, {
         "beta_1": dict(beta=1.0),
         "beta_100": dict(beta=100.0),
     })

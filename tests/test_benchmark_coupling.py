@@ -20,3 +20,36 @@ def test_tracer_installs_on_the_current_package():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gate_reads_training_outputs():
+    """``perfbench/gate.py`` reads ``EPOCH_CSV_COLUMNS``, ``EpochLog.row()``,
+    checkpoint metadata and ``restore_model``/``stats_from_metadata``; a tiny
+    blob teacher and student must pass its epoch, student and round-trip checks."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dcd.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"""
+import os, sys, tempfile
+sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})
+import gate
+from dcd.data import BatchPlan, synth_blob_split
+from dcd.losses import DistillConfig
+from dcd.models import ModelSpec
+from dcd.train import OptimSpec, distill, train_teacher
+
+train, test = synth_blob_split(2, 20, 10, 8, seed=3, std=0.05)
+teacher, logs = train_teacher(ModelSpec("mlp", (16,), 2, (1, 1, 8)), train, test,
+                              OptimSpec(lr=0.1, epochs=2, seed=1), BatchPlan(16, 1))
+gate.check_epochs(gate.epoch_rows(logs))
+cfg = DistillConfig(proj_dim=4)
+student, logs = distill(teacher, ModelSpec("mlp", (8,), 2, (1, 1, 8)), train, test, cfg,
+                        OptimSpec(lr=0.05, epochs=2, seed=2), BatchPlan(16, 2))
+gate.check_epochs(gate.epoch_rows(logs), cfg.tau_max)
+gate.check_student(student, teacher, test)
+with tempfile.TemporaryDirectory() as tmp:
+    for name, ckpt in (("teacher", teacher), ("student", student)):
+        gate.round_trip(ckpt, os.path.join(tmp, name + ".ckpt"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

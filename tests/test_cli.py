@@ -540,16 +540,17 @@ def _broken_copy(src, dst, how):
     return str(dst)
 
 
-def _only_divergence_line(argv):
+def _only_error_line(argv, code=EXIT_DIVERGENCE, prefix="divergence: "):
     """Run ``python -m dcd.cli`` and return its one stderr line, which must
-    be a ``divergence:`` message with exit 3."""
+    start with ``prefix``, with exit ``code`` (by default a ``divergence:``
+    message with exit 3)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "dcd.cli"] + argv + FAST,
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == EXIT_DIVERGENCE, proc.stderr
+    assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("divergence: "), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
     return lines[0]
 
 
@@ -561,7 +562,7 @@ def test_pass_over_broken_checkpoint_exits_divergence(how, command, student_run,
     argv = [command, "--ckpt", ckpt]
     if command == "export-embeddings":
         argv += ["--csv", str(csv_path)]
-    assert _only_divergence_line(argv).startswith(f"divergence: checkpoint {ckpt!r}: ")
+    assert _only_error_line(argv).startswith(f"divergence: checkpoint {ckpt!r}: ")
     assert sorted(os.listdir(tmp_path)) == ["s.ckpt"]  # no embeddings CSV
 
 
@@ -570,7 +571,51 @@ def test_distill_from_non_finite_teacher_names_the_teacher(augment, teacher_run,
     teacher = _broken_copy(os.path.join(teacher_run, "teacher.ckpt"), tmp_path / "t.ckpt",
                            "huge")
     out = tmp_path / "run"
-    line = _only_divergence_line(["distill", "--teacher", teacher, "--out", str(out),
-                                  "--set", f"augment={augment}"])
+    line = _only_error_line(["distill", "--teacher", teacher, "--out", str(out),
+                             "--set", f"augment={augment}"])
     assert line.startswith("divergence: frozen teacher: "), line
     assert sorted(os.listdir(out)) == ["config.txt"]  # no student.ckpt, epochs.csv or DONE
+
+
+def _set_metadata(ckpt, value):
+    ckpt.metadata = value
+
+
+def _drop_stats(ckpt):
+    del ckpt.metadata["channel_mean"], ckpt.metadata["channel_std"]
+
+
+# name -> (command, the run whose checkpoint it reads, the edit to that checkpoint)
+CHECKPOINT_FAULTS = {
+    "empty-metadata": ("eval", "teacher", lambda c: c.metadata.clear()),
+    "list-metadata": ("eval", "teacher", lambda c: _set_metadata(c, [1, 2])),
+    "text-widths": ("eval", "teacher", lambda c: c.metadata["model_spec"].update(widths="ab")),
+    "one-class": ("eval", "teacher", lambda c: c.metadata["model_spec"].update(num_classes=1)),
+    "text-std": ("eval", "teacher", lambda c: c.metadata.update(channel_std=["x"])),
+    "two-means": ("eval", "teacher", lambda c: c.metadata.update(channel_mean=[0.0, 0.0])),
+    "head-shape": ("export-embeddings", "student",
+                   lambda c: c.tensors.update({"head.student.weight": np.ones((3, 5))})),
+    "no-stats": ("eval", "teacher", _drop_stats),
+    "no-stats-distill": ("distill", "teacher", _drop_stats),
+    "no-stats-ablate": ("ablate", "teacher", _drop_stats),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_malformed_checkpoint_exits_4_with_one_line(fault, teacher_run, student_run, tmp_path):
+    command, run, edit = CHECKPOINT_FAULTS[fault]
+    ckpt = load_checkpoint(os.path.join(teacher_run if run == "teacher" else student_run,
+                                        f"{run}.ckpt"))
+    edit(ckpt)
+    path = str(tmp_path / "edited.ckpt")
+    save_checkpoint(ckpt, path)
+    argv = {"eval": ["eval", "--ckpt", path],
+            "distill": ["distill", "--teacher", path, "--out", str(tmp_path / "run")],
+            "ablate": ["ablate", "--teacher", path, "--out", str(tmp_path / "run"),
+                       "--grid", "beta=0,1"],
+            "export-embeddings": ["export-embeddings", "--ckpt", path,
+                                  "--csv", str(tmp_path / "emb.csv")]}[command]
+    _only_error_line(argv, EXIT_CHECKPOINT, "checkpoint error: ")
+    assert not os.path.exists(tmp_path / "emb.csv")
+    assert not os.path.exists(tmp_path / "run" / "DONE")
+    assert not os.path.exists(tmp_path / "run" / "summary.csv")

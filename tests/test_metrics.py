@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcd.data import synth_blob_split
-from dcd import metrics
+from dcd import train as train_mod
 from dcd.autodiff import Tensor
 from dcd.errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from dcd.losses import cross_entropy_loss
@@ -209,7 +209,7 @@ def test_linear_probe_divergence_names_the_global_step(monkeypatch):
         loss = cross_entropy_loss(logits, labels)
         return Tensor(np.float64("nan")) if len(calls) == 3 else loss
 
-    monkeypatch.setattr(metrics, "cross_entropy_loss", nan_on_third_call)
+    monkeypatch.setattr(train_mod, "cross_entropy_loss", nan_on_third_call)
     with pytest.raises(DivergenceError) as err:  # 100 rows: 2 steps per epoch
         linear_probe(model, train, test, None, epochs=3, batch_size=64, seed=0)
     assert err.value.step == 2

@@ -1,6 +1,7 @@
 """SGD semantics, training determinism, checkpoint format, frozen-teacher."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -245,6 +246,27 @@ def test_checkpoint_bad_text_offset(old, new, at, tmp_path):
     assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
 
 
+@pytest.mark.parametrize("dim", [2**16, 2**31])
+def test_checkpoint_header_whose_size_overflows_int64_is_truncated(dim, tmp_path):
+    """Four dims of ``dim`` hold 2**64 or more elements, which an int64 product
+    wraps to 0 payload bytes; the payload must be sized without wrapping."""
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint({"w": np.zeros((1, 1, 1, 1))}, {}), str(path))
+    # replace the four dims and the 8-byte payload that ends the file
+    raw = path.read_bytes()[:-24] + struct.pack("<4I", *[dim] * 4)
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError, match="truncated checkpoint") as err:
+        load_checkpoint(str(path))
+    assert err.value.offset == len(raw)
+    assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
+
+
+def test_checkpoint_empty_tensor_with_a_huge_dim_round_trips(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(Checkpoint({"w": np.zeros((0, 2**32 - 1))}, {}), path)
+    assert load_checkpoint(path).tensors["w"].shape == (0, 2**32 - 1)
+
+
 def test_final_metrics_reuse_last_epoch(blob_env, monkeypatch):
     train, test, teacher_spec, student_spec = blob_env
     calls = []
@@ -480,15 +502,12 @@ def test_convnet_distillation_end_to_end(rng):
     assert 0.0 <= float(ckpt.tensors["temperature.tau"]) <= cfg.tau_max
 
 
-def test_distill_monotone_sanity_on_shipped_blob_recipe(blob_recipe_teacher):
+def test_distill_monotone_sanity_on_shipped_blob_recipe(blob_recipe_teacher,
+                                                       blob_recipe_student):
     from dcd import recipes
-    _, student_train, test = recipes.blob_trend_datasets()
-    _, student_spec = recipes.blob_model_pair()
-    t_ckpt, t_logs = blob_recipe_teacher
+    _, t_logs = blob_recipe_teacher
     assert t_logs[-1].total < t_logs[0].total
-    ckpt, logs = distill(t_ckpt, student_spec, student_train, test,
-                         recipes.blob_distill_config(),
-                         recipes.blob_student_optim(0), recipes.blob_student_plan(0))
+    ckpt, logs = blob_recipe_student(recipes.blob_distill_config(), 0)
     assert logs[-1].total < logs[0].total
 
 
