@@ -76,10 +76,6 @@ class Tensor:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())
 
-    def detach(self) -> "Tensor":
-        """Copy of the value as a fresh constant leaf (no tape history)."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, id={self.id})"
 
@@ -364,17 +360,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), a.data @ b.data, bwd)
 
 
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of an [N, D] matrix to unit Euclidean norm."""
+def unit_rows(x: np.ndarray, clamp: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(x / max(norm, EPS), the divisors, the clamped-row mask or None)`` per
+    row of a matrix.  A row whose norm is below ``EPS`` raises
+    :class:`DegenerateInputError` unless ``clamp``, as torch's ``F.normalize``
+    does; rows at or above ``EPS`` are divided by their own norm either way."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    small = norms < EPS
+    if not small.any():
+        return x / norms, norms, None
+    if not clamp:
+        raise DegenerateInputError("l2_normalize_rows: a row has (near-)zero norm")
+    norms = np.maximum(norms, EPS)
+    return x / norms, norms, small
+
+
+def unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray,
+                       clamped: np.ndarray | None) -> np.ndarray:
+    """The input gradient of :func:`unit_rows` from its output gradient ``g``;
+    a clamped row is ``x / EPS``, a linear map with no radial term."""
+    radial = (g * y).sum(axis=1, keepdims=True)
+    if clamped is not None:
+        radial[clamped] = 0.0
+    return (g - y * radial) / norms
+
+
+def l2_normalize_rows(x: Tensor, clamp: bool = False) -> Tensor:
+    """Scale each row of an [N, D] matrix to unit Euclidean norm; a row of
+    (near-)zero norm raises, or with ``clamp`` is divided by ``EPS``."""
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"l2_normalize_rows expects a matrix, got shape {x.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-    if np.any(norms < EPS):
-        raise DegenerateInputError("l2_normalize_rows: a row has (near-)zero norm")
-    y = x.data / norms
+    y, norms, clamped = unit_rows(x.data, clamp)
 
-    def bwd(g, yd=y, nd=norms):
-        return ((g - yd * (g * yd).sum(axis=1, keepdims=True)) / nd,)
+    def bwd(g, yd=y, nd=norms, cd=clamped):
+        return (unit_rows_backward(g, yd, nd, cd),)
 
     return _emit("l2_normalize_rows", (x,), y, bwd)
 

@@ -30,9 +30,9 @@ from .losses import TAU_INIT_DEFAULT, DistillConfig
 from .metrics import export_embeddings, linear_probe
 from .models import ModelSpec
 from .recipes import fold_clusters
-from .train import (OptimSpec, distill, evaluate, load_checkpoint, restore_model,
-                    restore_student_head, save_checkpoint, stats_from_metadata,
-                    train_teacher, write_epoch_csv)
+from .train import (OptimSpec, check_class_count, distill, evaluate, load_checkpoint,
+                    restore_model, restore_student_head, save_checkpoint,
+                    stats_from_metadata, train_teacher, write_epoch_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -286,6 +286,7 @@ def _restored(ckpt_path: str):
 def cmd_eval(cfg: dict, ckpt_path: str) -> int:
     with _restored(ckpt_path) as (_, model, stats):
         _, test = load_datasets(cfg)
+        check_class_count(model.spec, test, "the checkpoint")
         acc = evaluate(model, test, stats, cfg["batch_size"])
     print(f"top1_accuracy: {acc:.2f}")
     return EXIT_OK
@@ -460,8 +461,11 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
                           _optim(run_cfg), _plan(run_cfg)))
     os.makedirs(out_dir, exist_ok=True)
     echo_config(cfg, out_dir)
-    with _restored(teacher_path) as (teacher_ckpt, _, _):  # a malformed teacher stops the sweep
-        shared = (teacher_ckpt, *_spec_and_data(cfg, "student"), out_dir)
+    # a malformed teacher, or one for another class count, stops the sweep
+    with _restored(teacher_path) as (teacher_ckpt, teacher, _):
+        spec, train, test = _spec_and_data(cfg, "student")
+        check_class_count(teacher.spec, train, "the teacher checkpoint")
+    shared = (teacher_ckpt, spec, train, test, out_dir)
     if jobs > 1:
         rows = _run_in_workers(shared, tasks, jobs, out_dir)
     else:

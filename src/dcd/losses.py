@@ -9,6 +9,17 @@ divergence between student-anchored and teacher-anchored similarity
 distributions.  All functions return tape-tracked scalar tensors, so a
 single backward pass reaches the student network, both projection heads
 and the two scalars.
+
+Both embedding terms come from one private op, :func:`_embedding_terms`,
+recorded as one tape node: it normalizes each side once, builds one
+student-anchored cosine matrix, takes the teacher-anchored logits as its
+transpose, shares one log-softmax per anchor between the two terms, and
+has a hand-written backward.  A student row of zero norm (a dead row) is
+divided by ``EPS`` instead of raising, as torch's ``F.normalize`` does;
+a zero teacher row raises.  :func:`similarity_logits`,
+:func:`student_distribution` and :func:`teacher_distribution` stay
+composed from autodiff ops, as an in-package reference beside
+:mod:`dcd.oracle`.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import ConfigError, IndexOutOfRangeError, ShapeMismatchError
+from .errors import ConfigError, DomainError, IndexOutOfRangeError, ShapeMismatchError
 
 # Multiplicative parameterization exp(tau) matching a fixed divisor
 # temperature of 0.07, the conventional contrastive default.
@@ -73,8 +84,9 @@ class EmbeddingPair:
     Rows are expected to lie on the unit hypersphere; construction via
     :meth:`from_projections` enforces that to 1e-9.  The plain
     constructor checks shapes only, which keeps the loss functions
-    usable as plain differentiable functions of raw leaves (they
-    re-normalize internally either way).
+    usable as plain differentiable functions of raw leaves: they
+    normalize each side once internally either way, a zero student row
+    to zero and a zero teacher row to a :class:`DegenerateInputError`.
     """
 
     def __init__(self, zs: Tensor, zt: Tensor):
@@ -139,13 +151,6 @@ def similarity_logits(pair: EmbeddingPair, tau, b, anchor: str = "student") -> T
     return ad.add(ad.mul(cos, ad.exp(tau_t)), b_t)
 
 
-def contrastive_loss(pair: EmbeddingPair, tau, b) -> Tensor:
-    """Each student row must select its own teacher row among the batch."""
-    lsm = ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="student"))
-    neg_diag = Tensor(-np.eye(pair.n))
-    return ad.scale(ad.tsum(ad.mul(lsm, neg_diag)), 1.0 / pair.n)
-
-
 def student_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
     """Row-stochastic matrix: softmax over student-anchored similarity rows."""
     return ad.exp(ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="student")))
@@ -156,23 +161,78 @@ def teacher_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
     return ad.exp(ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="teacher")))
 
 
+def _log_softmax_and_probs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax and softmax from one ``exp``."""
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    total = ex.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), ex / total
+
+
+def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
+                     detach_target: bool = False) -> tuple[Tensor, float, float]:
+    """``(weights[0] * contrast + weights[1] * consist, contrast, consist)``,
+    the first as one tape node over ``zs``, ``zt``, ``tau`` and ``b``.
+
+    ``L = cos(zs, zt) * exp(tau) + b`` holds the student-anchored logits and
+    ``L.T`` the teacher-anchored ones.  With ``ls``/``lt`` their row
+    log-softmaxes and ``P = exp(ls)``, ``Q = exp(lt)``, the gradient wrt
+    ``L`` is ``(P - I) / N`` for the contrast and
+    ``(P * (D - rowsum(P * D)) + (Q - P).T) / N`` for the consistency, where
+    ``D = ls - lt``; ``detach_target`` drops the ``(Q - P).T`` part, which
+    comes through the teacher-anchored side.
+    """
+    tau_t, b_t = _check_tau(tau), _scalar(b)
+    w_contrast, w_consist = weights
+    zs, s_norms, s_clamped = ad.unit_rows(pair.zs.data, clamp=True)
+    zt, t_norms, _ = ad.unit_rows(pair.zt.data, clamp=False)
+    e = np.exp(tau_t.data)
+    cos = zs @ zt.T
+    logits = cos * e
+    logits += b_t.data
+    if not np.isfinite(logits).all():
+        raise DomainError("embedding similarity logits must be finite")
+    n = pair.n
+    ls, p = _log_softmax_and_probs(logits)
+    lt, q = _log_softmax_and_probs(logits.T)
+    gap = ls - lt
+    p_gap = p * gap
+    contrast = float(-np.trace(ls) / n)
+    consist = float(p_gap.sum() / n)
+
+    def bwd(g):
+        g_logits = p * w_contrast
+        g_logits.flat[::n + 1] -= w_contrast
+        if w_consist:
+            g_consist = gap - p_gap.sum(axis=1, keepdims=True)
+            g_consist *= p
+            if not detach_target:
+                g_consist += (q - p).T
+            g_consist *= w_consist
+            g_logits += g_consist
+        g_logits *= g / n
+        g_cos = g_logits * e
+        return (ad.unit_rows_backward(g_cos @ zt, zs, s_norms, s_clamped),
+                ad.unit_rows_backward(g_cos.T @ zs, zt, t_norms, None),
+                np.asarray((g_cos * cos).sum()), np.asarray(g_logits.sum()))
+
+    value = np.asarray(w_contrast * contrast + w_consist * consist)
+    return ad._emit("embedding_terms", (pair.zs, pair.zt, tau_t, b_t), value, bwd), \
+        contrast, consist
+
+
+def contrastive_loss(pair: EmbeddingPair, tau, b) -> Tensor:
+    """Each student row must select its own teacher row among the batch."""
+    return _embedding_terms(pair, tau, b, (1.0, 0.0))[0]
+
+
 def consistency_loss(pair: EmbeddingPair, tau, b, detach_target: bool = False) -> Tensor:
     """Mean KL between student-anchored and teacher-anchored distributions.
 
     With ``detach_target`` the teacher-anchored distribution is treated
     as a constant target; by default gradients flow through both sides.
     """
-    ls = ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="student"))
-    lt = ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="teacher"))
-    if detach_target:
-        lt = lt.detach()
-    p = ad.exp(ls)
-    return ad.scale(ad.tsum(ad.mul(p, ad.sub(ls, lt))), 1.0 / pair.n)
-
-
-def _np_log_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return _embedding_terms(pair, tau, b, (0.0, 1.0), detach_target)[0]
 
 
 def kd_kl_loss(student_logits: Tensor, teacher_logits, temperature: float) -> Tensor:
@@ -186,8 +246,8 @@ def kd_kl_loss(student_logits: Tensor, teacher_logits, temperature: float) -> Te
         raise ShapeMismatchError(
             f"logit shapes differ: {student_logits.shape} vs {t_data.shape}")
     n = student_logits.shape[0]
-    t_log_p = _np_log_softmax(t_data / t)
-    t_p = np.exp(t_log_p)
+    t_log_p, _ = _log_softmax_and_probs(t_data / t)
+    t_p = np.exp(t_log_p)  # not the quotient returned beside it: KD students keep their bits
     s_lsm = ad.log_softmax_rows(ad.scale(student_logits, 1.0 / t))
     per = ad.mul(Tensor(t_p), ad.sub(Tensor(t_log_p), s_lsm))
     return ad.scale(ad.tsum(per), t * t / n)
@@ -247,9 +307,9 @@ def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPa
             raise ConfigError(f"beta={cfg.beta} needs an embedding pair")
         contrast = consist = kd = Tensor(0.0)
     else:
-        contrast = contrastive_loss(pair, tau, b)
-        consist = consistency_loss(pair, tau, b, cfg.detach_consistency_target)
-        kd = contrast if cfg.alpha == 0.0 else ad.add(contrast, ad.scale(consist, cfg.alpha))
+        kd, contrast, consist = _embedding_terms(pair, tau, b, (1.0, cfg.alpha),
+                                                 cfg.detach_consistency_target)
+        contrast, consist = Tensor(contrast), Tensor(consist)
     total = sup
     if cfg.lambda_kl != 0.0:
         total = ad.add(total, ad.scale(distill_kl, cfg.lambda_kl))

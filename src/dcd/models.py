@@ -158,12 +158,14 @@ class ProjectionHead:
         return cls(w, owner)
 
 
-def project(head: ProjectionHead, features: Tensor) -> Tensor:
-    """Row-normalized linear projection of penultimate features."""
+def project(head: ProjectionHead, features: Tensor, clamp: bool = False) -> Tensor:
+    """Row-normalized linear projection of penultimate features; a row that
+    projects to (near-)zero norm raises, or with ``clamp`` is divided by
+    ``EPS`` (see :func:`autodiff.unit_rows`)."""
     if features.data.ndim != 2 or features.shape[1] != head.weight.value.shape[0]:
         raise ShapeMismatchError(
             f"features {features.shape} do not match head {head.weight.value.shape}")
-    return ad.l2_normalize_rows(ad.matmul(features, head.weight.value))
+    return ad.l2_normalize_rows(ad.matmul(features, head.weight.value), clamp)
 
 
 # Shipped capacity recipes: the student halves (convnet) or quarters (mlp)

@@ -204,6 +204,14 @@ def restore_model(ckpt: Checkpoint) -> Model:
     return model
 
 
+def check_class_count(spec: ModelSpec, dataset: Dataset, what: str) -> None:
+    """A :class:`ConfigError` naming both counts unless ``dataset`` has the
+    ``spec``'s number of classes."""
+    if dataset.class_count != spec.num_classes:
+        raise ConfigError(f"{what} has {spec.num_classes} classes, but {dataset.name!r} has "
+                          f"{dataset.class_count}")
+
+
 def stats_from_metadata(metadata: dict) -> tuple[np.ndarray, np.ndarray]:
     """The standardization statistics of a checkpoint: one finite mean and
     one finite, positive std per input channel of its ``model_spec``."""
@@ -373,8 +381,12 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
 
 
 def _project(head: ProjectionHead, features, step: int):
+    """The head's projection for training.  A dead student row (every feature
+    zero after the ReLU, so a zero projection) is clamped, not a divergence:
+    its zero features add nothing to the head's gradient, and the ReLU passes
+    none back.  A zero teacher row still raises."""
     try:
-        return project(head, features)
+        return project(head, features, clamp=head.owner == "student")
     except DegenerateInputError as exc:
         raise DivergenceError(f"{head.owner} projection head: {exc}", step) from exc
 
@@ -434,6 +446,7 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     """
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
+    check_class_count(teacher.spec, train, "the teacher checkpoint")
     stats = stats_from_metadata(teacher_ckpt.metadata)
     student = init_weights(student_spec, optim.seed)
     t_head = ProjectionHead.create(teacher.spec.feature_dim, cfg.proj_dim, "teacher",

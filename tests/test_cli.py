@@ -193,6 +193,21 @@ def test_zero_teacher_features_exit_divergence(teacher_run, tmp_path, capsys):
     assert "teacher projection head" in err and "(step 0)" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "distill", "ablate"])
+def test_class_count_mismatch_exits_config_naming_both(command, teacher_run, tmp_path,
+                                                       capsys):
+    teacher = os.path.join(teacher_run, "teacher.ckpt")  # a 2-class teacher
+    argv = {"eval": ["eval", "--ckpt", teacher],
+            "distill": ["distill", "--teacher", teacher, "--out", str(tmp_path / "run")],
+            "ablate": ["ablate", "--teacher", teacher, "--out", str(tmp_path / "run"),
+                       "--grid", "beta=0,1"]}[command]
+    assert main(argv + FAST + ["--set", "blob_classes=4"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "has 2 classes" in err and "has 4" in err
+    assert not os.path.exists(tmp_path / "run" / "DONE")
+    assert not os.path.exists(tmp_path / "run" / "summary.csv")
+
+
 def test_transfer_dimension_mismatch_message(teacher_run, tmp_path, capsys):
     teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
     code = main(["transfer", "--ckpt", teacher_ckpt] + FAST

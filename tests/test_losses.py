@@ -10,8 +10,10 @@ from conftest import central_difference, loss_close, rel_err, unit_rows
 
 from dcd import oracle
 from dcd.autodiff import Tape, Tensor
-from dcd.errors import ConfigError, IndexOutOfRangeError, ShapeMismatchError
-from dcd.losses import (DistillConfig, EmbeddingPair, consistency_loss, contrastive_loss,
+from dcd.errors import (ConfigError, DegenerateInputError, DomainError, IndexOutOfRangeError,
+                        ShapeMismatchError)
+from dcd.losses import (DistillConfig, EmbeddingPair, _embedding_terms, consistency_loss,
+                        contrastive_loss,
                         cross_entropy_loss, kd_kl_loss, similarity_logits,
                         student_distribution, teacher_distribution,
                         temperature_parameters, total_loss)
@@ -231,6 +233,93 @@ def test_consistency_detach_target_matches_frozen_target_gradient(rng):
         analytic = tape.grads[zs_t.id]
     fd = central_difference(frozen_value, [zs])[0]
     assert rel_err(analytic, fd, floor=1e-4) < 1e-4
+
+
+# -- the fused embedding-terms op ----------------------------------------------
+
+def test_embedding_terms_match_oracles(rng):
+    shapes = [(int(rng.integers(1, 9)), int(rng.integers(2, 17))) for _ in range(30)]
+    for i, (n, d) in enumerate([(1, 5), (1, 1)] + shapes):
+        zs = unit_rows(rng, n, d)
+        zt = zs.copy() if i % 3 == 0 else unit_rows(rng, n, d)  # identical embeddings too
+        tau, b = float(rng.uniform(0.0, 10.0)), float(rng.uniform(-1.0, 1.0))
+        alpha = float(rng.uniform(0.0, 2.0))
+        value, contrast, consist = _embedding_terms(EmbeddingPair(Tensor(zs), Tensor(zt)),
+                                                    tau, b, (1.0, alpha))
+        assert loss_close(contrast, oracle.oracle_contrastive(zs, zt, tau, b).value)
+        assert loss_close(consist, oracle.oracle_consistency(zs, zt, tau, b).value)
+        assert value.item() == contrast + alpha * consist
+
+
+def _np_lsm(m):
+    s = m - m.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+def _np_terms(zs, zt, tau, b, alpha, lt_frozen=None):
+    """contrast + alpha * consist in plain numpy, with the teacher-anchored
+    log-softmax optionally frozen (the detached target)."""
+    us = zs / np.linalg.norm(zs, axis=1, keepdims=True)
+    ut = zt / np.linalg.norm(zt, axis=1, keepdims=True)
+    ls = _np_lsm(us @ ut.T * math.exp(tau) + b)
+    lt = _np_lsm(ut @ us.T * math.exp(tau) + b) if lt_frozen is None else lt_frozen
+    n = len(zs)
+    return float(-np.trace(ls) / n + alpha * (np.exp(ls) * (ls - lt)).sum() / n)
+
+
+@pytest.mark.parametrize("alpha,detach", [(0.0, False), (0.5, False), (0.0, True),
+                                          (0.5, True)])
+def test_embedding_terms_gradients_vs_finite_differences(alpha, detach, rng):
+    # raw (non-unit) leaves, so the op's own normalization is differentiated too
+    zs = rng.uniform(-2, 2, (4, 6))
+    zt = rng.uniform(-2, 2, (4, 6))
+    tau, b = np.asarray(1.1), np.asarray(-0.3)
+    frozen = None
+    if detach:  # the teacher-anchored law at the evaluation point, held fixed
+        us = zs / np.linalg.norm(zs, axis=1, keepdims=True)
+        ut = zt / np.linalg.norm(zt, axis=1, keepdims=True)
+        frozen = _np_lsm(ut @ us.T * math.exp(tau) + b)
+    with Tape() as tape:
+        leaves = [Tensor(zs), Tensor(zt), Tensor(tau), Tensor(b)]
+        value, _, _ = _embedding_terms(EmbeddingPair(leaves[0], leaves[1]), leaves[2],
+                                       leaves[3], (1.0, alpha), detach)
+        tape.backward(value)
+    assert abs(value.item() - _np_terms(zs, zt, tau, b, alpha, frozen)) < 1e-12
+    fd = central_difference(lambda: _np_terms(zs, zt, tau, b, alpha, frozen), [zs, zt, tau, b])
+    for leaf, f in zip(leaves, fd):
+        assert rel_err(tape.grads[leaf.id], f, floor=1e-4) < 1e-4
+
+
+def test_embedding_terms_zero_student_row_is_finite(rng):
+    zs = unit_rows(rng, 5, 6)
+    zs[2] = 0.0
+    zt = unit_rows(rng, 5, 6)
+    with Tape() as tape:
+        leaves = [Tensor(zs), Tensor(zt), Tensor(1.3), Tensor(0.2)]
+        value, contrast, consist = _embedding_terms(EmbeddingPair(leaves[0], leaves[1]),
+                                                    leaves[2], leaves[3], (1.0, 0.5))
+        tape.backward(value)
+    assert math.isfinite(contrast) and math.isfinite(consist)
+    for leaf in leaves:
+        assert np.isfinite(tape.grads[leaf.id]).all()
+    # the dead row's logits are all b, so its student-anchored law is uniform
+    ls = _np_lsm(zs @ zt.T * math.exp(1.3) + 0.2)
+    assert np.allclose(ls[2], -math.log(5), rtol=0, atol=1e-15)
+    assert abs(contrast + np.trace(ls) / 5) < 1e-12
+
+
+def test_embedding_terms_reject_zero_teacher_row_and_non_finite_logits(rng):
+    zt = unit_rows(rng, 3, 4)
+    zt[0] = 0.0
+    with pytest.raises(DegenerateInputError):
+        contrastive_loss(EmbeddingPair(Tensor(unit_rows(rng, 3, 4)), Tensor(zt)), 1.0, 0.0)
+    pair = make_pair(rng, 3, 4)
+    with pytest.raises(DomainError):
+        consistency_loss(pair, 1.0, np.inf)
+    tau, b = temperature_parameters(DistillConfig())
+    tau.value.data[...] = -1.0
+    with pytest.raises(ConfigError):
+        contrastive_loss(pair, tau, b)
 
 
 # -- combined kd loss ----------------------------------------------------------

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from dcd.autodiff import Parameter, collect_grads
-from dcd.data import BatchPlan, batches, synth_blob_split
+from dcd.autodiff import Parameter, Tensor, collect_grads
+from dcd.data import BatchPlan, Dataset, batches, synth_blob_split
 from dcd.errors import CheckpointFormatError, ConfigError
 from dcd.losses import DistillConfig
 from dcd.models import ModelSpec, init_weights, mlp_pair
@@ -442,6 +442,43 @@ def test_distill_zero_epochs_returns_initialized_student(blob_env, blob_teacher,
     assert (final["tau"], final["b"]) == (cfg.tau_init, cfg.b_init)
     assert float(ckpt.tensors["temperature.tau"]) == cfg.tau_init
     assert float(ckpt.tensors["temperature.b"]) == cfg.b_init
+
+
+def test_dead_student_row_is_clamped_not_a_divergence(blob_env, blob_teacher):
+    """A student row whose features are all zero projects to zero; training
+    clamps it, as torch's F.normalize does, and finishes with finite tensors."""
+    train, test, _, student_spec = blob_env
+    # stats (0, 1) keep an all-zero image at zero through standardization
+    teacher = Checkpoint(blob_teacher.tensors,
+                         {**blob_teacher.metadata, "channel_mean": [0.0], "channel_std": [1.0]})
+    images = train.images.copy()
+    images[0] = 0.0
+    dead = Dataset(images, train.labels, train.class_count, "dead-row")
+    optim = OptimSpec(lr=0.05, epochs=2, seed=3)
+    # zero input and zero initial biases: row 0's first-step features are all zero
+    feats, _ = init_weights(student_spec, optim.seed).forward(Tensor(images[:1]))
+    assert not feats.data.any()
+    ckpt, logs = distill(teacher, student_spec, dead, test, DistillConfig(proj_dim=4), optim,
+                         BatchPlan(len(dead), 3))  # one batch: row 0 is in step 0
+    assert len(logs) == 2
+    assert all(np.isfinite(t).all() for t in ckpt.tensors.values())
+
+
+def test_dcd_kd_step_records_28_tape_nodes(cli_blob_env, monkeypatch):
+    """One DCD+KD step on the CLI blob shapes: 9 student-forward nodes, 4 for
+    the two projections and 15 for the loss, whose embedding terms are one node."""
+    counts = []
+
+    class CountingTape(train_mod.Tape):
+        def backward(self, root):
+            counts.append(len(self.nodes))
+            return super().backward(root)
+
+    monkeypatch.setattr(train_mod, "Tape", CountingTape)
+    train, test, t_ckpt, student_spec = cli_blob_env
+    distill(t_ckpt, student_spec, train, test, DistillConfig(),
+            OptimSpec(lr=0.05, epochs=1, seed=0), BatchPlan(32, 0))
+    assert counts == [28] * 3
 
 
 def test_checkpoint_feeds_distill_like_memory_handoff(blob_env, tmp_path):
