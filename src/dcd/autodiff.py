@@ -7,6 +7,12 @@ saved forward values.  ``Tape.backward`` walks the node list in reverse
 insertion order, which is a valid topological order by construction,
 accumulating gradients per tensor id; afterwards only the leaves' remain.
 
+A tape opened with ``leaves`` differentiates only those leaves: it tracks
+them and the outputs of the nodes it records, records an op only when one
+of its inputs is tracked, and gives no gradient to an untracked tensor.
+``matmul`` and ``conv2d`` then skip the product that would compute one.
+A tape without ``leaves`` tracks every tensor.
+
 Elementwise ops accept equal shapes or a scalar (size-1) operand; there
 is no general broadcasting.  All math is 64-bit.
 """
@@ -96,11 +102,16 @@ class _Node:
 
 
 class Tape:
-    """Append-only op record for one forward pass, used as a context manager."""
+    """Append-only op record for one forward pass, used as a context manager.
 
-    def __init__(self):
+    ``leaves``, when given, are the only leaves the tape differentiates
+    (see the module docstring); None tracks every tensor.
+    """
+
+    def __init__(self, leaves: "list[Tensor] | None" = None):
         self.nodes: list[_Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self.tracked: set[int] | None = None if leaves is None else {t.id for t in leaves}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -111,7 +122,16 @@ class Tape:
         assert popped is self, "tapes must unwind in LIFO order"
         return False
 
+    def tracks(self, t: Tensor) -> bool:
+        """Whether ``t`` is a tracked leaf or the output of a recorded node."""
+        return self.tracked is None or t.id in self.tracked
+
     def record(self, op: str, inputs: tuple[Tensor, ...], out: Tensor, backward) -> None:
+        """Append the op's node, unless no input is tracked."""
+        if self.tracked is not None:
+            if not any(t.id in self.tracked for t in inputs):
+                return
+            self.tracked.add(out.id)
         self.nodes.append(_Node(op, out.id, tuple(t.id for t in inputs), backward))
 
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
@@ -119,7 +139,8 @@ class Tape:
 
         A node's output gradient is dropped once the node has used it, so
         ``grads`` holds only leaves afterwards (tensors no node produced,
-        such as parameters and inputs).  Deterministic: a second call on
+        such as parameters and inputs).  On a tape opened with ``leaves``
+        only those leaves get gradients.  Deterministic: a second call on
         the same tape rebuilds the same gradient map bitwise.
         """
         if root.shape != ():
@@ -134,7 +155,7 @@ class Tape:
                 continue
             input_grads = node.backward(g_out)
             for tid, g in zip(node.input_ids, input_grads):
-                if g is None:
+                if g is None or (self.tracked is not None and tid not in self.tracked):
                     continue
                 acc = self.grads.get(tid)
                 self.grads[tid] = g if acc is None else acc + g
@@ -168,6 +189,13 @@ def collect_grads(tape: Tape, params: list[Parameter]) -> None:
     """Pull each parameter's gradient (or None) out of a backward'd tape."""
     for p in params:
         p.grad = tape.grads.get(p.value.id)
+
+
+def _differentiates(t: Tensor) -> bool:
+    """Whether the active tape differentiates ``t``: the gradient an op's
+    backward may skip when this is false."""
+    tape = active_tape()
+    return tape is not None and tape.tracks(t)
 
 
 def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -354,8 +382,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
 
+    da, db = _differentiates(a), _differentiates(b)
+
     def bwd(g, ad=a.data, bd=b.data):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if da else None), (ad.T @ g if db else None)
 
     return _emit("matmul", (a, b), a.data @ b.data, bwd)
 
@@ -480,16 +510,21 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     for span in spans:
         np.matmul(k2, patches(span), out=out[span])
 
+    need_x, need_k = _differentiates(x), _differentiates(k)
+
     def bwd(g):
         g2 = g.reshape(n, f, ho * wo)
-        dk = np.zeros((f, c * kh * kw), dtype=np.float64)
-        dx = np.empty((n, c, h, w), dtype=np.float64)
+        dk = np.zeros((f, c * kh * kw), dtype=np.float64) if need_k else None
+        dx = np.empty((n, c, h, w), dtype=np.float64) if need_x else None
         for span in spans:
             gc = g2[span]
-            # add the samples' terms in sample order, as .sum(axis=0) over
-            # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
-            for term in np.matmul(gc, patches(span).transpose(0, 2, 1)):
-                dk += term
+            if need_k:
+                # add the samples' terms in sample order, as .sum(axis=0) over
+                # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
+                for term in np.matmul(gc, patches(span).transpose(0, 2, 1)):
+                    dk += term
+            if not need_x:
+                continue
             m = len(gc)
             dcols = np.matmul(k2.T, gc).reshape(m, c, kh, kw, ho * wo)
             buf = np.zeros((m, c, hp, wp), dtype=np.float64)
@@ -498,7 +533,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     buf[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += (
                         dcols[:, :, di, dj, :].reshape(m, c, ho, wo))
             dx[span] = buf[:, :, pad:pad + h, pad:pad + w]
-        return dx, dk.reshape(f, c, kh, kw)
+        return dx, (dk.reshape(f, c, kh, kw) if need_k else None)
 
     return _emit("conv2d", (x, k), out.reshape(n, f, ho, wo), bwd)
 

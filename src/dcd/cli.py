@@ -327,12 +327,17 @@ def parse_grid(expr: str) -> list[dict[str, float]]:
             raise ConfigError(f"grid key must be alpha, beta or lambda_kl, got {key!r}")
         if key in axes:
             raise ConfigError(f"grid key {key!r} appears twice")
+        items = [v.strip() for v in values.split(",")]
+        if not any(items):
+            raise ConfigError(f"grid axis {key!r} has no values")
+        if not all(items):
+            raise ConfigError(f"grid axis {key!r} has an empty value in {values!r}")
         try:
-            axes[key] = [float(v) for v in values.split(",") if v.strip()]
+            axes[key] = [float(v) for v in items]
         except ValueError as exc:
             raise ConfigError(f"bad grid value for {key!r}: {exc}") from exc
-        if not axes[key]:
-            raise ConfigError(f"grid axis {key!r} has no values")
+        if len(set(axes[key])) < len(items):  # 1 and 1.0 would run one cell twice
+            raise ConfigError(f"grid axis {key!r} repeats a value in {values!r}")
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
@@ -398,6 +403,11 @@ def _submit(pool, task: tuple) -> concurrent.futures.Future:
 def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) -> list[tuple]:
     """Run sweep tasks in spawned processes; rows come back in task order.
 
+    Tasks are submitted longest first: those with ``beta != 0``, whose
+    runs build the projection pipeline and take about twice as long, then
+    the rest, each group in task order.  In task order the last long run
+    can start when the other workers have nothing left to take.
+
     The CPUs are split between the workers: each gets
     ``cpu_count // workers`` BLAS threads (at least one), so the workers'
     BLAS pools do not oversubscribe the machine.  The shared inputs are
@@ -422,9 +432,11 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) 
         with start_reader, concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=context, initializer=_init_ablation_worker,
                 initargs=(shared_path, start_reader)) as pool:
+            futures: list = [None] * len(tasks)
             # Workers start on submit and read the BLAS variables at start-up.
             with start_writer, _blas_threads(max(1, (os.cpu_count() or 1) // workers)):
-                futures = [_submit(pool, task) for task in tasks]
+                for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
+                    futures[index] = _submit(pool, tasks[index])
             rows = []
             for (cell_index, seed_index, *_), future in zip(tasks, futures):
                 try:
@@ -440,8 +452,10 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
 
     Every run's configuration is built and checked before any run starts.
     With ``jobs > 1`` the runs go to up to ``jobs`` worker processes
-    started with the spawn method; each worker receives the teacher and
-    the datasets once and holds its own copy of them.  Spawned workers
+    started with the spawn method, runs with ``beta != 0`` first (see
+    :func:`_run_in_workers`); each worker receives the teacher and the
+    datasets once and holds its own copy of them.  Either way the rows of
+    ``summary.csv`` stay in grid order, then seed order.  Spawned workers
     import the caller's main module again, so a script that calls
     :func:`main` with ``--jobs`` above 1 must do so under an
     ``if __name__ == "__main__":`` guard.  Exit code 3 when every run

@@ -296,10 +296,12 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     :class:`LossBreakdown` on the open tape, where ``targets`` is
     ``frozen(batch, step)`` (None without ``frozen``).  ``frozen`` runs before
     the tape opens, so the frozen teacher's forward pass records no nodes
-    and backward stops at its outputs.  ``temperature`` is the ``(tau, b)``
-    pair that the epoch logs and final metrics report.  Returns the epoch
-    logs and the final metrics, which measure the final weights; a run of
-    zero epochs evaluates its initial weights once.
+    and backward stops at its outputs.  The tape differentiates only
+    ``params``, so no step computes a gradient for its input images or the
+    frozen targets.  ``temperature`` is the ``(tau, b)`` pair that the
+    epoch logs and final metrics report.  Returns the epoch logs and the
+    final metrics, which measure the final weights; a run of zero epochs
+    evaluates its initial weights once.
     """
     def temperatures() -> dict:
         return dict(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
@@ -311,6 +313,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
         except DomainError as exc:
             raise DivergenceError(str(exc), max(step - 1, 0)) from exc
 
+    leaves = [p.value for p in params]
     state: dict[int, np.ndarray] = {}
     logs: list[EpochLog] = []
     step = 0
@@ -321,7 +324,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
             seen = 0
             for batch in batches(train, plan, epoch, stats):
                 targets = frozen(batch, step) if frozen else None
-                with Tape() as tape:
+                with Tape(leaves) as tape:
                     try:
                         bd = step_loss(batch, targets, step)
                     except DomainError as exc:

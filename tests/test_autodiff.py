@@ -597,6 +597,46 @@ def test_conv2d_peak_memory_below_one_batch_patch_matrix(rng):
     assert peak < patch_matrix_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_tape_with_leaves_records_and_differentiates_only_tracked_tensors(rng):
+    w = Tensor(rng.uniform(-1, 1, (4, 2)))
+    x = Tensor(rng.uniform(-1, 1, (3, 4)))
+    c = Tensor(rng.uniform(-1, 1, (3, 2)))
+
+    def build():
+        xs = ad.scale(x, 2.0)  # constant inputs only
+        return xs, ad.tsum(ad.mul(ad.matmul(xs, w), c))
+
+    with Tape([w]) as tape:
+        xs, root = build()
+        tape.backward(root)
+    assert not tape.tracks(xs)
+    assert [node.op for node in tape.nodes] == ["matmul", "mul", "sum"]  # no scale
+    assert set(tape.grads) == {w.id}  # mul's gradient for c is dropped
+    with Tape() as full:
+        xs, root = build()
+        full.backward(root)
+    assert {w.id, x.id, c.id} <= set(full.grads)
+    assert_same_bits(tape.grads[w.id], full.grads[w.id])
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (ad.matmul, [(5, 3), (3, 4)]),
+    (lambda a, b: ad.conv2d(a, b, 1, 1), [(2, 3, 5, 5), (4, 3, 3, 3)])])
+def test_matmul_and_conv2d_skip_the_gradient_of_an_untracked_operand(op, shapes, rng):
+    inputs = [Tensor(rng.uniform(-1, 1, shape)) for shape in shapes]
+    with Tape() as full:
+        out = op(*inputs)
+    g = rng.uniform(-1, 1, out.shape)
+    full_grads = full.nodes[0].backward(g)
+    for tracked in (0, 1):
+        with Tape([inputs[tracked]]) as tape:
+            op(*inputs)
+        (node,) = tape.nodes
+        grads = node.backward(g)
+        assert grads[1 - tracked] is None
+        assert_same_bits(grads[tracked], full_grads[tracked])
+
+
 def test_convnet_backward_keeps_only_leaf_gradients(rng):
     model = init_weights(ModelSpec("convnet", (3, 4), 3, (2, 8, 8)), 5)
     params = model.parameters()

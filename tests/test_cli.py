@@ -342,7 +342,8 @@ class _NoPool:
 @pytest.mark.parametrize("args", [["--grid", "alpha=abc"], ["--grid", "alpha="],
                                   ["--grid", "alpha=nan"], ["--grid", "beta=0,inf"],
                                   ["--grid", "beta=1", "--seeds", "0"],
-                                  ["--grid", "beta=1", "--jobs", "0"]])
+                                  ["--grid", "beta=1", "--jobs", "0"],
+                                  ["--grid", "beta=1,1.0"], ["--grid", "beta=0,,1"]])
 def test_bad_sweep_exits_config_before_any_run(args, teacher_run, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _NoPool)
     teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
@@ -423,18 +424,48 @@ def test_dead_worker_gives_failed_rows(ok, expected, teacher_run, tmp_path, monk
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
+    dispatched = [2, 3, 0, 1]  # the beta=1 rows go first
     for index, row in enumerate(rows):
-        if index < ok:
+        if index in dispatched[:ok]:
             assert row["error"] == ""
         else:
             assert row["error"] == "BrokenProcessPool: a worker died, pool unusable"
             assert row["test_acc"] == "nan"
 
 
-# A script calling the CLI with the beta=0 runs' batch plans replaced by an
-# object that kills the worker process unpickling it, so the first worker dies
-# on its first task.  Run as a file, it is imported again by each spawned
-# worker, which slows their start as a real script's import would.
+class _RecordingPool(_BreakingPool):
+    """Runs every task in this process and records the (cell, seed) of each
+    submitted task in submission order."""
+
+    ok = 100
+    submitted: list = []
+
+    def submit(self, fn, task):
+        self.submitted.append(tuple(task[:2]))
+        return super().submit(fn, task)
+
+
+def test_sweep_submits_runs_with_projections_first(teacher_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    out = tmp_path / "abl"
+    assert main(["ablate", "--teacher", teacher_ckpt, "--out", str(out),
+                 "--grid", "beta=0,1,0.5", "--seeds", "2", "--jobs", "2"] + FAST) == EXIT_OK
+    # beta > 0 first, each group in grid order, then seed order
+    assert _RecordingPool.submitted == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["cell"], row["beta"], row["seed"], row["error"]) for row in rows] == [
+        ("0", "0.0", "0", ""), ("0", "0.0", "1", ""), ("1", "1.0", "0", ""),
+        ("1", "1.0", "1", ""), ("2", "0.5", "0", ""), ("2", "0.5", "1", "")]
+
+
+# A script calling the CLI with the beta != 0 runs' batch plans replaced by an
+# object that kills the worker process unpickling it; those runs are submitted
+# first, so the first worker dies on its first task.  Run as a file, it is
+# imported again by each spawned worker, which slows their start as a real
+# script's import would.
 _CRASHING_SWEEP = """
 import os, sys
 from dcd import cli
@@ -445,7 +476,7 @@ class Crash:
 
 if __name__ == "__main__":
     plan = cli._plan
-    cli._plan = lambda cfg: Crash() if cfg["beta"] == 0.0 else plan(cfg)
+    cli._plan = lambda cfg: Crash() if cfg["beta"] != 0.0 else plan(cfg)
     sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -470,8 +501,8 @@ def test_killed_worker_gives_failed_rows_without_hanging(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 and all(None not in row for row in rows)  # no extra fields
     errors = [row["error"] for row in rows]
-    assert all(error.startswith("BrokenProcessPool: ") for error in errors[:2])
-    assert all(error == "" or error.startswith("BrokenProcessPool: ") for error in errors[2:])
+    assert all(error == "" or error.startswith("BrokenProcessPool: ") for error in errors[:2])
+    assert all(error.startswith("BrokenProcessPool: ") for error in errors[2:])
 
 
 def test_single_cell_grid_matches_plain_distill(teacher_run, tmp_path):

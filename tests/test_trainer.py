@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dcd.autodiff import Parameter, Tensor, collect_grads
+from dcd.autodiff import Parameter, Tape, Tensor, collect_grads
 from dcd.data import BatchPlan, Dataset, batches, synth_blob_split
 from dcd.errors import CheckpointFormatError, ConfigError
 from dcd.losses import DistillConfig
@@ -464,9 +464,10 @@ def test_dead_student_row_is_clamped_not_a_divergence(blob_env, blob_teacher):
     assert all(np.isfinite(t).all() for t in ckpt.tensors.values())
 
 
-def test_dcd_kd_step_records_28_tape_nodes(cli_blob_env, monkeypatch):
-    """One DCD+KD step on the CLI blob shapes: 9 student-forward nodes, 4 for
-    the two projections and 15 for the loss, whose embedding terms are one node."""
+def test_dcd_kd_step_records_27_tape_nodes(cli_blob_env, monkeypatch):
+    """One DCD+KD step on the CLI blob shapes: 8 student-forward nodes (the
+    reshape of the constant input images records none), 4 for the two
+    projections and 15 for the loss, whose embedding terms are one node."""
     counts = []
 
     class CountingTape(train_mod.Tape):
@@ -478,7 +479,46 @@ def test_dcd_kd_step_records_28_tape_nodes(cli_blob_env, monkeypatch):
     train, test, t_ckpt, student_spec = cli_blob_env
     distill(t_ckpt, student_spec, train, test, DistillConfig(),
             OptimSpec(lr=0.05, epochs=1, seed=0), BatchPlan(32, 0))
-    assert counts == [28] * 3
+    assert counts == [27] * 3
+
+
+@pytest.mark.parametrize("family", ["mlp", "convnet"])
+def test_loop_tape_gives_the_parameter_gradients_of_a_full_tape(family, cli_blob_env,
+                                                                 monkeypatch):
+    """The loop's tape tracks only the parameters; every DCD+KD step's
+    parameter gradients equal, bit for bit, those of a tape tracking every
+    tensor, which also differentiates the input images and teacher outputs."""
+    if family == "mlp":
+        train, test, t_ckpt, student_spec = cli_blob_env
+        plan = BatchPlan(32, 0)
+    else:
+        rng = np.random.default_rng(7)
+        images = rng.uniform(0, 1, (28, 2, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 2, 28)
+        train = Dataset(images[:20], labels[:20], 2, "synthimg-train")
+        test = Dataset(images[20:], labels[20:], 2, "synthimg-test")
+        t_ckpt, _ = train_teacher(ModelSpec("convnet", (6, 8), 2, (2, 8, 8)), train, test,
+                                  OptimSpec(lr=0.1, epochs=1, seed=0), BatchPlan(8, 0))
+        student_spec = ModelSpec("convnet", (3, 4), 2, (2, 8, 8))
+        plan = BatchPlan(8, 1, "flip")
+    runs = []
+
+    def recording(tape, params):
+        collect_grads(tape, params)
+        runs[-1].append([p.grad.copy() for p in params])
+
+    monkeypatch.setattr(train_mod, "collect_grads", recording)
+    for tape in (train_mod.Tape, lambda leaves: Tape()):
+        monkeypatch.setattr(train_mod, "Tape", tape)
+        runs.append([])
+        distill(t_ckpt, student_spec, train, test, DistillConfig(proj_dim=4),
+                OptimSpec(lr=0.05, epochs=1, seed=0), plan)
+    leaves, full = runs
+    assert len(leaves) == len(full) == 3
+    for step_leaves, step_full in zip(leaves, full):
+        assert len(step_leaves) == len(step_full)
+        for a, b in zip(step_leaves, step_full):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_feeds_distill_like_memory_handoff(blob_env, tmp_path):
