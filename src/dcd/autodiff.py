@@ -10,8 +10,15 @@ accumulating gradients per tensor id; afterwards only the leaves' remain.
 A tape opened with ``leaves`` differentiates only those leaves: it tracks
 them and the outputs of the nodes it records, records an op only when one
 of its inputs is tracked, and gives no gradient to an untracked tensor.
-``matmul`` and ``conv2d`` then skip the product that would compute one.
-A tape without ``leaves`` tracks every tensor.
+``matmul``, ``conv2d`` and ``conv_block`` then skip the product that
+would compute one.  A tape without ``leaves`` tracks every tensor.
+
+Convolutions run over chunks of samples (about 4 MB of patch matrix
+each).  ``conv_block`` is the ConvNet block, conv then 2x2 max-pool then
+ReLU, as one node: it pools each chunk's conv output before the next
+chunk runs, so neither the full-size conv output nor its gradient is
+ever held.  It shares its chunk, patch, pool and scatter helpers with
+``conv2d`` and ``maxpool2d``, so its bits equal the three-op composition.
 
 Elementwise ops accept equal shapes or a scalar (size-1) operand; there
 is no general broadcasting.  All math is 64-bit.
@@ -23,7 +30,6 @@ import itertools
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateInputError,
@@ -277,17 +283,23 @@ def log(x: Tensor) -> Tensor:
     return _emit("log", (x,), np.log(x.data), bwd)
 
 
+def _relu_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``max(a, 0)`` into ``out``, with NaN -> 0 and -0.0 -> +0.0."""
+    np.fmax(a, 0.0, out=out)
+    # fmax's pick between -0.0 and +0.0 differs between numpy's vector and
+    # scalar loops, so it depends on the array's length; adding +0.0 turns
+    # any -0.0 into +0.0
+    out += 0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) with NaN -> 0 and -0.0 -> +0.0; saves only its output.
 
     The backward mask is ``y > 0`` on the saved output, which equals
     ``x > 0`` on the input.
     """
-    y = np.fmax(x.data, 0.0)
-    # fmax's pick between -0.0 and +0.0 differs between numpy's vector and
-    # scalar loops, so it depends on the array's length; adding +0.0 turns
-    # any -0.0 into +0.0
-    y += 0.0
+    y = _relu_into(x.data, np.empty(x.shape, dtype=np.float64))
 
     def bwd(g, yd=y):
         return (g * (yd > 0.0),)
@@ -460,125 +472,226 @@ def _pool_geometry(h: int, w: int, size, stride) -> tuple[int, int, int, int, in
     return sh, sw, th, tw, (h - sh) // th + 1, (w - sw) // tw + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """[N, C*kh*kw, ho*wo] patch matrix of a padded [N,C,H,W] input, rows in
-    (channel, kernel row, kernel column) order."""
-    n, c = xp.shape[:2]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
-
-
-# conv2d runs over chunks of samples whose patch matrix holds at most this
-# many elements (4 MB of float64), or over single samples when one holds more.
+# conv2d and conv_block run over chunks of samples whose patch matrix holds
+# at most this many elements (4 MB of float64), or over single samples when
+# one holds more.
 _CONV_CHUNK_ELEMS = 2 ** 19
+
+
+def _tap_window(d: int, stride: int, pad: int, size: int, out: int) -> tuple[slice, slice] | None:
+    """The output positions o whose input ``o * stride + d - pad`` lies in
+    ``[0, size)``, and those inputs, as a pair of slices; None if none do."""
+    lo = max(0, -((d - pad) // stride))
+    hi = min(out, (size - 1 + pad - d) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + d - pad
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+class _ConvChunks:
+    """One cross-correlation of an [N,C,H,W] input with an [F,C,kh,kw] kernel
+    bank, worked one chunk of samples at a time: the geometry, patches and
+    backward that ``conv2d`` and ``conv_block`` share.
+
+    A chunk's patch matrix is built straight from the unpadded input, each
+    kernel tap copying the part of the image it sees; the padding stays
+    zero.  Every output element comes from its own sample's GEMM, and the
+    kernel gradient adds the samples' terms in sample order, so the results
+    do not depend on the chunk size.
+    """
+
+    def __init__(self, op: str, x: Tensor, k: Tensor, stride: int, pad: int):
+        if x.data.ndim != 4 or k.data.ndim != 4:
+            raise ShapeMismatchError(f"{op} expects 4-D input and kernel, got {x.shape}, {k.shape}")
+        n, c, h, w = x.shape
+        f, ck, kh, kw = k.shape
+        if ck != c:
+            raise ShapeMismatchError(f"{op}: input channels {c} != kernel channels {ck}")
+        if stride < 1 or pad < 0:
+            raise ShapeMismatchError(f"{op}: stride must be >= 1 and pad >= 0")
+        if kh > h + 2 * pad or kw > w + 2 * pad:
+            raise ShapeMismatchError(
+                f"{op}: kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
+        self.ho = ho = (h + 2 * pad - kh) // stride + 1
+        self.wo = wo = (w + 2 * pad - kw) // stride + 1
+        self.x = x.data
+        self.kshape = k.shape
+        self.k2 = k.data.reshape(f, c * kh * kw)
+        self.step = step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
+        self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+        # each tap (di, dj) in scan order, with the output window whose
+        # input lies inside the image and that input window
+        self.taps = []
+        for di in range(kh):
+            rows = _tap_window(di, stride, pad, h, ho)
+            for dj in range(kw):
+                cols = _tap_window(dj, stride, pad, w, wo)
+                if rows is not None and cols is not None:
+                    self.taps.append((di, dj, (rows[0], cols[0]), (rows[1], cols[1])))
+
+    def patches(self, span: slice) -> np.ndarray:
+        """[m, C*kh*kw, ho*wo] patch matrix of a chunk, rows in (channel,
+        kernel row, kernel column) order."""
+        xc = self.x[span]
+        m, c = xc.shape[:2]
+        _, _, kh, kw = self.kshape
+        cols = np.zeros((m, c, kh, kw, self.ho, self.wo), dtype=np.float64)
+        for di, dj, (oi, oj), (ii, ij) in self.taps:
+            cols[:, :, di, dj, oi, oj] = xc[:, :, ii, ij]
+        return cols.reshape(m, c * kh * kw, self.ho * self.wo)
+
+    def forward(self, span: slice, out: np.ndarray) -> None:
+        """Write a chunk's [m, F, ho*wo] output into ``out``."""
+        np.matmul(self.k2, self.patches(span), out=out)
+
+    def backward(self, chunk_grads, need_x: bool, need_k: bool):
+        """``(dx, dk)`` from each chunk's [m, F, ho*wo] output gradient,
+        given as ``(span, g)`` pairs in chunk order; None for an operand
+        that is not differentiated."""
+        _, c, kh, kw = self.kshape
+        dk = np.zeros(self.k2.shape, dtype=np.float64) if need_k else None
+        dx = np.zeros(self.x.shape, dtype=np.float64) if need_x else None
+        for span, gc in chunk_grads:
+            if need_k:
+                # add the samples' terms in sample order, as .sum(axis=0) over
+                # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
+                for term in np.matmul(gc, self.patches(span).transpose(0, 2, 1)):
+                    dk += term
+            if need_x:
+                dcols = np.matmul(self.k2.T, gc).reshape(len(gc), c, kh, kw, self.ho, self.wo)
+                dxc = dx[span]
+                for di, dj, (oi, oj), (ii, ij) in self.taps:
+                    dxc[:, :, ii, ij] += dcols[:, :, di, dj, oi, oj]
+        return dx, (dk.reshape(self.kshape) if need_k else None)
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank.
 
-    Works on chunks of samples, each padded and turned into a patch matrix
-    only while it is used, so no temporary spans the whole batch.  Saves
-    only the input for backward, which rebuilds each chunk's patches.
-    Every output element comes from its own sample's GEMM and the kernel
-    gradient adds the samples' terms in sample order, so the results do not
-    depend on the chunk size.
+    Works on chunks of samples (see :class:`_ConvChunks`), each turned into
+    a patch matrix only while it is used, so no temporary spans the whole
+    batch.  Saves only the input for backward, which rebuilds each chunk's
+    patches.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeMismatchError(f"conv2d expects 4-D input and kernel, got {x.shape}, {k.shape}")
-    n, c, h, w = x.shape
-    f, ck, kh, kw = k.shape
-    if ck != c:
-        raise ShapeMismatchError(f"conv2d: input channels {c} != kernel channels {ck}")
-    if stride < 1 or pad < 0:
-        raise ShapeMismatchError("conv2d: stride must be >= 1 and pad >= 0")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if kh > hp or kw > wp:
-        raise ShapeMismatchError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
-    spans = [slice(s, s + step) for s in range(0, n, step)]
-
-    def patches(span):
-        xc = x.data[span]
-        if pad:
-            xc = np.pad(xc, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        return _im2col(xc, kh, kw, stride, ho, wo)
-
-    k2 = k.data.reshape(f, c * kh * kw)
-    out = np.empty((n, f, ho * wo), dtype=np.float64)
-    for span in spans:
-        np.matmul(k2, patches(span), out=out[span])
-
+    conv = _ConvChunks("conv2d", x, k, stride, pad)
+    n, f = x.shape[0], k.shape[0]
+    out = np.empty((n, f, conv.ho * conv.wo), dtype=np.float64)
+    for span in conv.spans:
+        conv.forward(span, out[span])
     need_x, need_k = _differentiates(x), _differentiates(k)
 
     def bwd(g):
-        g2 = g.reshape(n, f, ho * wo)
-        dk = np.zeros((f, c * kh * kw), dtype=np.float64) if need_k else None
-        dx = np.empty((n, c, h, w), dtype=np.float64) if need_x else None
-        for span in spans:
-            gc = g2[span]
-            if need_k:
-                # add the samples' terms in sample order, as .sum(axis=0) over
-                # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
-                for term in np.matmul(gc, patches(span).transpose(0, 2, 1)):
-                    dk += term
-            if not need_x:
-                continue
-            m = len(gc)
-            dcols = np.matmul(k2.T, gc).reshape(m, c, kh, kw, ho * wo)
-            buf = np.zeros((m, c, hp, wp), dtype=np.float64)
-            for di in range(kh):
-                for dj in range(kw):
-                    buf[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += (
-                        dcols[:, :, di, dj, :].reshape(m, c, ho, wo))
-            dx[span] = buf[:, :, pad:pad + h, pad:pad + w]
-        return dx, (dk.reshape(f, c, kh, kw) if need_k else None)
+        g2 = g.reshape(out.shape)
+        return conv.backward(((span, g2[span]) for span in conv.spans), need_x, need_k)
 
-    return _emit("conv2d", (x, k), out.reshape(n, f, ho, wo), bwd)
+    return _emit("conv2d", (x, k), out.reshape(n, f, conv.ho, conv.wo), bwd)
 
 
-def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
-    """Max pooling that ignores NaN; ties resolve to the first window position
-    in scan order.
+def _max_regions(sh: int, sw: int, th: int, tw: int, ho: int, wo: int) -> list[tuple]:
+    """Index of each window position's strided slice of an [N,C,H,W] input,
+    in scan order."""
+    return [(slice(None), slice(None), slice(di, di + ho * th, th), slice(dj, dj + wo * tw, tw))
+            for di in range(sh) for dj in range(sw)]
 
-    On a tape it saves only each window's winning position, one byte per
-    output for windows of up to 256 positions (a wider integer beyond),
-    and backward sends each window's gradient there.  A window with
-    nothing above -inf (all -inf or NaN) outputs -inf and sends its
-    gradient to its first position.  A zero maximum is always +0.0.
-    Without a tape (evaluation, a frozen teacher) no positions are kept.
+
+def _max_windows(x: np.ndarray, regions: list[tuple], best: np.ndarray,
+                 arg: np.ndarray | None) -> None:
+    """Write each window's maximum of ``x`` into ``best`` and, unless ``arg``
+    is None, the first position in scan order that holds it into ``arg``.
+
+    NaN never wins; a window with nothing above -inf gets -inf and position
+    0.  A zero maximum is always +0.0.
     """
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
-    n, c, h, w = x.shape
-    sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
-    regions = [(slice(None), slice(None), slice(di, di + ho * th, th), slice(dj, dj + wo * tw, tw))
-               for di in range(sh) for dj in range(sw)]
-    best = np.full((n, c, ho, wo), -np.inf, dtype=np.float64)
-    arg = None
-    if active_tape() is not None:
-        arg = np.zeros((n, c, ho, wo), dtype=np.min_scalar_type(len(regions) - 1))
+    best.fill(-np.inf)
+    if arg is not None:
+        arg.fill(0)
         won = np.empty_like(arg)
     for pos, region in enumerate(regions):
-        patch = x.data[region]
+        patch = x[region]
         if arg is not None and pos:
             # pos exceeds every earlier position, so arg keeps the latest strict
-            # winner: the first position holding the maximum (NaN never wins;
-            # a window that nothing beats keeps its start value, position 0)
+            # winner: the first position holding the maximum
             np.greater(patch, best, out=won)
             won *= pos
             np.maximum(arg, won, out=arg)
         np.fmax(patch, best, out=best)  # fmax returns best where the patch holds NaN
     best += 0.0  # as in relu: fmax's pick between -0.0 and +0.0 is not fixed
 
+
+def _max_windows_backward(g: np.ndarray, arg: np.ndarray, regions: list[tuple],
+                          dx: np.ndarray) -> None:
+    """Add each window's gradient ``g`` at its winning position ``arg`` of
+    ``dx``, a zeroed array of the pooled input's shape."""
+    for pos, region in enumerate(regions):
+        dx[region] += g * (arg == pos)
+
+
+def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
+    """Max pooling that ignores NaN; ties resolve to the first window position
+    in scan order.
+
+    On a tape that differentiates ``x`` it saves only each window's winning
+    position, one byte per output for windows of up to 256 positions (a
+    wider integer beyond), and backward sends each window's gradient there.
+    A window with nothing above -inf (all -inf or NaN) outputs -inf and
+    sends its gradient to its first position.  A zero maximum is always
+    +0.0.  Otherwise (evaluation, a frozen teacher) no positions are kept.
+    """
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
+    n, c, h, w = x.shape
+    sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
+    regions = _max_regions(sh, sw, th, tw, ho, wo)
+    best = np.empty((n, c, ho, wo), dtype=np.float64)
+    arg = None
+    if _differentiates(x):
+        arg = np.empty((n, c, ho, wo), dtype=np.min_scalar_type(len(regions) - 1))
+    _max_windows(x.data, regions, best, arg)
+
     def bwd(g, shape=x.shape, arg=arg, regions=regions):
         buf = np.zeros(shape, dtype=np.float64)
-        for pos, region in enumerate(regions):
-            buf[region] += g * (arg == pos)
+        _max_windows_backward(g, arg, regions, buf)
         return (buf,)
 
     return _emit("maxpool2d", (x,), best, bwd)
+
+
+def conv_block(x: Tensor, k: Tensor) -> Tensor:
+    """One ConvNet block as one op: ``relu(maxpool2d(conv2d(x, k, 1, 1), 2))``,
+    with the same bits for the output and both gradients.
+
+    Works on the chunks of samples ``conv2d`` uses: each chunk's conv
+    output is pooled while it is fresh and only the pooled rows are kept,
+    so the full-size conv output and its gradient exist one chunk at a
+    time.  Saves the input, the pool's winning positions (only on a tape
+    that differentiates ``x`` or ``k``) and the ReLU output.
+    """
+    conv = _ConvChunks("conv_block", x, k, 1, 1)
+    n, f = x.shape[0], k.shape[0]
+    ho, wo = conv.ho, conv.wo
+    sh, sw, th, tw, po, qo = _pool_geometry(ho, wo, 2, None)
+    regions = _max_regions(sh, sw, th, tw, po, qo)
+    need_x, need_k = _differentiates(x), _differentiates(k)
+    y = np.empty((n, f, po, qo), dtype=np.float64)
+    arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
+    chunk = np.empty((conv.step, f, ho * wo), dtype=np.float64)
+    for span in conv.spans:
+        out = chunk[:span.stop - span.start]
+        conv.forward(span, out)
+        _max_windows(out.reshape(-1, f, ho, wo), regions, y[span],
+                     None if arg is None else arg[span])
+        _relu_into(y[span], y[span])
+
+    def bwd(g):
+        def chunk_grads():
+            for span in conv.spans:
+                gc = np.zeros((span.stop - span.start, f, ho, wo), dtype=np.float64)
+                _max_windows_backward(g[span] * (y[span] > 0.0), arg[span], regions, gc)
+                yield span, gc.reshape(-1, f, ho * wo)
+        return conv.backward(chunk_grads(), need_x, need_k)
+
+    return _emit("conv_block", (x, k), y, bwd)
 
 
 def avgpool2d(x: Tensor, size=2, stride=None) -> Tensor:

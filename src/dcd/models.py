@@ -4,8 +4,11 @@ Two families: plain ReLU MLPs and small ConvNets (3x3 conv -> 2x2
 max-pool -> ReLU per block, global average pooling, linear classifier).
 Max is monotone and ReLU is ``fmax(., 0)``, so pooling first gives the
 same values as conv -> ReLU -> pool, with the ReLU on a 4x smaller
-tensor.  No batch normalization anywhere, so forward passes are pure
-functions of the weights and finite-difference checks stay exact.
+tensor.  Each block is one op, :func:`autodiff.conv_block`, which pools
+every chunk of samples right after its conv, so the full-size conv
+output and its gradient exist one chunk at a time.  No batch
+normalization anywhere, so forward passes are pure functions of the
+weights and finite-difference checks stay exact.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class ConvNet:
                 f"expects inputs of {self.spec.in_shape}, got {images.shape[1:]}")
         h = images
         for k in self.kernels:
-            h = ad.relu(ad.maxpool2d(ad.conv2d(h, k.value, stride=1, pad=1), 2))
+            h = ad.conv_block(h, k.value)
         n, c, hh, ww = h.shape
         features = ad.reshape(ad.avgpool2d(h, (hh, ww)), (n, c))
         logits = ad.add_rowvec(ad.matmul(features, self.cls_w.value), self.cls_b.value)
@@ -137,10 +140,6 @@ def init_weights(spec: ModelSpec, seed: int) -> Model:
     if spec.family == "mlp":
         return Mlp(spec, rng)
     return ConvNet(spec, rng)
-
-
-def count_parameters(model: Model) -> int:
-    return sum(p.value.size for p in model.parameters())
 
 
 @dataclass

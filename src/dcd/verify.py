@@ -112,31 +112,13 @@ def check_oracle_equivalence() -> str:
     return f"{trials} instances, worst {worst:.2e}"
 
 
-@_check("gradient_correctness")
-def check_gradient_correctness() -> str:
-    """Central differences of the total loss against one backward pass, for
-    every scalar of a 2-layer MLP student, both heads, tau and b."""
-    rng = np.random.default_rng(7)
-    student = init_weights(ModelSpec("mlp", (8, 8), 3, (1, 1, 6)), 1)
-    teacher = init_weights(ModelSpec("mlp", (12, 12), 3, (1, 1, 6)), 2)
-    cfg = DistillConfig(proj_dim=5)
-    s_head = ProjectionHead.create(8, 5, "student", [1, 2])
-    t_head = ProjectionHead.create(12, 5, "teacher", [1, 1])
-    tau, b = temperature_parameters(cfg)
-    images = Tensor(rng.uniform(0, 1, (4, 1, 1, 6)))
-    labels = rng.integers(0, 3, 4)
-    params = student.parameters() + [s_head.weight, t_head.weight, tau, b]
-
-    def loss():
-        t_feats, t_logits = teacher.forward(images)
-        s_feats, s_logits = student.forward(images)
-        pair = EmbeddingPair(project(s_head, s_feats), project(t_head, t_feats))
-        return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg).total
-
+def _finite_difference_errors(loss, params) -> list[float]:
+    """Relative error of one backward pass of ``loss()`` against central
+    differences, for every scalar of ``params``."""
     with Tape() as tape:
         tape.backward(loss())
     collect_grads(tape, params)
-    worst, checked = 0.0, 0
+    errors = []
     for p in params:
         _require(p.grad is not None and p.grad.shape == p.value.shape,
                  f"bad gradient for {p.name}")
@@ -150,11 +132,45 @@ def check_gradient_correctness() -> str:
             flat[i] = orig
             fd = (fp - fm) / (2 * STEP)
             rel = abs(fd - grad) / max(abs(fd), abs(grad), 1e-4)
-            worst = max(worst, rel)
             _require(rel < GRAD_TOL, f"{p.name}[{i}]: rel err {rel:.2e}")
-            checked += 1
-    _require(checked > 100, f"only {checked} scalars checked")
-    return f"{checked} scalars, worst rel err {worst:.2e}"
+            errors.append(rel)
+    return errors
+
+
+@_check("gradient_correctness")
+def check_gradient_correctness() -> str:
+    """Central differences against one backward pass: of the total loss for
+    every scalar of a 2-layer MLP student, both heads, tau and b, and of
+    the cross-entropy for every kernel and classifier scalar of a two-block
+    ConvNet, whose second pool drops a row and a column."""
+    rng = np.random.default_rng(7)
+    student = init_weights(ModelSpec("mlp", (8, 8), 3, (1, 1, 6)), 1)
+    teacher = init_weights(ModelSpec("mlp", (12, 12), 3, (1, 1, 6)), 2)
+    cfg = DistillConfig(proj_dim=5)
+    s_head = ProjectionHead.create(8, 5, "student", [1, 2])
+    t_head = ProjectionHead.create(12, 5, "teacher", [1, 1])
+    tau, b = temperature_parameters(cfg)
+    images = Tensor(rng.uniform(0, 1, (4, 1, 1, 6)))
+    labels = rng.integers(0, 3, 4)
+
+    def loss():
+        t_feats, t_logits = teacher.forward(images)
+        s_feats, s_logits = student.forward(images)
+        pair = EmbeddingPair(project(s_head, s_feats), project(t_head, t_feats))
+        return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg).total
+
+    mlp = _finite_difference_errors(
+        loss, student.parameters() + [s_head.weight, t_head.weight, tau, b])
+    _require(len(mlp) > 100, f"only {len(mlp)} MLP scalars checked")
+
+    convnet = init_weights(ModelSpec("convnet", (2, 3), 3, (2, 6, 6)), 3)
+    conv_images = Tensor(rng.uniform(0, 1, (4, 2, 6, 6)))
+    conv_labels = rng.integers(0, 3, 4)
+    conv = _finite_difference_errors(
+        lambda: cross_entropy_loss(convnet.forward(conv_images)[1], conv_labels),
+        convnet.parameters())
+    return (f"{len(mlp)} MLP and {len(conv)} ConvNet scalars, "
+            f"worst rel err {max(mlp + conv):.2e}")
 
 
 @_check("invariants")

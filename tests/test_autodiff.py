@@ -661,9 +661,14 @@ def tiny_convnet_run():
     return t_ckpt, s_ckpt
 
 
+def ref_conv_block(x, k):
+    return ref_relu(ref_maxpool2d(ref_conv2d(x, k, 1, 1), 2))
+
+
 def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
     shipped = tiny_convnet_run()
-    for name, fn in (("relu", ref_relu), ("conv2d", ref_conv2d), ("maxpool2d", ref_maxpool2d)):
+    for name, fn in (("relu", ref_relu), ("conv2d", ref_conv2d), ("maxpool2d", ref_maxpool2d),
+                     ("conv_block", ref_conv_block)):
         monkeypatch.setattr(ad, name, fn)
     reference = tiny_convnet_run()
     for new, ref in zip(shipped, reference):
@@ -764,3 +769,77 @@ def test_convnet_step_peak_memory(rng):
     # 33.6 MB with the pool before the ReLU and one byte per pooling window;
     # 47.9 MB when the tape kept the full-size ReLU output for the pool
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def block_composition(x, k):
+    return ad.relu(ad.maxpool2d(ad.conv2d(x, k, 1, 1), 2))
+
+
+def block_value_and_grads(fn, x, k, w, track_x):
+    """fn's output and the gradients of sum(w * output) wrt x and k (None
+    when not given), on a tape that differentiates k and, if track_x, x."""
+    xt, kt = Tensor(x), Tensor(k)
+    with Tape([xt, kt] if track_x else [kt]) as tape, np.errstate(invalid="ignore"):
+        out = fn(xt, kt)
+        tape.backward(ad.tsum(ad.mul(out, Tensor(w))))
+    return out.data, tape.grads.get(xt.id), tape.grads.get(kt.id)
+
+
+@pytest.mark.parametrize("case", ["random", "awkward", "odd_size", "chunks", "untracked_x"])
+def test_conv_block_matches_composition_bitwise(case, rng, monkeypatch):
+    shape, kshape = (5, 3, 8, 8), (4, 3, 3, 3)
+    if case == "odd_size":  # the pool drops the last row and column
+        shape = (2, 3, 7, 9)
+    x = rng.uniform(-1, 1, shape)
+    k = rng.uniform(-1, 1, kshape)
+    if case == "awkward":  # NaN, +-inf, exact ties and signed zeros
+        x = awkward_values(rng, shape)
+        x[2] = rng.choice([np.inf, -np.inf, -0.0, 0.0, 1.0], size=shape[1:])
+        x[3] = rng.choice([-0.0, 0.0, 1.0], size=shape[1:])
+        k = rng.choice([-1.0, -0.0, 0.0, 1.0], size=kshape)
+    if case == "chunks":  # chunks of 2, 2 and 1 samples
+        monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", 2 * 3 * 9 * 8 * 8)
+        assert len(ad._ConvChunks("conv_block", Tensor(x), Tensor(k), 1, 1).spans) == 3
+    w = rng.uniform(-1.5, 1.5, (shape[0], kshape[0], shape[2] // 2, shape[3] // 2))
+    track_x = case != "untracked_x"
+    got = block_value_and_grads(ad.conv_block, x, k, w, track_x)
+    ref = block_value_and_grads(block_composition, x, k, w, track_x)
+    for a, b in zip(got, ref):
+        if b is None:
+            assert a is None
+        else:
+            assert_same_bits(a, b)
+    assert (got[1] is None) == (not track_x)
+
+
+def test_convnet_forward_records_one_node_per_block(rng):
+    spec, _ = convnet_pair((3, 32, 32), 10)
+    model = init_weights(spec, 0)
+    with Tape() as tape:
+        model.forward(Tensor(rng.uniform(0, 1, (2, 3, 32, 32))))
+    # 13 nodes when each block was conv2d, maxpool2d and relu
+    assert [node.op for node in tape.nodes] == [
+        "conv_block", "conv_block", "conv_block", "avgpool2d", "reshape", "matmul", "add_rowvec"]
+
+
+def test_convnet_step_peak_memory_at_128_rows(rng):
+    spec, _ = convnet_pair((3, 32, 32), 100)  # the shipped teacher
+    model = init_weights(spec, 0)
+    images = Tensor(rng.uniform(0, 1, (128, 3, 32, 32)))
+    labels = rng.integers(0, 100, 128)
+    params = [p.value for p in model.parameters()]
+    tracemalloc.start()
+    try:
+        model.forward(images)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with Tape(params) as tape:
+            _, logits = model.forward(images)
+            tape.backward(cross_entropy_loss(logits, labels))
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 49.8 and 17.6 MB with one conv_block op per block; 69.4 and 42.0 MB
+    # when the full-size conv output and its pool gradient were held
+    assert step_peak < 60e6, f"step peak {step_peak / 1e6:.1f} MB"
+    assert forward_peak < 30e6, f"forward peak {forward_peak / 1e6:.1f} MB"
