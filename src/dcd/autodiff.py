@@ -405,14 +405,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def unit_rows(x: np.ndarray, clamp: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(x / max(norm, EPS), the divisors, the clamped-row mask or None)`` per
     row of a matrix.  A row whose norm is below ``EPS`` raises
-    :class:`DegenerateInputError` unless ``clamp``, as torch's ``F.normalize``
-    does; rows at or above ``EPS`` are divided by their own norm either way."""
+    :class:`DegenerateInputError` unless ``clamp``, in which case it is divided
+    by ``EPS``, as torch's ``F.normalize`` does; rows at or above ``EPS`` are
+    divided by their own norm either way.  The error names no op: callers
+    prefix what the rows are."""
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     small = norms < EPS
     if not small.any():
         return x / norms, norms, None
     if not clamp:
-        raise DegenerateInputError("l2_normalize_rows: a row has (near-)zero norm")
+        raise DegenerateInputError("a row has (near-)zero norm")
     norms = np.maximum(norms, EPS)
     return x / norms, norms, small
 
@@ -427,15 +429,18 @@ def unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray,
     return (g - y * radial) / norms
 
 
-def l2_normalize_rows(x: Tensor, clamp: bool = False) -> Tensor:
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each row of an [N, D] matrix to unit Euclidean norm; a row of
-    (near-)zero norm raises, or with ``clamp`` is divided by ``EPS``."""
+    (near-)zero norm raises :class:`DegenerateInputError`."""
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"l2_normalize_rows expects a matrix, got shape {x.shape}")
-    y, norms, clamped = unit_rows(x.data, clamp)
+    try:
+        y, norms, _ = unit_rows(x.data, clamp=False)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"l2_normalize_rows: {exc}") from exc
 
-    def bwd(g, yd=y, nd=norms, cd=clamped):
-        return (unit_rows_backward(g, yd, nd, cd),)
+    def bwd(g, yd=y, nd=norms):
+        return (unit_rows_backward(g, yd, nd, None),)
 
     return _emit("l2_normalize_rows", (x,), y, bwd)
 

@@ -256,6 +256,8 @@ def batches(dataset: Dataset, plan: BatchPlan, epoch: int,
 def eval_batches(dataset: Dataset, stats: tuple[np.ndarray, np.ndarray] | None,
                  batch_size: int = 256):
     """In-order, unaugmented batch stream for evaluation and feature export."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     m = len(dataset)
     for start in range(0, m, batch_size):
         images = dataset.images[start:start + batch_size].astype(np.float64)

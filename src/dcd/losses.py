@@ -1,7 +1,7 @@
 """Loss terms for discriminative-and-consistent distillation.
 
-The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over row-normalized
-projections, with a learnable temperature ``tau`` (clamped to
+The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over student and
+teacher projections, with a learnable temperature ``tau`` (clamped to
 ``[0, tau_max]`` by the optimizer) and a learnable bias ``b``.  The
 contrastive term is cross-entropy of the student-anchored similarity
 rows against the diagonal; the consistency term is the mean KL
@@ -11,12 +11,14 @@ single backward pass reaches the student network, both projection heads
 and the two scalars.
 
 Both embedding terms come from one private op, :func:`_embedding_terms`,
-recorded as one tape node: it normalizes each side once, builds one
-student-anchored cosine matrix, takes the teacher-anchored logits as its
-transpose, shares one log-softmax per anchor between the two terms, and
-has a hand-written backward.  A student row of zero norm (a dead row) is
-divided by ``EPS`` instead of raising, as torch's ``F.normalize`` does;
-a zero teacher row raises.  :func:`similarity_logits`,
+recorded as one tape node: it normalizes each side once (the only
+normalization a training step does, since training passes the heads'
+unnormalized outputs), builds one student-anchored cosine matrix, takes
+the teacher-anchored logits as its transpose, shares one log-softmax per
+anchor between the two terms, and has a hand-written backward.  A
+student row of zero norm (a dead row) is divided by ``EPS`` instead of
+raising, as torch's ``F.normalize`` does; a zero teacher row raises
+:class:`DegenerateInputError`.  :func:`similarity_logits`,
 :func:`student_distribution` and :func:`teacher_distribution` stay
 composed from autodiff ops, as an in-package reference beside
 :mod:`dcd.oracle`.
@@ -81,12 +83,10 @@ def temperature_parameters(cfg: DistillConfig) -> tuple[Parameter, Parameter]:
 class EmbeddingPair:
     """Student/teacher projection batches of identical [N, D] shape.
 
-    Rows are expected to lie on the unit hypersphere; construction via
-    :meth:`from_projections` enforces that to 1e-9.  The plain
-    constructor checks shapes only, which keeps the loss functions
-    usable as plain differentiable functions of raw leaves: they
-    normalize each side once internally either way, a zero student row
-    to zero and a zero teacher row to a :class:`DegenerateInputError`.
+    The rows need not have unit norm: every function here normalizes
+    each side once.  The embedding terms send a zero student row to zero
+    and raise :class:`DegenerateInputError` on a zero teacher row.
+    Training passes the heads' unnormalized outputs.
     """
 
     def __init__(self, zs: Tensor, zt: Tensor):
@@ -102,21 +102,6 @@ class EmbeddingPair:
     @property
     def n(self) -> int:
         return self.zs.shape[0]
-
-    def unit_norm_error(self) -> float:
-        errs = []
-        for z in (self.zs, self.zt):
-            norms = np.sqrt((z.data * z.data).sum(axis=1))
-            errs.append(float(np.abs(norms - 1.0).max()))
-        return max(errs)
-
-    @classmethod
-    def from_projections(cls, zs: Tensor, zt: Tensor, tol: float = 1e-9) -> "EmbeddingPair":
-        pair = cls(zs, zt)
-        err = pair.unit_norm_error()
-        if err > tol:
-            raise ShapeMismatchError(f"projection rows are not unit-norm (max error {err:.3e})")
-        return pair
 
 
 def _scalar(x) -> Tensor:

@@ -156,15 +156,20 @@ class ProjectionHead:
                       name=f"head.{owner}.weight")
         return cls(w, owner)
 
+    def __call__(self, features: Tensor) -> Tensor:
+        """The unnormalized projection ``features @ weight``, which training
+        feeds to the embedding loss; the loss normalizes its rows."""
+        if features.data.ndim != 2 or features.shape[1] != self.weight.value.shape[0]:
+            raise ShapeMismatchError(
+                f"features {features.shape} do not match head {self.weight.value.shape}")
+        return ad.matmul(features, self.weight.value)
 
-def project(head: ProjectionHead, features: Tensor, clamp: bool = False) -> Tensor:
-    """Row-normalized linear projection of penultimate features; a row that
-    projects to (near-)zero norm raises, or with ``clamp`` is divided by
-    ``EPS`` (see :func:`autodiff.unit_rows`)."""
-    if features.data.ndim != 2 or features.shape[1] != head.weight.value.shape[0]:
-        raise ShapeMismatchError(
-            f"features {features.shape} do not match head {head.weight.value.shape}")
-    return ad.l2_normalize_rows(ad.matmul(features, head.weight.value), clamp)
+
+def project(head: ProjectionHead, features: Tensor) -> Tensor:
+    """Row-normalized projection of penultimate features, as exported and
+    verified; a row that projects to (near-)zero norm raises
+    :class:`DegenerateInputError`."""
+    return ad.l2_normalize_rows(head(features))
 
 
 # Shipped capacity recipes: the student halves (convnet) or quarters (mlp)

@@ -22,7 +22,7 @@ from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, Di
     DomainError
 from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
     temperature_parameters, total_loss
-from .models import Model, ModelSpec, ProjectionHead, init_weights, project
+from .models import Model, ModelSpec, ProjectionHead, init_weights
 
 CHECKPOINT_MAGIC = b"DCDC"
 CHECKPOINT_VERSION = 1
@@ -383,17 +383,6 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
     return _checkpoint(params, "teacher", spec, optim, stats, final), logs
 
 
-def _project(head: ProjectionHead, features, step: int):
-    """The head's projection for training.  A dead student row (every feature
-    zero after the ReLU, so a zero projection) is clamped, not a divergence:
-    its zero features add nothing to the head's gradient, and the ReLU passes
-    none back.  A zero teacher row still raises."""
-    try:
-        return project(head, features, clamp=head.owner == "student")
-    except DegenerateInputError as exc:
-        raise DivergenceError(f"{head.owner} projection head: {exc}", step) from exc
-
-
 def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats, plan: BatchPlan,
                             epochs: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The frozen teacher's features and logits for every training row, or
@@ -446,6 +435,12 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     batch runs the teacher again.  With augmentation it runs on every
     batch.  Non-finite teacher outputs on either path end the run in a
     :class:`DivergenceError` naming the frozen teacher.
+
+    The heads' unnormalized outputs go to the loss, which normalizes each
+    side once.  A dead student row (every feature zero after the ReLU) is
+    clamped, not a divergence: its zero features add nothing to the head's
+    gradient, and the ReLU passes none back.  A zero teacher row ends the
+    run in a :class:`DivergenceError` naming the teacher projection head.
     """
     plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
@@ -472,11 +467,11 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
         s_feats, s_logits = student.forward(batch.images)
         # the projection pipeline is unused at beta=0; skipping it
         # keeps the reduced objectives exact and robust
-        pair = None
-        if cfg.beta != 0.0:
-            pair = EmbeddingPair(_project(s_head, s_feats, step),
-                                 _project(t_head, t_feats, step))
-        return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
+        pair = None if cfg.beta == 0.0 else EmbeddingPair(s_head(s_feats), t_head(t_feats))
+        try:
+            return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
+        except DegenerateInputError as exc:  # only a zero teacher projection raises it
+            raise DivergenceError(f"teacher projection head: {exc}", step) from exc
 
     logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,
                        frozen=teacher_outputs, temperature=(tau, b))

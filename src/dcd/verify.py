@@ -139,10 +139,11 @@ def _finite_difference_errors(loss, params) -> list[float]:
 
 @_check("gradient_correctness")
 def check_gradient_correctness() -> str:
-    """Central differences against one backward pass: of the total loss for
-    every scalar of a 2-layer MLP student, both heads, tau and b, and of
-    the cross-entropy for every kernel and classifier scalar of a two-block
-    ConvNet, whose second pool drops a row and a column."""
+    """Central differences against one backward pass: of the total loss, on
+    the heads' unnormalized outputs as in training, for every scalar of a
+    2-layer MLP student, both heads, tau and b, and of the cross-entropy
+    for every kernel and classifier scalar of a two-block ConvNet, whose
+    second pool drops a row and a column."""
     rng = np.random.default_rng(7)
     student = init_weights(ModelSpec("mlp", (8, 8), 3, (1, 1, 6)), 1)
     teacher = init_weights(ModelSpec("mlp", (12, 12), 3, (1, 1, 6)), 2)
@@ -156,7 +157,7 @@ def check_gradient_correctness() -> str:
     def loss():
         t_feats, t_logits = teacher.forward(images)
         s_feats, s_logits = student.forward(images)
-        pair = EmbeddingPair(project(s_head, s_feats), project(t_head, t_feats))
+        pair = EmbeddingPair(s_head(s_feats), t_head(t_feats))  # as distill builds it
         return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg).total
 
     mlp = _finite_difference_errors(

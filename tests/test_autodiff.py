@@ -77,29 +77,29 @@ def test_l2_normalize_rows_idempotent(rng):
 
 
 def test_l2_normalize_zero_row_rejected():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="^l2_normalize_rows: a row has"):
         ad.l2_normalize_rows(Tensor(np.zeros((2, 3))))
+    with pytest.raises(DegenerateInputError, match="^a row has"):  # no op named: callers add it
+        ad.unit_rows(np.zeros((2, 3)), clamp=False)
 
 
-def test_l2_normalize_clamp_sends_zero_row_to_zero(rng):
+def test_unit_rows_clamp_sends_zero_row_to_zero(rng):
     x = rng.uniform(-2, 2, (3, 4))
     x[1] = 0.0
-    with Tape() as tape:
-        t = Tensor(x)
-        out = ad.l2_normalize_rows(t, clamp=True)
-        w = rng.uniform(0.5, 1.5, (3, 4))
-        tape.backward(ad.tsum(ad.mul(out, Tensor(w))))
+    w = rng.uniform(0.5, 1.5, (3, 4))
+    y, norms, clamped = ad.unit_rows(x, clamp=True)
+    grad = ad.unit_rows_backward(w, y, norms, clamped)
     live = [0, 2]
     # rows at or above EPS: the values and gradients of the unclamped op, bitwise
     with Tape() as ref_tape:
         ref_t = Tensor(x[live])
         ref = ad.l2_normalize_rows(ref_t)
         ref_tape.backward(ad.tsum(ad.mul(ref, Tensor(w[live]))))
-    assert np.array_equal(out.data[live], ref.data)
-    assert np.array_equal(tape.grads[t.id][live], ref_tape.grads[ref_t.id])
+    assert np.array_equal(y[live], ref.data)
+    assert np.array_equal(grad[live], ref_tape.grads[ref_t.id])
     # the dead row is x / EPS: zero out, gradient w / EPS
-    assert not out.data[1].any()
-    assert np.array_equal(tape.grads[t.id][1], w[1] / ad.EPS)
+    assert not y[1].any()
+    assert np.array_equal(grad[1], w[1] / ad.EPS)
 
 
 def test_l2_normalize_gradient(rng):

@@ -612,6 +612,19 @@ def test_pass_over_broken_checkpoint_exits_divergence(how, command, student_run,
     assert sorted(os.listdir(tmp_path)) == ["s.ckpt"]  # no embeddings CSV
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+@pytest.mark.parametrize("command", ["eval", "transfer", "export-embeddings"])
+def test_non_positive_batch_size_exits_config_before_any_file(command, batch_size, student_run,
+                                                               tmp_path, capsys):
+    argv = [command, "--ckpt", os.path.join(student_run, "student.ckpt")]
+    if command == "export-embeddings":
+        argv += ["--csv", str(tmp_path / "emb.csv")]
+    assert main(argv + FAST + ["--set", f"batch_size={batch_size}"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "batch_size" in err and out == ""
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("augment", ["none", "flip"])
 def test_distill_from_non_finite_teacher_names_the_teacher(augment, teacher_run, tmp_path):
     teacher = _broken_copy(os.path.join(teacher_run, "teacher.ckpt"), tmp_path / "t.ckpt",

@@ -515,12 +515,6 @@ def test_identity_matching_beats_row_permutations(rng):
 def test_embedding_pair_validation(rng):
     with pytest.raises(ShapeMismatchError):
         EmbeddingPair(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
-    with pytest.raises(ShapeMismatchError):
-        EmbeddingPair.from_projections(Tensor(np.full((2, 3), 0.9)),
-                                       Tensor(np.full((2, 3), 0.9)))
-    pair = EmbeddingPair.from_projections(Tensor(unit_rows(rng, 3, 4)),
-                                          Tensor(unit_rows(rng, 3, 4)))
-    assert pair.n == 3 and pair.unit_norm_error() < 1e-9
 
 
 def test_config_validation():

@@ -464,22 +464,24 @@ def test_dead_student_row_is_clamped_not_a_divergence(blob_env, blob_teacher):
     assert all(np.isfinite(t).all() for t in ckpt.tensors.values())
 
 
-def test_dcd_kd_step_records_27_tape_nodes(cli_blob_env, monkeypatch):
+def test_dcd_kd_step_records_25_tape_nodes(cli_blob_env, monkeypatch):
     """One DCD+KD step on the CLI blob shapes: 8 student-forward nodes (the
-    reshape of the constant input images records none), 4 for the two
-    projections and 15 for the loss, whose embedding terms are one node."""
+    reshape of the constant input images records none), 2 for the two
+    heads' matmuls and 15 for the loss, whose embedding terms are one node
+    that does the step's only normalization."""
     counts = []
 
     class CountingTape(train_mod.Tape):
         def backward(self, root):
             counts.append(len(self.nodes))
+            assert not any(node.op == "l2_normalize_rows" for node in self.nodes)
             return super().backward(root)
 
     monkeypatch.setattr(train_mod, "Tape", CountingTape)
     train, test, t_ckpt, student_spec = cli_blob_env
     distill(t_ckpt, student_spec, train, test, DistillConfig(),
             OptimSpec(lr=0.05, epochs=1, seed=0), BatchPlan(32, 0))
-    assert counts == [27] * 3
+    assert counts == [25] * 3
 
 
 @pytest.mark.parametrize("family", ["mlp", "convnet"])
