@@ -445,16 +445,20 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _emit("l2_normalize_rows", (x,), y, bwd)
 
 
+def softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix's max-shifted row log-softmax and its exp: every loss term's softmax."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_p, np.exp(log_p)
+
+
 def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log-softmax with max subtraction for stability."""
+    """Row-wise log-softmax (:func:`softmax_rows`) of a finite matrix."""
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"log_softmax_rows expects a matrix, got shape {x.shape}")
     if not np.isfinite(x.data).all():
         raise DomainError("log_softmax_rows: input must be finite")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - lse
-    p = np.exp(y)
+    y, p = softmax_rows(x.data)
 
     def bwd(g, pd=p):
         return (g - pd * g.sum(axis=1, keepdims=True),)

@@ -6,6 +6,7 @@ comments) merged with flag overrides; flags always win.  Every run
 directory receives the fully-resolved config echo, the epoch CSV, the
 checkpoint, and a ``DONE`` completion marker.  Exit codes: 0 success,
 1 config error, 2 data error, 3 divergence, 4 checkpoint-format error.
+An unreadable config file is a config error, any other unusable path a data error.
 """
 
 from __future__ import annotations
@@ -114,16 +115,21 @@ CONFIG_KEYS: dict = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    """A config file's ``key=value`` pairs; :class:`ConfigError` unless it is UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} cannot be read: {exc}") from exc
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
     return pairs
 
 
@@ -131,8 +137,6 @@ def resolve_config(file_path: str | None, overrides: dict[str, str]) -> dict:
     resolved = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     layers = []
     if file_path:
-        if not os.path.exists(file_path):
-            raise ConfigError(f"config file {file_path!r} does not exist")
         layers.append(parse_config_file(file_path))
     layers.append(overrides)
     for layer in layers:
@@ -621,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (FileNotFoundError, FormatError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ShapeMismatchError) as exc:

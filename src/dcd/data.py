@@ -58,51 +58,47 @@ class Batch:
     index: np.ndarray   # [n] int64, the rows' positions in the dataset
 
 
-def parse_cifar10(raw: bytes) -> Dataset:
-    if len(raw) % CIFAR10_RECORD != 0:
-        raise FormatError(
-            f"payload length {len(raw)} is not a multiple of {CIFAR10_RECORD}",
-            offset=len(raw) - len(raw) % CIFAR10_RECORD)
-    m = len(raw) // CIFAR10_RECORD
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, CIFAR10_RECORD)
-    labels = arr[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
+def _parse_cifar(raw: bytes, record: int, label_byte: int, classes: int,
+                 what: str = "label") -> Dataset:
+    """``cifar{classes}`` records of ``record`` bytes: the label at
+    ``label_byte`` (named ``what`` in errors), then the 3072 pixel bytes;
+    earlier bytes are dropped."""
+    if len(raw) % record != 0:
+        raise FormatError(f"payload length {len(raw)} is not a multiple of {record}",
+                          offset=len(raw) - len(raw) % record)
+    m = len(raw) // record
+    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, record)
+    labels = arr[:, label_byte].astype(np.int64)
+    bad = np.nonzero(labels >= classes)[0]
     if bad.size:
-        raise FormatError(f"label {labels[bad[0]]} exceeds 9", offset=int(bad[0]) * CIFAR10_RECORD)
-    images = arr[:, 1:].reshape(m, 3, 32, 32).astype(np.float32) / 255.0
-    return Dataset(images, labels, 10, "cifar10")
+        raise FormatError(f"{what} {labels[bad[0]]} exceeds {classes - 1}",
+                          offset=int(bad[0]) * record + label_byte)
+    images = arr[:, label_byte + 1:].reshape(m, 3, 32, 32).astype(np.float32) / 255.0
+    return Dataset(images, labels, classes, f"cifar{classes}")
+
+
+def _serialize_cifar(ds: Dataset, *prefix: np.ndarray) -> bytes:
+    """One record per row: the ``prefix`` bytes, the label, then the pixels."""
+    pixels = np.round(ds.images * 255.0).astype(np.uint8).reshape(len(ds), 3072)
+    columns = [c.astype(np.uint8)[:, None] for c in (*prefix, ds.labels)]
+    return np.concatenate([*columns, pixels], axis=1).tobytes()
+
+
+def parse_cifar10(raw: bytes) -> Dataset:
+    return _parse_cifar(raw, CIFAR10_RECORD, 0, 10)
 
 
 def serialize_cifar10(ds: Dataset) -> bytes:
-    pixels = np.round(ds.images * 255.0).astype(np.uint8).reshape(len(ds), 3072)
-    records = np.concatenate([ds.labels.astype(np.uint8)[:, None], pixels], axis=1)
-    return records.tobytes()
+    return _serialize_cifar(ds)
 
 
 def parse_cifar100(raw: bytes) -> Dataset:
-    if len(raw) % CIFAR100_RECORD != 0:
-        raise FormatError(
-            f"payload length {len(raw)} is not a multiple of {CIFAR100_RECORD}",
-            offset=len(raw) - len(raw) % CIFAR100_RECORD)
-    m = len(raw) // CIFAR100_RECORD
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, CIFAR100_RECORD)
     # byte 0 is the coarse label and is deliberately dropped
-    labels = arr[:, 1].astype(np.int64)
-    bad = np.nonzero(labels > 99)[0]
-    if bad.size:
-        raise FormatError(f"fine label {labels[bad[0]]} exceeds 99",
-                          offset=int(bad[0]) * CIFAR100_RECORD + 1)
-    images = arr[:, 2:].reshape(m, 3, 32, 32).astype(np.float32) / 255.0
-    return Dataset(images, labels, 100, "cifar100")
+    return _parse_cifar(raw, CIFAR100_RECORD, 1, 100, "fine label")
 
 
 def serialize_cifar100(ds: Dataset, coarse: np.ndarray | None = None) -> bytes:
-    m = len(ds)
-    pixels = np.round(ds.images * 255.0).astype(np.uint8).reshape(m, 3072)
-    coarse = np.zeros(m, dtype=np.uint8) if coarse is None else coarse.astype(np.uint8)
-    records = np.concatenate(
-        [coarse[:, None], ds.labels.astype(np.uint8)[:, None], pixels], axis=1)
-    return records.tobytes()
+    return _serialize_cifar(ds, np.zeros(len(ds), dtype=np.uint8) if coarse is None else coarse)
 
 
 def parse_mnist_idx(images_bytes: bytes, labels_bytes: bytes) -> Dataset:

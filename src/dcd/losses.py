@@ -2,7 +2,9 @@
 
 The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over student and
 teacher projections, with a learnable temperature ``tau`` (clamped to
-``[0, tau_max]`` by the optimizer) and a learnable bias ``b``.  The
+``[0, tau_max]`` by the optimizer) and a bias ``b``, which shifts every
+logit of a row alike and so leaves each softmax unchanged: its gradient
+is only roundoff, and training leaves it at ``b_init`` to ~1e-16.  The
 contrastive term is cross-entropy of the student-anchored similarity
 rows against the diagonal; the consistency term is the mean KL
 divergence between student-anchored and teacher-anchored similarity
@@ -18,7 +20,8 @@ the teacher-anchored logits as its transpose, shares one log-softmax per
 anchor between the two terms, and has a hand-written backward.  A
 student row of zero norm (a dead row) is divided by ``EPS`` instead of
 raising, as torch's ``F.normalize`` does; a zero teacher row raises
-:class:`DegenerateInputError`.  :func:`similarity_logits`,
+:class:`DegenerateInputError`.  Every softmax here comes from one numpy
+kernel, :func:`dcd.autodiff.softmax_rows`.  :func:`similarity_logits`,
 :func:`student_distribution` and :func:`teacher_distribution` stay
 composed from autodiff ops, as an in-package reference beside
 :mod:`dcd.oracle`.
@@ -146,14 +149,6 @@ def teacher_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
     return ad.exp(ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="teacher")))
 
 
-def _log_softmax_and_probs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-softmax and softmax from one ``exp``."""
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    total = ex.sum(axis=1, keepdims=True)
-    return shifted - np.log(total), ex / total
-
-
 def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
                      detach_target: bool = False) -> tuple[Tensor, float, float]:
     """``(weights[0] * contrast + weights[1] * consist, contrast, consist)``,
@@ -178,8 +173,8 @@ def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
     if not np.isfinite(logits).all():
         raise DomainError("embedding similarity logits must be finite")
     n = pair.n
-    ls, p = _log_softmax_and_probs(logits)
-    lt, q = _log_softmax_and_probs(logits.T)
+    ls, p = ad.softmax_rows(logits)
+    lt, q = ad.softmax_rows(logits.T)
     gap = ls - lt
     p_gap = p * gap
     contrast = float(-np.trace(ls) / n)
@@ -231,8 +226,7 @@ def kd_kl_loss(student_logits: Tensor, teacher_logits, temperature: float) -> Te
         raise ShapeMismatchError(
             f"logit shapes differ: {student_logits.shape} vs {t_data.shape}")
     n = student_logits.shape[0]
-    t_log_p, _ = _log_softmax_and_probs(t_data / t)
-    t_p = np.exp(t_log_p)  # not the quotient returned beside it: KD students keep their bits
+    t_log_p, t_p = ad.softmax_rows(t_data / t)
     s_lsm = ad.log_softmax_rows(ad.scale(student_logits, 1.0 / t))
     per = ad.mul(Tensor(t_p), ad.sub(Tensor(t_log_p), s_lsm))
     return ad.scale(ad.tsum(per), t * t / n)

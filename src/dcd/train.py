@@ -285,23 +285,20 @@ def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> fl
 
 
 def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test: Dataset,
-         stats, optim: OptimSpec, plan: BatchPlan, frozen=None,
-         temperature: tuple[Parameter, ...] = (), epoch_logs: bool = True,
-         ) -> tuple[list[EpochLog], dict]:
+         stats, optim: OptimSpec, plan: BatchPlan, temperature: tuple[Parameter, ...] = (),
+         epoch_logs: bool = True) -> tuple[list[EpochLog], dict]:
     """The one SGD loop: ``optim.epochs`` epochs over ``batches()``, each
     followed by an evaluation of ``model`` on both splits unless
     ``epoch_logs`` is false, which skips the epoch logs and their evaluations.
 
-    ``step_loss(batch, targets, step)`` builds the step's
-    :class:`LossBreakdown` on the open tape, where ``targets`` is
-    ``frozen(batch, step)`` (None without ``frozen``).  ``frozen`` runs before
-    the tape opens, so the frozen teacher's forward pass records no nodes
-    and backward stops at its outputs.  The tape differentiates only
-    ``params``, so no step computes a gradient for its input images or the
-    frozen targets.  ``temperature`` is the ``(tau, b)`` pair that the
-    epoch logs and final metrics report.  Returns the epoch logs and the
-    final metrics, which measure the final weights; a run of zero epochs
-    evaluates its initial weights once.
+    ``step_loss(batch, step)`` builds the step's :class:`LossBreakdown` on
+    a tape that differentiates only ``params``: it records no op whose
+    inputs are all untracked, so a frozen teacher's forward pass inside the
+    step adds no nodes, and no step computes a gradient for its input
+    images or the teacher's outputs.  ``temperature`` is the ``(tau, b)``
+    pair that the epoch logs and final metrics report.  Returns the epoch
+    logs and the final metrics, which measure the final weights; a run of
+    zero epochs evaluates its initial weights once.
     """
     def temperatures() -> dict:
         return dict(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
@@ -323,10 +320,9 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
             sums = np.zeros(len(_LOSS_COLUMNS))
             seen = 0
             for batch in batches(train, plan, epoch, stats):
-                targets = frozen(batch, step) if frozen else None
                 with Tape(leaves) as tape:
                     try:
-                        bd = step_loss(batch, targets, step)
+                        bd = step_loss(batch, step)
                     except DomainError as exc:
                         raise DivergenceError(f"training loss: {exc}", step) from exc
                     if not bd.total.is_finite():
@@ -364,11 +360,28 @@ def _checkpoint(params: list[Parameter], kind: str, spec: ModelSpec, optim: Opti
 
 def _supervised_step(model):
     """The step loss of plain cross-entropy training on ``model``'s logits."""
-    def step_loss(batch, _targets, _step) -> LossBreakdown:
+    def step_loss(batch, _step) -> LossBreakdown:
         _, logits = model.forward(batch.images)
         ce = cross_entropy_loss(logits, batch.labels)
         zero = Tensor(0.0)
         return LossBreakdown(ce, zero, zero, zero, zero, ce)
+    return step_loss
+
+
+def _distill_step(student: Model, teacher_targets, s_head: ProjectionHead,
+                  t_head: ProjectionHead, tau: Parameter, b: Parameter, cfg: DistillConfig):
+    """The step loss of distillation: :func:`total_loss` of ``student`` against
+    ``teacher_targets(batch, step)``, the frozen teacher's ``(features,
+    logits)``, with the heads' unnormalized outputs as the embedding pair,
+    which beta=0 skips to keep the reduced objectives exact and robust."""
+    def step_loss(batch, step) -> LossBreakdown:
+        t_feats, t_logits = teacher_targets(batch, step)
+        s_feats, s_logits = student.forward(batch.images)
+        pair = None if cfg.beta == 0.0 else EmbeddingPair(s_head(s_feats), t_head(t_feats))
+        try:
+            return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
+        except DegenerateInputError as exc:  # only a zero teacher projection raises it
+            raise DivergenceError(f"teacher projection head: {exc}", step) from exc
     return step_loss
 
 
@@ -433,8 +446,9 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     before the first epoch (:func:`_frozen_teacher_outputs`), and every
     full batch gathers its rows from those outputs; only a short last
     batch runs the teacher again.  With augmentation it runs on every
-    batch.  Non-finite teacher outputs on either path end the run in a
-    :class:`DivergenceError` naming the frozen teacher.
+    batch.  The step (:func:`_distill_step`) reads these targets itself, on
+    a tape that records none of the teacher's ops.  Non-finite teacher
+    outputs end the run in a :class:`DivergenceError` naming the teacher.
 
     The heads' unnormalized outputs go to the loss, which normalizes each
     side once.  A dead student row (every feature zero after the ReLU) is
@@ -457,24 +471,14 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
     full_batch = min(plan.batch_size, len(train))
 
-    def teacher_outputs(batch, step):  # runs before the step's tape opens: no teacher nodes
+    def teacher_targets(batch, step):
         if cached is not None and len(batch.index) == full_batch:
             return tuple(Tensor(out[batch.index]) for out in cached)
         return _teacher_forward(teacher, batch.images, step)
 
-    def step_loss(batch, targets, step) -> LossBreakdown:
-        t_feats, t_logits = targets
-        s_feats, s_logits = student.forward(batch.images)
-        # the projection pipeline is unused at beta=0; skipping it
-        # keeps the reduced objectives exact and robust
-        pair = None if cfg.beta == 0.0 else EmbeddingPair(s_head(s_feats), t_head(t_feats))
-        try:
-            return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
-        except DegenerateInputError as exc:  # only a zero teacher projection raises it
-            raise DivergenceError(f"teacher projection head: {exc}", step) from exc
-
+    step_loss = _distill_step(student, teacher_targets, s_head, t_head, tau, b, cfg)
     logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,
-                       frozen=teacher_outputs, temperature=(tau, b))
+                       temperature=(tau, b))
     return _checkpoint(saved, "student", student_spec, optim, stats, final,
                        teacher_spec=asdict(teacher.spec), distill_config=asdict(cfg)), logs
 

@@ -19,17 +19,17 @@ import numpy as np
 
 from . import oracle
 from .autodiff import Tape, Tensor, collect_grads
-from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
+from .data import (Batch, BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
                    serialize_cifar10, serialize_cifar100, serialize_mnist_idx,
                    synth_blob_split, synth_blobs)
 from .losses import (DistillConfig, EmbeddingPair, consistency_loss, contrastive_loss,
                      cross_entropy_loss, kd_kl_loss, student_distribution,
-                     teacher_distribution, temperature_parameters, total_loss)
+                     teacher_distribution, temperature_parameters)
 from .metrics import (fixture_relative_improvement, negative_buffer_bytes,
                       read_embeddings, export_embeddings)
 from .models import ModelSpec, ProjectionHead, init_weights, project
-from .train import (Checkpoint, OptimSpec, distill, load_checkpoint, save_checkpoint,
-                    train_teacher)
+from .train import (Checkpoint, OptimSpec, _distill_step, _supervised_step, _teacher_forward,
+                    distill, load_checkpoint, save_checkpoint, train_teacher)
 
 LOSS_TOL = 1e-12          # absolute for O(1) values, relative above that
 GRAD_TOL = 1e-4
@@ -112,11 +112,12 @@ def check_oracle_equivalence() -> str:
     return f"{trials} instances, worst {worst:.2e}"
 
 
-def _finite_difference_errors(loss, params) -> list[float]:
-    """Relative error of one backward pass of ``loss()`` against central
-    differences, for every scalar of ``params``."""
+def _finite_difference_errors(step_loss, batch, params) -> list[float]:
+    """Relative error of one backward pass of the training step
+    ``step_loss(batch, 0)`` against central differences, for every scalar
+    of ``params``."""
     with Tape() as tape:
-        tape.backward(loss())
+        tape.backward(step_loss(batch, 0).total)
     collect_grads(tape, params)
     errors = []
     for p in params:
@@ -126,9 +127,9 @@ def _finite_difference_errors(loss, params) -> list[float]:
         for i, grad in enumerate(p.grad.reshape(-1)):
             orig = flat[i]
             flat[i] = orig + STEP
-            fp = loss().item()
+            fp = step_loss(batch, 0).total.item()
             flat[i] = orig - STEP
-            fm = loss().item()
+            fm = step_loss(batch, 0).total.item()
             flat[i] = orig
             fd = (fp - fm) / (2 * STEP)
             rel = abs(fd - grad) / max(abs(fd), abs(grad), 1e-4)
@@ -139,11 +140,12 @@ def _finite_difference_errors(loss, params) -> list[float]:
 
 @_check("gradient_correctness")
 def check_gradient_correctness() -> str:
-    """Central differences against one backward pass: of the total loss, on
-    the heads' unnormalized outputs as in training, for every scalar of a
-    2-layer MLP student, both heads, tau and b, and of the cross-entropy
-    for every kernel and classifier scalar of a two-block ConvNet, whose
-    second pool drops a row and a column."""
+    """Central differences against one backward pass of the steps that
+    training runs: the distillation step (:func:`dcd.train._distill_step`)
+    for every scalar of a 2-layer MLP student, both heads, tau and b, and
+    the cross-entropy step (:func:`dcd.train._supervised_step`) for every
+    kernel and classifier scalar of a two-block ConvNet, whose second pool
+    drops a row and a column."""
     rng = np.random.default_rng(7)
     student = init_weights(ModelSpec("mlp", (8, 8), 3, (1, 1, 6)), 1)
     teacher = init_weights(ModelSpec("mlp", (12, 12), 3, (1, 1, 6)), 2)
@@ -151,25 +153,18 @@ def check_gradient_correctness() -> str:
     s_head = ProjectionHead.create(8, 5, "student", [1, 2])
     t_head = ProjectionHead.create(12, 5, "teacher", [1, 1])
     tau, b = temperature_parameters(cfg)
-    images = Tensor(rng.uniform(0, 1, (4, 1, 1, 6)))
-    labels = rng.integers(0, 3, 4)
-
-    def loss():
-        t_feats, t_logits = teacher.forward(images)
-        s_feats, s_logits = student.forward(images)
-        pair = EmbeddingPair(s_head(s_feats), t_head(t_feats))  # as distill builds it
-        return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg).total
-
+    batch = Batch(Tensor(rng.uniform(0, 1, (4, 1, 1, 6))), rng.integers(0, 3, 4), np.arange(4))
+    step = _distill_step(student, lambda bt, i: _teacher_forward(teacher, bt.images, i),
+                         s_head, t_head, tau, b, cfg)
     mlp = _finite_difference_errors(
-        loss, student.parameters() + [s_head.weight, t_head.weight, tau, b])
+        step, batch, student.parameters() + [s_head.weight, t_head.weight, tau, b])
     _require(len(mlp) > 100, f"only {len(mlp)} MLP scalars checked")
 
     convnet = init_weights(ModelSpec("convnet", (2, 3), 3, (2, 6, 6)), 3)
-    conv_images = Tensor(rng.uniform(0, 1, (4, 2, 6, 6)))
-    conv_labels = rng.integers(0, 3, 4)
-    conv = _finite_difference_errors(
-        lambda: cross_entropy_loss(convnet.forward(conv_images)[1], conv_labels),
-        convnet.parameters())
+    conv_batch = Batch(Tensor(rng.uniform(0, 1, (4, 2, 6, 6))), rng.integers(0, 3, 4),
+                       np.arange(4))
+    conv = _finite_difference_errors(_supervised_step(convnet), conv_batch,
+                                     convnet.parameters())
     return (f"{len(mlp)} MLP and {len(conv)} ConvNet scalars, "
             f"worst rel err {max(mlp + conv):.2e}")
 

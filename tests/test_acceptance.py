@@ -104,17 +104,22 @@ def _cifar10_dir():
     return None
 
 
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 @pytest.mark.skipif(_cifar10_dir() is None,
                     reason="CIFAR-10 binary batches not on disk (set DCD_CIFAR10_DIR)")
 def test_criterion_6_cifar_distillation_trend():
     started = time.time()
     data_dir = _cifar10_dir()
-    raw = b"".join(open(os.path.join(data_dir, f"data_batch_{i}.bin"), "rb").read()
+    raw = b"".join(_read_bytes(os.path.join(data_dir, f"data_batch_{i}.bin"))
                    for i in range(1, 6))
     train = parse_cifar10(raw)
     train = Dataset(train.images[:recipes.CIFAR_TRAIN_LIMIT],
                     train.labels[:recipes.CIFAR_TRAIN_LIMIT], 10, "cifar10-10k")
-    test = parse_cifar10(open(os.path.join(data_dir, "test_batch.bin"), "rb").read())
+    test = parse_cifar10(_read_bytes(os.path.join(data_dir, "test_batch.bin")))
     teacher_spec, student_spec = convnet_pair((3, 32, 32), 10)
     plan = BatchPlan(batch_size=recipes.CIFAR_BATCH, shuffle_seed=7, augment="flip+crop")
     t_ckpt, _ = train_teacher(teacher_spec, train, test, recipes.CIFAR_TEACHER_OPTIM, plan)

@@ -112,7 +112,8 @@ def test_bad_probe_value_exits_config(key, value, teacher_run, capsys):
 def test_teacher_run_artifacts(teacher_run):
     assert run_dir_complete(teacher_run)
     assert os.path.exists(os.path.join(teacher_run, "teacher.ckpt"))
-    echoed = open(os.path.join(teacher_run, "config.txt")).read()
+    with open(os.path.join(teacher_run, "config.txt")) as fh:
+        echoed = fh.read()
     assert "seed=1" in echoed and "epochs=2" in echoed
 
 
@@ -121,6 +122,36 @@ def test_missing_data_path_exits_data(tmp_path):
     code = main(["train-teacher", "--out", out, "--set", "dataset=cifar10",
                  "--data", str(tmp_path / "nowhere")])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-directory", "teacher-directory",
+                                  "ckpt-directory", "out-under-file", "out-is-file",
+                                  "cifar-batch-directory"])
+def test_unusable_path_exits_with_one_typed_line(case, tmp_path, capsys):
+    """A path the run cannot read or write exits 1 (the config file) or 2
+    (any other path) with one message line naming it, never a traceback."""
+    a_file = tmp_path / "a-file"
+    a_file.write_bytes(b"alpha=\xff\n")  # not UTF-8
+    a_dir = tmp_path / "a-dir"
+    (a_dir / "data_batch_1.bin").mkdir(parents=True)
+    out = str(tmp_path / "out")
+    argv, bad, code = {
+        "config-not-utf8": (["train-teacher", "--out", out, "--config", str(a_file)],
+                            a_file, EXIT_CONFIG),
+        "config-directory": (["train-teacher", "--out", out, "--config", str(a_dir)],
+                             a_dir, EXIT_CONFIG),
+        "teacher-directory": (["distill", "--teacher", str(a_dir), "--out", out], a_dir,
+                              EXIT_DATA),
+        "ckpt-directory": (["eval", "--ckpt", str(a_dir)], a_dir, EXIT_DATA),
+        "out-under-file": (["train-teacher", "--out", str(a_file / "run")], a_file, EXIT_DATA),
+        "out-is-file": (["train-teacher", "--out", str(a_file)], a_file, EXIT_DATA),
+        "cifar-batch-directory": (["train-teacher", "--out", out, "--set", "dataset=cifar10",
+                                   "--data", str(a_dir)], a_dir, EXIT_DATA),
+    }[case]
+    assert main(argv + FAST) == code
+    lines = capsys.readouterr().err.splitlines()
+    prefix = "config error: " if code == EXIT_CONFIG else "data error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix) and str(bad) in lines[0], lines
 
 
 @pytest.mark.parametrize("empty", ["training", "test"])
@@ -144,7 +175,8 @@ def test_teacher_determinism_same_seed(tmp_path):
     for name in ("a", "b"):
         out = str(tmp_path / name)
         assert main(["train-teacher", "--out", out, "--seed", "5"] + FAST) == EXIT_OK
-        logs.append(open(os.path.join(out, "epochs.csv")).read())
+        with open(os.path.join(out, "epochs.csv")) as fh:
+            logs.append(fh.read())
     assert logs[0] == logs[1]
 
 
@@ -359,7 +391,8 @@ def test_ablate_summary_rows(teacher_run, tmp_path):
     code = main(["ablate", "--teacher", teacher_ckpt, "--out", out,
                  "--grid", "beta=0.5,1", "--seeds", "2", "--jobs", "2"] + FAST)
     assert code == EXIT_OK
-    lines = open(os.path.join(out, "summary.csv")).read().strip().splitlines()
+    with open(os.path.join(out, "summary.csv")) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0].startswith("cell,alpha,beta,lambda_kl,seed,test_acc")
     assert len(lines) - 1 == 2 * 2  # |grid| x seeds
     for cell in ("cell0-seed0", "cell0-seed1", "cell1-seed0", "cell1-seed1"):
@@ -513,8 +546,10 @@ def test_single_cell_grid_matches_plain_distill(teacher_run, tmp_path):
     out_plain = str(tmp_path / "plain")
     assert main(["distill", "--teacher", teacher_ckpt, "--out", out_plain,
                  "--seed", "3", "--beta", "1.0"] + FAST) == EXIT_OK
-    abl_csv = open(os.path.join(out_abl, "cell0-seed0", "epochs.csv")).read()
-    plain_csv = open(os.path.join(out_plain, "epochs.csv")).read()
+    with open(os.path.join(out_abl, "cell0-seed0", "epochs.csv")) as fh:
+        abl_csv = fh.read()
+    with open(os.path.join(out_plain, "epochs.csv")) as fh:
+        plain_csv = fh.read()
     assert abl_csv == plain_csv
 
 
@@ -527,7 +562,8 @@ def test_export_embeddings_cmd(teacher_run, tmp_path):
     code = main(["export-embeddings", "--ckpt", os.path.join(out, "student.ckpt"),
                  "--csv", csv_path] + FAST)
     assert code == EXIT_OK
-    lines = open(csv_path).read().strip().splitlines()
+    with open(csv_path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0].startswith("label,e0")
     assert len(lines) - 1 == 60  # test split row count
 

@@ -290,6 +290,21 @@ def test_embedding_terms_gradients_vs_finite_differences(alpha, detach, rng):
         assert rel_err(tape.grads[leaf.id], f, floor=1e-4) < 1e-4
 
 
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 8, 128])
+def test_bias_b_gets_only_a_roundoff_gradient(n, detach, rng):
+    """b adds one constant to every logit of a row, which leaves the row's
+    softmax unchanged, so the embedding terms' gradient wrt b is roundoff."""
+    zs = rng.uniform(-2, 2, (n, 16))
+    zt = rng.uniform(-2, 2, (n, 16))
+    with Tape() as tape:
+        leaves = [Tensor(zs), Tensor(zt), Tensor(TAU_FIXED), Tensor(0.3)]
+        value, _, _ = _embedding_terms(EmbeddingPair(leaves[0], leaves[1]), leaves[2],
+                                       leaves[3], (1.0, 0.5), detach)
+        tape.backward(value)
+    assert abs(float(tape.grads[leaves[3].id])) <= 1e-12
+
+
 def test_embedding_terms_zero_student_row_is_finite(rng):
     zs = unit_rows(rng, 5, 6)
     zs[2] = 0.0

@@ -223,7 +223,8 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncation_offset(tmp_path, rng):
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(Checkpoint({"w": rng.normal(size=(8, 8))}, {}), path)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     cut = len(raw) - 16
     with open(path, "wb") as fh:
         fh.write(raw[:cut])
@@ -403,20 +404,34 @@ def test_teacher_forward_rows(augment, epochs, batch_size, rows, blob_env, blob_
 
 def test_teacher_forward_stays_off_the_tape(blob_env, blob_teacher, monkeypatch):
     """Cached rows, a short tail's teacher forward and an augmented batch's
-    teacher forward all leave the step's tape with the same node count."""
+    teacher forward all leave the step's tape with the same node count, for
+    an MLP and a ConvNet teacher."""
     train, test, _, student_spec = blob_env
+    rng = np.random.default_rng(7)
+    images = rng.uniform(0, 1, (28, 2, 8, 8)).astype(np.float32)
+    labels = rng.integers(0, 2, 28)
+    img_train = Dataset(images[:20], labels[:20], 2, "synthimg-train")
+    img_test = Dataset(images[20:], labels[20:], 2, "synthimg-test")
+    conv_teacher, _ = train_teacher(ModelSpec("convnet", (6, 8), 2, (2, 8, 8)), img_train,
+                                    img_test, OptimSpec(lr=0.1, epochs=1, seed=0),
+                                    BatchPlan(8, 0))
     nodes = []
 
     def recording(tape, params):
-        nodes.append(len(tape.nodes))
+        nodes[-1].append(len(tape.nodes))
         collect_grads(tape, params)
 
     monkeypatch.setattr(train_mod, "collect_grads", recording)
-    for augment in ("none", "flip"):  # 120 rows in batches of 50: a 20-row tail
-        distill(blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
-                OptimSpec(lr=0.02, epochs=1, seed=3), BatchPlan(50, 3, augment))
-    assert len(nodes) == 2 * 3
-    assert len(set(nodes)) == 1, nodes
+    # 120 rows in batches of 50 and 20 rows in batches of 8: a short tail each
+    for teacher, spec, splits, batch_size in (
+            (blob_teacher, student_spec, (train, test), 50),
+            (conv_teacher, ModelSpec("convnet", (3, 4), 2, (2, 8, 8)), (img_train, img_test), 8)):
+        nodes.append([])
+        for augment in ("none", "flip"):
+            distill(teacher, spec, *splits, DistillConfig(proj_dim=4),
+                    OptimSpec(lr=0.02, epochs=1, seed=3), BatchPlan(batch_size, 3, augment))
+        assert len(nodes[-1]) == 2 * 3
+        assert len(set(nodes[-1])) == 1, nodes
 
 
 def test_distill_zero_epochs_returns_initialized_student(blob_env, blob_teacher,
@@ -596,6 +611,7 @@ def test_epoch_csv_schema(tmp_path, blob_env):
                             BatchPlan(32, 2))
     path = str(tmp_path / "epochs.csv")
     write_epoch_csv(logs, path)
-    lines = open(path).read().strip().splitlines()
+    with open(path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "epoch,sup,distill_kl,contrast,consist,total,tau,b,train_acc,test_acc"
     assert len(lines) == 3
