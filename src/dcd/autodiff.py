@@ -483,7 +483,7 @@ def _pool_geometry(h: int, w: int, size, stride) -> tuple[int, int, int, int, in
 
 # conv2d and conv_block run over chunks of samples whose patch matrix holds
 # at most this many elements (4 MB of float64), or over single samples when
-# one holds more.
+# one holds more; the chunks fix the kernel gradient's summation order.
 _CONV_CHUNK_ELEMS = 2 ** 19
 
 
@@ -503,11 +503,10 @@ class _ConvChunks:
     bank, worked one chunk of samples at a time: the geometry, patches and
     backward that ``conv2d`` and ``conv_block`` share.
 
-    A chunk's patch matrix is built straight from the unpadded input, each
-    kernel tap copying the part of the image it sees; the padding stays
-    zero.  Every output element comes from its own sample's GEMM, and the
-    kernel gradient adds the samples' terms in sample order, so the results
-    do not depend on the chunk size.
+    Each pass builds its chunks' patch matrices in one buffer, dropped when
+    the pass ends, and runs one GEMM per chunk for each product; the kernel
+    gradient adds the chunks' terms in chunk order.  So the bits depend on
+    the chunk spans, which ``_CONV_CHUNK_ELEMS`` and the shapes fix.
     """
 
     def __init__(self, op: str, x: Tensor, k: Tensor, stride: int, pad: int):
@@ -527,7 +526,7 @@ class _ConvChunks:
         self.x = x.data
         self.kshape = k.shape
         self.k2 = k.data.reshape(f, c * kh * kw)
-        self.step = step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
+        step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
         self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
         # each tap (di, dj) in scan order, with the output window whose
         # input lies inside the image and that input window
@@ -539,62 +538,67 @@ class _ConvChunks:
                 if rows is not None and cols is not None:
                     self.taps.append((di, dj, (rows[0], cols[0]), (rows[1], cols[1])))
 
-    def patches(self, span: slice) -> np.ndarray:
-        """[m, C*kh*kw, ho*wo] patch matrix of a chunk, rows in (channel,
-        kernel row, kernel column) order."""
-        xc = self.x[span]
-        m, c = xc.shape[:2]
-        _, _, kh, kw = self.kshape
-        cols = np.zeros((m, c, kh, kw, self.ho, self.wo), dtype=np.float64)
-        for di, dj, (oi, oj), (ii, ij) in self.taps:
-            cols[:, :, di, dj, oi, oj] = xc[:, :, ii, ij]
-        return cols.reshape(m, c * kh * kw, self.ho * self.wo)
+    def _patches(self):
+        """Each chunk's span and contiguous [C*kh*kw, m*ho*wo] patch matrix,
+        rows in (channel, kernel row, kernel column) order and columns
+        sample-major, in chunk order.  Each tap copies the part of the images
+        it sees, so the padding stays zero."""
+        rows = self.spans[0].stop  # samples in a whole chunk
+        buf = np.zeros(self.k2.shape[1] * rows * self.ho * self.wo, dtype=np.float64)
+        for span in self.spans:
+            m = span.stop - span.start
+            cols = buf[:buf.size // rows * m].reshape(*self.kshape[1:], m, self.ho, self.wo)
+            if m < rows:  # a short last chunk: its padding lands on stale values
+                cols.fill(0.0)
+            xc = self.x[span].transpose(1, 0, 2, 3)
+            for di, dj, (oi, oj), (ii, ij) in self.taps:
+                cols[:, di, dj, :, oi, oj] = xc[:, :, ii, ij]
+            yield span, cols.reshape(self.k2.shape[1], -1)
 
-    def forward(self, span: slice, out: np.ndarray) -> None:
-        """Write a chunk's [m, F, ho*wo] output into ``out``."""
-        np.matmul(self.k2, self.patches(span), out=out)
+    def forward(self):
+        """Each chunk's span and [m, F, ho, wo] output; the next chunk overwrites it."""
+        f = len(self.k2)
+        buf = np.empty(f * self.spans[0].stop * self.ho * self.wo, dtype=np.float64)
+        for span, patches in self._patches():
+            out = np.matmul(self.k2, patches, out=buf[:f * patches.shape[1]].reshape(f, -1))
+            yield span, out.reshape(f, -1, self.ho, self.wo).transpose(1, 0, 2, 3)
 
     def backward(self, chunk_grads, need_x: bool, need_k: bool):
-        """``(dx, dk)`` from each chunk's [m, F, ho*wo] output gradient,
+        """``(dx, dk)`` from each chunk's [m, F, ho, wo] output gradient,
         given as ``(span, g)`` pairs in chunk order; None for an operand
         that is not differentiated."""
-        _, c, kh, kw = self.kshape
         dk = np.zeros(self.k2.shape, dtype=np.float64) if need_k else None
         dx = np.zeros(self.x.shape, dtype=np.float64) if need_x else None
+        patches = self._patches() if need_k else None
         for span, gc in chunk_grads:
+            g2 = gc.transpose(1, 0, 2, 3).reshape(len(self.k2), -1)
             if need_k:
-                # add the samples' terms in sample order, as .sum(axis=0) over
-                # the whole [N, F, C*kh*kw] stack does unless F*C*kh*kw == 1
-                for term in np.matmul(gc, self.patches(span).transpose(0, 2, 1)):
-                    dk += term
+                dk += g2 @ next(patches)[1].T
             if need_x:
-                dcols = np.matmul(self.k2.T, gc).reshape(len(gc), c, kh, kw, self.ho, self.wo)
-                dxc = dx[span]
+                dcols = (self.k2.T @ g2).reshape(*self.kshape[1:], -1, self.ho, self.wo)
+                dxc = dx[span].transpose(1, 0, 2, 3)
                 for di, dj, (oi, oj), (ii, ij) in self.taps:
-                    dxc[:, :, ii, ij] += dcols[:, :, di, dj, oi, oj]
+                    dxc[:, :, ii, ij] += dcols[:, di, dj, :, oi, oj]
         return dx, (dk.reshape(self.kshape) if need_k else None)
 
 
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank.
 
-    Works on chunks of samples (see :class:`_ConvChunks`), each turned into
-    a patch matrix only while it is used, so no temporary spans the whole
-    batch.  Saves only the input for backward, which rebuilds each chunk's
-    patches.
+    Works on chunks of samples (see :class:`_ConvChunks`), so no temporary
+    spans the whole batch.  Saves only the input for backward, which
+    rebuilds each chunk's patches.
     """
     conv = _ConvChunks("conv2d", x, k, stride, pad)
-    n, f = x.shape[0], k.shape[0]
-    out = np.empty((n, f, conv.ho * conv.wo), dtype=np.float64)
-    for span in conv.spans:
-        conv.forward(span, out[span])
+    out = np.empty((x.shape[0], k.shape[0], conv.ho, conv.wo), dtype=np.float64)
+    for span, chunk in conv.forward():
+        out[span] = chunk
     need_x, need_k = _differentiates(x), _differentiates(k)
 
     def bwd(g):
-        g2 = g.reshape(out.shape)
-        return conv.backward(((span, g2[span]) for span in conv.spans), need_x, need_k)
+        return conv.backward(((span, g[span]) for span in conv.spans), need_x, need_k)
 
-    return _emit("conv2d", (x, k), out.reshape(n, f, conv.ho, conv.wo), bwd)
+    return _emit("conv2d", (x, k), out, bwd)
 
 
 def _max_regions(sh: int, sw: int, th: int, tw: int, ho: int, wo: int) -> list[tuple]:
@@ -684,12 +688,8 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     need_x, need_k = _differentiates(x), _differentiates(k)
     y = np.empty((n, f, po, qo), dtype=np.float64)
     arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
-    chunk = np.empty((conv.step, f, ho * wo), dtype=np.float64)
-    for span in conv.spans:
-        out = chunk[:span.stop - span.start]
-        conv.forward(span, out)
-        _max_windows(out.reshape(-1, f, ho, wo), regions, y[span],
-                     None if arg is None else arg[span])
+    for span, conv_out in conv.forward():
+        _max_windows(conv_out, regions, y[span], None if arg is None else arg[span])
         _relu_into(y[span], y[span])
 
     def bwd(g):
@@ -697,7 +697,7 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
             for span in conv.spans:
                 gc = np.zeros((span.stop - span.start, f, ho, wo), dtype=np.float64)
                 _max_windows_backward(g[span] * (y[span] > 0.0), arg[span], regions, gc)
-                yield span, gc.reshape(-1, f, ho * wo)
+                yield span, gc
         return conv.backward(chunk_grads(), need_x, need_k)
 
     return _emit("conv_block", (x, k), y, bwd)

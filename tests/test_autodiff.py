@@ -1,5 +1,8 @@
 """Op-level forward values, backward rules and tape invariants."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,10 @@ import pytest
 
 from conftest import central_difference, rel_err
 
+import dcd
 from dcd import autodiff as ad
 from dcd.autodiff import Parameter, Tape, Tensor
+from dcd.cli import BLAS_THREAD_VARS
 from dcd.data import BatchPlan, Dataset
 from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
@@ -448,7 +453,8 @@ def test_relu_nan_and_signed_zero():
 
 
 # The original loop kernels, kept as the reference the shipped ones must
-# match bitwise: forward values, gradients and whole training runs.
+# match bitwise: forward values, gradients and whole training runs.  The
+# conv reference runs the shipped chunks' GEMMs over a padded copy instead.
 
 def ref_relu(x):
     mask = x.data > 0.0
@@ -464,26 +470,37 @@ def ref_conv2d(x, k, stride=1, pad=0):
     f, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = np.empty((n, c, kh, kw, ho * wo), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kw):
-            patch = xp[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride]
-            cols[:, :, di, dj, :] = patch.reshape(n, c, ho * wo)
-    cols = cols.reshape(n, c * kh * kw, ho * wo)
+    step = max(1, ad._CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
+    spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     k2 = k.data.reshape(f, c * kh * kw)
-    out = np.matmul(k2, cols).reshape(n, f, ho, wo)
 
-    def bwd(g):
-        g2 = g.reshape(n, f, ho * wo)
-        dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-        dcols = np.matmul(k2.T, g2).reshape(n, c, kh, kw, ho * wo)
-        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    def taps():  # each tap (di, dj) and the padded input it sees
         for di in range(kh):
             for dj in range(kw):
-                buf[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += (
-                    dcols[:, :, di, dj, :].reshape(n, c, ho, wo))
-        dx = buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
+                yield (di, dj, slice(di, di + ho * stride, stride),
+                       slice(dj, dj + wo * stride, stride))
+
+    def patches(span):  # [C*kh*kw, m*ho*wo], columns sample-major
+        xs = xp[span].transpose(1, 0, 2, 3)
+        cols = np.empty((c, kh, kw, len(xs[0]), ho, wo), dtype=np.float64)
+        for di, dj, ii, ij in taps():
+            cols[:, di, dj] = xs[:, :, ii, ij]
+        return cols.reshape(c * kh * kw, -1)
+
+    out = np.concatenate([(k2 @ patches(span)).reshape(f, -1, ho, wo).transpose(1, 0, 2, 3)
+                          for span in spans])
+
+    def bwd(g):
+        dk = np.zeros(k2.shape, dtype=np.float64)
+        buf = np.zeros(xp.shape, dtype=np.float64)
+        for span in spans:
+            g2 = g[span].transpose(1, 0, 2, 3).reshape(f, -1)
+            dk += g2 @ patches(span).T
+            dcols = (k2.T @ g2).reshape(c, kh, kw, -1, ho, wo)
+            for di, dj, ii, ij in taps():
+                buf[span, :, ii, ij] += dcols[:, di, dj].transpose(1, 0, 2, 3)
+        dx = buf[:, :, pad:pad + h, pad:pad + w]
         return np.ascontiguousarray(dx), dk.reshape(f, c, kh, kw)
 
     return ad._emit("conv2d", (x, k), out, bwd)
@@ -647,14 +664,14 @@ def test_convnet_backward_keeps_only_leaf_gradients(rng):
     assert {p.value.id for p in params} <= set(tape.grads)
 
 
-def tiny_convnet_run():
+def tiny_convnet_run(train_rows=32, batch_size=16):
     rng = np.random.default_rng(5)
-    images = rng.uniform(0, 1, (48, 3, 32, 32)).astype(np.float32)
-    labels = np.arange(48, dtype=np.int64) % 10
-    train = Dataset(images[:32], labels[:32], 10, "train")
-    test = Dataset(images[32:], labels[32:], 10, "test")
+    images = rng.uniform(0, 1, (train_rows + 16, 3, 32, 32)).astype(np.float32)
+    labels = np.arange(train_rows + 16, dtype=np.int64) % 10
+    train = Dataset(images[:train_rows], labels[:train_rows], 10, "train")
+    test = Dataset(images[train_rows:], labels[train_rows:], 10, "test")
     teacher_spec, student_spec = convnet_pair((3, 32, 32), 10)
-    plan = BatchPlan(batch_size=16, shuffle_seed=3, augment="flip+crop")
+    plan = BatchPlan(batch_size=batch_size, shuffle_seed=3, augment="flip+crop")
     optim = OptimSpec(lr=0.01, epochs=1, seed=3)
     t_ckpt, _ = train_teacher(teacher_spec, train, test, optim, plan)
     s_ckpt, _ = distill(t_ckpt, student_spec, train, test, DistillConfig(), optim, plan)
@@ -676,6 +693,26 @@ def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
         for name in new.tensors:
             assert_same_bits(new.tensors[name], ref.tensors[name])
         assert new.metadata == ref.metadata
+
+
+def test_convnet_checkpoints_do_not_depend_on_blas_threads():
+    """``ablate --jobs 2`` workers run with fewer BLAS threads, and a chunk's
+    conv GEMMs are large enough for the BLAS to split across threads."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dcd.__file__)))
+    code = (f"import hashlib, sys; sys.path.insert(0, {tests!r}); "
+            "from test_autodiff import tiny_convnet_run; "
+            "print(hashlib.sha256(b''.join(t.tobytes() for c in tiny_convnet_run(128, 128) "
+            "for t in c.tensors.values())).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, **{var: threads for var in BLAS_THREAD_VARS},
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def old_order_forward(self, images):
@@ -731,7 +768,8 @@ def test_maxpool_window_over_256_positions_matches_reference(rng):
 
 
 def _saved_arrays(fn):
-    """The arrays a backward closure keeps, in its defaults and free variables."""
+    """The arrays a backward closure keeps, in its defaults and free variables
+    and the conv geometry it holds."""
     found, todo = [], [*(fn.__defaults__ or ()),
                        *(cell.cell_contents for cell in fn.__closure__ or ())]
     while todo:
@@ -740,6 +778,8 @@ def _saved_arrays(fn):
             found.append(item)
         elif isinstance(item, (tuple, list)):
             todo.extend(item)
+        elif isinstance(item, ad._ConvChunks):
+            todo.extend(vars(item).values())
     return found
 
 
@@ -751,6 +791,22 @@ def test_maxpool_saves_one_byte_per_output(rng):
     saved = _saved_arrays(node.backward)
     assert not [a for a in saved if a.dtype.kind == "f" and a.size >= x.size]
     assert sum(a.nbytes for a in saved) == out.size
+
+
+@pytest.mark.parametrize("op", ["conv2d", "conv_block"])
+def test_conv_backward_keeps_no_patch_buffer(op, rng, monkeypatch):
+    # chunks of 4 samples, whose patch matrix holds exactly _CONV_CHUNK_ELEMS
+    monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", 4 * 8 * 9 * 8 * 8)
+    x = Tensor(rng.uniform(-1, 1, (10, 8, 8, 8)))
+    k = Tensor(rng.uniform(-1, 1, (4, 8, 3, 3)))
+    with Tape() as tape:
+        out = ad.conv_block(x, k) if op == "conv_block" else ad.conv2d(x, k, 1, 1)
+    (node,) = tape.nodes
+    for _ in range(2):  # after the forward pass, then after a backward pass
+        saved = _saved_arrays(node.backward)
+        assert any(a is x.data for a in saved)
+        assert not [a for a in saved if a.dtype.kind == "f" and a.size >= ad._CONV_CHUNK_ELEMS]
+        node.backward(np.ones(out.shape))
 
 
 def test_convnet_step_peak_memory(rng):
@@ -766,8 +822,8 @@ def test_convnet_step_peak_memory(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 33.6 MB with the pool before the ReLU and one byte per pooling window;
-    # 47.9 MB when the tape kept the full-size ReLU output for the pool
+    # 31.1 MB with one GEMM per chunk (32.3 MB with per-sample GEMMs, 33.6 MB
+    # as three ops); 47.9 MB when the tape kept the full-size ReLU output
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -839,7 +895,7 @@ def test_convnet_step_peak_memory_at_128_rows(rng):
         step_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 49.8 and 17.6 MB with one conv_block op per block; 69.4 and 42.0 MB
+    # 47.0 and 17.7 MB with one conv_block op per block; 69.4 and 42.0 MB
     # when the full-size conv output and its pool gradient were held
     assert step_peak < 60e6, f"step peak {step_peak / 1e6:.1f} MB"
     assert forward_peak < 30e6, f"forward peak {forward_peak / 1e6:.1f} MB"
