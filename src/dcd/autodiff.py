@@ -601,7 +601,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _emit("conv2d", (x, k), out, bwd)
 
 
-def _max_regions(sh: int, sw: int, th: int, tw: int, ho: int, wo: int) -> list[tuple]:
+def _pool_regions(sh: int, sw: int, th: int, tw: int, ho: int, wo: int) -> list[tuple]:
     """Index of each window position's strided slice of an [N,C,H,W] input,
     in scan order."""
     return [(slice(None), slice(None), slice(di, di + ho * th, th), slice(dj, dj + wo * tw, tw))
@@ -655,7 +655,7 @@ def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
         raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
     sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
-    regions = _max_regions(sh, sw, th, tw, ho, wo)
+    regions = _pool_regions(sh, sw, th, tw, ho, wo)
     best = np.empty((n, c, ho, wo), dtype=np.float64)
     arg = None
     if _differentiates(x):
@@ -684,7 +684,7 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     n, f = x.shape[0], k.shape[0]
     ho, wo = conv.ho, conv.wo
     sh, sw, th, tw, po, qo = _pool_geometry(ho, wo, 2, None)
-    regions = _max_regions(sh, sw, th, tw, po, qo)
+    regions = _pool_regions(sh, sw, th, tw, po, qo)
     need_x, need_k = _differentiates(x), _differentiates(k)
     y = np.empty((n, f, po, qo), dtype=np.float64)
     arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
@@ -708,19 +708,17 @@ def avgpool2d(x: Tensor, size=2, stride=None) -> Tensor:
         raise ShapeMismatchError(f"avgpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
     sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
+    regions = _pool_regions(sh, sw, th, tw, ho, wo)
     acc = np.zeros((n, c, ho, wo), dtype=np.float64)
-    for di in range(sh):
-        for dj in range(sw):
-            acc += x.data[:, :, di:di + ho * th:th, dj:dj + wo * tw:tw]
+    for region in regions:
+        acc += x.data[region]
     inv = 1.0 / (sh * sw)
 
-    def bwd(g, geom=(n, c, h, w, sh, sw, th, tw, ho, wo), scale_=inv):
-        n_, c_, h_, w_, sh_, sw_, th_, tw_, ho_, wo_ = geom
-        buf = np.zeros((n_, c_, h_, w_), dtype=np.float64)
-        gs = g * scale_
-        for di in range(sh_):
-            for dj in range(sw_):
-                buf[:, :, di:di + ho_ * th_:th_, dj:dj + wo_ * tw_:tw_] += gs
+    def bwd(g, shape=x.shape, regions=regions):
+        buf = np.zeros(shape, dtype=np.float64)
+        gs = g * inv
+        for region in regions:
+            buf[region] += gs
         return (buf,)
 
     return _emit("avgpool2d", (x,), acc * inv, bwd)

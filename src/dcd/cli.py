@@ -7,6 +7,7 @@ directory receives the fully-resolved config echo, the epoch CSV, the
 checkpoint, and a ``DONE`` completion marker.  Exit codes: 0 success,
 1 config error, 2 data error, 3 divergence, 4 checkpoint-format error.
 An unreadable config file is a config error, any other unusable path a data error.
+A closed stdout ends the output, not the run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnis
                    synth_blob_split)
 from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
                      DomainError, FormatError, ShapeMismatchError)
-from .losses import TAU_INIT_DEFAULT, DistillConfig
+from .losses import DistillConfig
 from .metrics import export_embeddings, linear_probe
 from .models import ModelSpec
 from .recipes import fold_clusters
@@ -85,23 +86,23 @@ CONFIG_KEYS: dict = {
     "teacher_widths": (_parse_widths, (512, 512)),
     "student_family": (str, "mlp"),
     "student_widths": (_parse_widths, (128, 128)),
-    "alpha": (float, 0.5),
-    "beta": (float, 1.0),
-    "lambda_kl": (float, 1.0),
-    "tau_init": (float, TAU_INIT_DEFAULT),
-    "b_init": (float, 0.0),
-    "tau_max": (float, 10.0),
-    "kd_temperature": (float, 4.0),
-    "proj_dim": (int, 128),
-    "learn_temperature": (_parse_bool, True),
-    "detach_consistency": (_parse_bool, False),
+    "alpha": (float, DistillConfig.alpha),
+    "beta": (float, DistillConfig.beta),
+    "lambda_kl": (float, DistillConfig.lambda_kl),
+    "tau_init": (float, DistillConfig.tau_init),
+    "b_init": (float, DistillConfig.b_init),
+    "tau_max": (float, DistillConfig.tau_max),
+    "kd_temperature": (float, DistillConfig.kd_temperature),
+    "proj_dim": (int, DistillConfig.proj_dim),
+    "learn_temperature": (_parse_bool, DistillConfig.learn_temperature),
+    "detach_consistency": (_parse_bool, DistillConfig.detach_consistency_target),
     "lr": (float, 0.05),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 0.0),
-    "epochs": (int, 30),
+    "momentum": (float, OptimSpec.momentum),
+    "weight_decay": (float, OptimSpec.weight_decay),
+    "epochs": (int, OptimSpec.epochs),
     "schedule": (_parse_schedule, ((15, 0.1), (23, 0.1))),
     "batch_size": (int, 128),
-    "augment": (str, "none"),
+    "augment": (str, BatchPlan.augment),
     "blob_classes": (int, 4),
     "blob_clusters_per_class": (int, 1),
     "blob_dim": (int, 32),
@@ -592,16 +593,51 @@ def _overrides_from_args(args) -> dict[str, str]:
             overrides[key] = str(value)
     fixed_tau = getattr(args, "fixed_tau", None)
     if fixed_tau is not None:
-        if fixed_tau <= 0:
-            raise ConfigError("--fixed-tau must be positive")
+        if not 0 < fixed_tau <= 1:  # T > 1 would need tau < 0; NaN fails too
+            raise ConfigError(f"--fixed-tau must lie in (0, 1], got {fixed_tau}")
         overrides["tau_init"] = str(float(np.log(1.0 / fixed_tau)))
         overrides["b_init"] = "0.0"
         overrides["learn_temperature"] = "false"
     return overrides
 
 
+class _Stdout:
+    """``sys.stdout`` for one :func:`main` call: the first write or flush that
+    finds the pipe's reader gone points the stream's file descriptor at the
+    null device, so the rest of the output, the exit flush's included, is
+    dropped and the run goes on to its own exit code."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def _guarded(self, op, *args):
+        try:
+            return op(*args)
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self.stream.fileno())
+            os.close(null)
+
+    def write(self, text: str):
+        return self._guarded(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guarded(self.stream.flush)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    sys.stdout = out = _Stdout(sys.stdout)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        out.flush()  # a closed pipe is met here, not in the exit flush
+        sys.stdout = out.stream
+
+
+def _run(args) -> int:
     try:
         if args.command == "verify":
             return cmd_verify()

@@ -8,23 +8,22 @@ is only roundoff, and training leaves it at ``b_init`` to ~1e-16.  The
 contrastive term is cross-entropy of the student-anchored similarity
 rows against the diagonal; the consistency term is the mean KL
 divergence between student-anchored and teacher-anchored similarity
-distributions.  All functions return tape-tracked scalar tensors, so a
-single backward pass reaches the student network, both projection heads
-and the two scalars.
+distributions.  The loss functions return tape-tracked scalar tensors,
+so a single backward pass reaches the student network, both projection
+heads and the two scalars.
 
-Both embedding terms come from one private op, :func:`_embedding_terms`,
-recorded as one tape node: it normalizes each side once (the only
-normalization a training step does, since training passes the heads'
-unnormalized outputs), builds one student-anchored cosine matrix, takes
-the teacher-anchored logits as its transpose, shares one log-softmax per
-anchor between the two terms, and has a hand-written backward.  A
-student row of zero norm (a dead row) is divided by ``EPS`` instead of
-raising, as torch's ``F.normalize`` does; a zero teacher row raises
-:class:`DegenerateInputError`.  Every softmax here comes from one numpy
-kernel, :func:`dcd.autodiff.softmax_rows`.  :func:`similarity_logits`,
-:func:`student_distribution` and :func:`teacher_distribution` stay
-composed from autodiff ops, as an in-package reference beside
-:mod:`dcd.oracle`.
+One private kernel, :func:`_similarity_laws`, computes the similarity
+laws: it normalizes each side once (the only normalization a training
+step does, since training passes the heads' unnormalized outputs),
+builds one student-anchored cosine matrix, takes the teacher-anchored
+logits as its transpose and softmaxes the rows of each.  A dead student
+row (zero norm) is divided by ``EPS`` instead of raising, as torch's
+``F.normalize`` does; a zero teacher row raises
+:class:`DegenerateInputError`.  Both embedding terms are one tape node
+over it, :func:`_embedding_terms`, with a hand-written backward;
+:func:`similarity_logits`, :func:`student_distribution` and
+:func:`teacher_distribution` return its arrays as constants, the laws
+training uses.  Every softmax here is :func:`dcd.autodiff.softmax_rows`.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class DistillConfig:
         if self.proj_dim < 1:
             raise ConfigError("proj_dim must be at least 1")
         if not 0.0 <= self.tau_init <= self.tau_max:
-            raise ConfigError(f"tau_init must lie in [0, {self.tau_max}]")
+            raise ConfigError(f"tau_init must lie in [0, {self.tau_max}], got {self.tau_init}")
 
 
 def temperature_parameters(cfg: DistillConfig) -> tuple[Parameter, Parameter]:
@@ -87,9 +86,9 @@ class EmbeddingPair:
     """Student/teacher projection batches of identical [N, D] shape.
 
     The rows need not have unit norm: every function here normalizes
-    each side once.  The embedding terms send a zero student row to zero
-    and raise :class:`DegenerateInputError` on a zero teacher row.
-    Training passes the heads' unnormalized outputs.
+    each side once, sends a zero student row to zero and raises
+    :class:`DegenerateInputError` on a zero teacher row.  Training passes
+    the heads' unnormalized outputs.
     """
 
     def __init__(self, zs: Tensor, zt: Tensor):
@@ -124,29 +123,39 @@ def _check_tau(tau) -> Tensor:
     return _scalar(tau)
 
 
+def _similarity_laws(pair: EmbeddingPair, tau, b) -> tuple:
+    """The forward half of :func:`_embedding_terms`: tau and b as tensors, each
+    side's ``unit_rows``, ``exp(tau)``, ``cos``, ``L = cos * exp(tau) + b`` and
+    the :func:`dcd.autodiff.softmax_rows` of ``L`` and of ``L.T``."""
+    tau_t, b_t = _check_tau(tau), _scalar(b)
+    student = ad.unit_rows(pair.zs.data, clamp=True)
+    teacher = ad.unit_rows(pair.zt.data, clamp=False)
+    e = np.exp(tau_t.data)
+    cos = student[0] @ teacher[0].T
+    logits = cos * e
+    logits += b_t.data
+    if not np.isfinite(logits).all():
+        raise DomainError("embedding similarity logits must be finite")
+    return (tau_t, b_t, student, teacher, e, cos, logits, ad.softmax_rows(logits),
+            ad.softmax_rows(logits.T))
+
+
 def similarity_logits(pair: EmbeddingPair, tau, b, anchor: str = "student") -> Tensor:
-    """[N, N] logit matrix cos(anchor_i, other_j) * exp(tau) + b."""
+    """[N, N] constant logit matrix cos(anchor_i, other_j) * exp(tau) + b."""
     if anchor not in ("student", "teacher"):
         raise ConfigError(f"anchor must be 'student' or 'teacher', got {anchor!r}")
-    tau_t = _check_tau(tau)
-    b_t = _scalar(b)
-    zs_n = ad.l2_normalize_rows(pair.zs)
-    zt_n = ad.l2_normalize_rows(pair.zt)
-    if anchor == "student":
-        cos = ad.matmul(zs_n, ad.transpose(zt_n))
-    else:
-        cos = ad.matmul(zt_n, ad.transpose(zs_n))
-    return ad.add(ad.mul(cos, ad.exp(tau_t)), b_t)
+    logits = _similarity_laws(pair, tau, b)[6]
+    return Tensor(logits if anchor == "student" else logits.T)
 
 
 def student_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
-    """Row-stochastic matrix: softmax over student-anchored similarity rows."""
-    return ad.exp(ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="student")))
+    """Constant row-stochastic matrix: softmax over student-anchored similarity rows."""
+    return Tensor(_similarity_laws(pair, tau, b)[7][1])
 
 
 def teacher_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
-    """Row-stochastic matrix: softmax over teacher-anchored similarity rows."""
-    return ad.exp(ad.log_softmax_rows(similarity_logits(pair, tau, b, anchor="teacher")))
+    """Constant row-stochastic matrix: softmax over teacher-anchored similarity rows."""
+    return Tensor(_similarity_laws(pair, tau, b)[8][1])
 
 
 def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
@@ -155,26 +164,17 @@ def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
     the first as one tape node over ``zs``, ``zt``, ``tau`` and ``b``.
 
     ``L = cos(zs, zt) * exp(tau) + b`` holds the student-anchored logits and
-    ``L.T`` the teacher-anchored ones.  With ``ls``/``lt`` their row
-    log-softmaxes and ``P = exp(ls)``, ``Q = exp(lt)``, the gradient wrt
-    ``L`` is ``(P - I) / N`` for the contrast and
+    ``L.T`` the teacher-anchored ones (:func:`_similarity_laws`).  With
+    ``ls``/``lt`` their row log-softmaxes and ``P = exp(ls)``, ``Q = exp(lt)``,
+    the gradient wrt ``L`` is ``(P - I) / N`` for the contrast and
     ``(P * (D - rowsum(P * D)) + (Q - P).T) / N`` for the consistency, where
     ``D = ls - lt``; ``detach_target`` drops the ``(Q - P).T`` part, which
     comes through the teacher-anchored side.
     """
-    tau_t, b_t = _check_tau(tau), _scalar(b)
     w_contrast, w_consist = weights
-    zs, s_norms, s_clamped = ad.unit_rows(pair.zs.data, clamp=True)
-    zt, t_norms, _ = ad.unit_rows(pair.zt.data, clamp=False)
-    e = np.exp(tau_t.data)
-    cos = zs @ zt.T
-    logits = cos * e
-    logits += b_t.data
-    if not np.isfinite(logits).all():
-        raise DomainError("embedding similarity logits must be finite")
+    tau_t, b_t, (zs, s_norms, s_clamped), (zt, t_norms, _), e, cos, _, (ls, p), (lt, q) = \
+        _similarity_laws(pair, tau, b)
     n = pair.n
-    ls, p = ad.softmax_rows(logits)
-    lt, q = ad.softmax_rows(logits.T)
     gap = ls - lt
     p_gap = p * gap
     contrast = float(-np.trace(ls) / n)

@@ -1,5 +1,5 @@
 """Evaluation metrics: accuracy, transfer probes, aggregate improvement,
-logit-correlation diagnostics, buffer accounting and embedding export.
+buffer accounting and embedding export.
 
 Model passes go through :func:`dcd.train.inference`, which raises
 ``DomainError`` on non-finite outputs, and the linear probe trains in
@@ -111,9 +111,6 @@ class AccuracyTable:
     columns: list[str]
     rows: dict[str, list[float | None]]
 
-    def row(self, name: str) -> list[float | None]:
-        return self.rows[name]
-
     def paired_rows(self, *names: str) -> list[list[float]]:
         """Values of the named rows restricted to columns where all are present."""
         picked = [self.rows[n] for n in names]
@@ -158,50 +155,6 @@ def fixture_relative_improvement(method: str = "DCD") -> float:
     table = load_fixture_table("cifar100_top1.txt")
     new, kd, van = table.paired_rows(method, "KD", "Student")
     return relative_improvement(new, kd, van)
-
-
-@dataclass
-class CorrelationReport:
-    matrix: np.ndarray  # |C_teacher - C_student|, class x class
-    mean_abs: float
-    max_abs: float
-    excluded: list[int]
-
-
-def _class_mean_logits(logits_by_class: list[np.ndarray]) -> np.ndarray:
-    return np.stack([np.asarray(block, dtype=np.float64).mean(axis=0)
-                     for block in logits_by_class])
-
-
-def _pearson_matrix(means: np.ndarray, keep: list[int]) -> np.ndarray:
-    sub = means[keep]
-    centered = sub - sub.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
-    return (centered @ centered.T) / np.outer(norms, norms)
-
-
-def logit_correlation_diff(teacher_logits_by_class: list[np.ndarray],
-                           student_logits_by_class: list[np.ndarray]) -> CorrelationReport:
-    """|Pearson(teacher class-mean logits) - Pearson(student ...)| summary.
-
-    Classes whose mean logit vector has zero variance cannot enter a
-    Pearson correlation; they are excluded with a warning.
-    """
-    if len(teacher_logits_by_class) != len(student_logits_by_class):
-        raise ShapeMismatchError("teacher and student must cover the same classes")
-    t_means = _class_mean_logits(teacher_logits_by_class)
-    s_means = _class_mean_logits(student_logits_by_class)
-    if t_means.shape != s_means.shape:
-        raise ShapeMismatchError("teacher and student logit dimensions differ")
-    excluded = [i for i in range(t_means.shape[0])
-                if np.allclose(t_means[i], t_means[i][0]) or np.allclose(s_means[i], s_means[i][0])]
-    if excluded:
-        warnings.warn(f"classes {excluded} have zero-variance mean logits; excluded")
-    keep = [i for i in range(t_means.shape[0]) if i not in excluded]
-    if len(keep) < 2:
-        raise ConfigError("need at least two usable classes for a correlation matrix")
-    diff = np.abs(_pearson_matrix(t_means, keep) - _pearson_matrix(s_means, keep))
-    return CorrelationReport(diff, float(diff.mean()), float(diff.max()), excluded)
 
 
 def negative_buffer_bytes(batch_size: int, proj_dim: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor, collect_grads
-from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches, standardize
+from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches
 from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError, \
     DomainError
 from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
@@ -396,33 +396,15 @@ def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSp
     return _checkpoint(params, "teacher", spec, optim, stats, final), logs
 
 
-def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats, plan: BatchPlan,
-                            epochs: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The frozen teacher's features and logits for every training row, or
-    None when the plan augments (each step then sees new pixels) or there
-    are no epochs to serve.
-
-    The teacher runs over windows of exactly ``min(batch_size, rows)``
-    rows, the last one ending at the final row and overlapping the one
-    before it, so every row goes through matmuls of the row count a full
-    training batch has: BLAS may pick its kernel by row count, and a row
-    computed in a window of another size can differ in the last bits.
-    Where BLAS also rounds a row by its position in the matmul (seen for
-    narrow logits, e.g. 2 classes), the outputs are one fixed rounding of
-    each row and the per-step outputs may differ from them by an ulp.
-    """
-    if plan.augment != "none" or epochs == 0:
-        return None
-    m = len(train)
-    bs = min(plan.batch_size, m)
-    feats = np.empty((m, teacher.spec.feature_dim))
-    logits = np.empty((m, teacher.spec.num_classes))
-    for start in range(0, m, plan.batch_size):
-        start = min(start, m - bs)  # the last window ends at the final row
-        rows = slice(start, start + bs)
-        images = standardize(train.images[rows].astype(np.float64), stats)
-        f, z = _teacher_forward(teacher, Tensor(images), 0)
-        feats[rows], logits[rows] = f.data, z.data
+def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats,
+                            batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen teacher's features and logits for every training row, from
+    one in-order pass over the windows evaluation uses (:func:`eval_batches`)."""
+    feats = np.empty((len(train), teacher.spec.feature_dim))
+    logits = np.empty((len(train), teacher.spec.num_classes))
+    for batch in eval_batches(train, stats, batch_size):
+        f, z = _teacher_forward(teacher, batch.images, 0)
+        feats[batch.index], logits[batch.index] = f.data, z.data
     return feats, logits
 
 
@@ -442,13 +424,14 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     """Optimize the student, both projection heads, tau and b under the
     combined objective; the teacher backbone stays frozen.
 
-    Without augmentation the teacher runs over the training split once,
-    before the first epoch (:func:`_frozen_teacher_outputs`), and every
-    full batch gathers its rows from those outputs; only a short last
-    batch runs the teacher again.  With augmentation it runs on every
-    batch.  The step (:func:`_distill_step`) reads these targets itself, on
-    a tape that records none of the teacher's ops.  Non-finite teacher
-    outputs end the run in a :class:`DivergenceError` naming the teacher.
+    Without augmentation, and with at least one epoch, the teacher runs
+    over the training split once, before the first epoch, in the windows
+    evaluation uses (:func:`_frozen_teacher_outputs`), and every batch
+    gathers its rows from those outputs.  With augmentation it runs on
+    every batch.  The step (:func:`_distill_step`) reads these targets
+    itself, on a tape that records none of the teacher's ops.  Non-finite
+    teacher outputs end the run in a :class:`DivergenceError` naming the
+    teacher.
 
     The heads' unnormalized outputs go to the loss, which normalizes each
     side once.  A dead student row (every feature zero after the ReLU) is
@@ -468,13 +451,14 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     tau, b = temperature_parameters(cfg)
     saved = student.parameters() + [s_head.weight, t_head.weight, tau, b]
     params = saved if cfg.learn_temperature else saved[:-2]
-    cached = _frozen_teacher_outputs(teacher, train, stats, plan, optim.epochs)
-    full_batch = min(plan.batch_size, len(train))
+    cached = None
+    if plan.augment == "none" and optim.epochs:
+        cached = _frozen_teacher_outputs(teacher, train, stats, plan.batch_size)
 
     def teacher_targets(batch, step):
-        if cached is not None and len(batch.index) == full_batch:
-            return tuple(Tensor(out[batch.index]) for out in cached)
-        return _teacher_forward(teacher, batch.images, step)
+        if cached is None:
+            return _teacher_forward(teacher, batch.images, step)
+        return tuple(Tensor(out[batch.index]) for out in cached)
 
     step_loss = _distill_step(student, teacher_targets, s_head, t_head, tau, b, cfg)
     logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,

@@ -15,6 +15,7 @@ from dcd import cli
 from dcd.cli import (BLAS_THREAD_VARS, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA,
                      EXIT_DIVERGENCE, EXIT_OK, main, parse_grid, resolve_config)
 from dcd.errors import ConfigError
+from dcd.losses import DistillConfig
 from dcd.train import load_checkpoint, save_checkpoint
 
 FAST = ["--set", "epochs=2", "--set", "blob_train_per_class=40",
@@ -205,6 +206,22 @@ def test_distill_fixed_tau_mode(teacher_run, tmp_path):
     assert float(ckpt.tensors["temperature.b"]) == 0.0
 
 
+@pytest.mark.parametrize("fixed_tau", ["2", "nan", "0"])
+def test_fixed_tau_outside_unit_interval_exits_config_naming_flag(fixed_tau, teacher_run,
+                                                                  tmp_path, capsys):
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    code = main(["distill", "--teacher", teacher_ckpt, "--out", str(tmp_path / "run"),
+                 "--fixed-tau", fixed_tau] + FAST)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--fixed-tau" in err and str(float(fixed_tau)) in err and "tau_init" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_default_config_gives_the_default_distill_config():
+    assert cli._distill_config(resolve_config(None, {})) == DistillConfig()
+
+
 def test_distill_bad_checkpoint_exits_4(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -364,6 +381,35 @@ def test_diverging_run_prints_only_the_divergence_line(command, teacher_run, tmp
     assert proc.returncode == EXIT_DIVERGENCE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("divergence: "), proc.stderr
+
+
+@pytest.mark.parametrize("command,code,artifact", [
+    (["train-teacher"], EXIT_OK, "DONE"),
+    (["ablate", "--grid", "beta=0,1", "--jobs", "2"], EXIT_DIVERGENCE, "summary.csv"),
+], ids=["train-teacher", "ablate"])
+def test_closed_stdout_ends_the_output_not_the_run(command, code, artifact, teacher_run,
+                                                   tmp_path):
+    """A reader that closes stdout before the run prints (``dcd ... | head -0``)
+    changes nothing but the output: the run writes its files and exits with
+    its own code, and stderr holds no broken-pipe line.  Unbuffered, the
+    pipe fails at the first write; buffered, at the flush that ends ``main``."""
+    extra = FAST
+    if command[0] == "ablate":  # every cell diverges, so the sweep exits 3
+        command = command + ["--teacher", os.path.join(teacher_run, "teacher.ckpt")]
+        extra = FAST + DIVERGE
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        out = tmp_path / f"run{len(unbuffered)}"
+        proc = subprocess.Popen([sys.executable, "-m", "dcd.cli"] + command
+                                + ["--out", str(out)] + extra, env={**env, **unbuffered},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, (unbuffered, err)
+        assert "Broken pipe" not in err and "Exception ignored" not in err, (unbuffered, err)
+        assert (out / artifact).exists()
 
 
 class _NoPool:

@@ -165,6 +165,35 @@ def test_distributions_row_stochastic_and_positive(rng):
             assert p.min() > 0.0
 
 
+def test_student_distribution_of_dead_student_row_is_uniform(rng):
+    """A zero student row is clamped, as in the embedding terms: its cosines
+    are zero, so its row of the law is uniform."""
+    zs = unit_rows(rng, 4, 6)
+    zs[1] = 0.0
+    p = student_distribution(EmbeddingPair(Tensor(zs), Tensor(unit_rows(rng, 4, 6))),
+                             1.3, 0.2).data
+    assert np.isfinite(p).all()
+    assert np.allclose(p[1], 0.25, rtol=0, atol=1e-15)
+
+
+def test_zero_teacher_row_raises_degenerate(rng):
+    zt = unit_rows(rng, 3, 5)
+    zt[2] = 0.0
+    pair = EmbeddingPair(Tensor(unit_rows(rng, 3, 5)), Tensor(zt))
+    for fn in (similarity_logits, teacher_distribution):
+        with pytest.raises(DegenerateInputError):
+            fn(pair, 1.0, 0.0)
+
+
+def test_similarity_laws_record_no_tape_node(rng):
+    pair = make_pair(rng, 4, 5)
+    tau, b = temperature_parameters(DistillConfig())
+    with Tape() as tape:
+        for fn in (similarity_logits, student_distribution, teacher_distribution):
+            fn(pair, tau, b)
+    assert tape.nodes == []
+
+
 # -- consistency ---------------------------------------------------------------
 
 def test_consistency_zero_when_embeddings_match(rng):

@@ -1,6 +1,5 @@
-"""Accuracy, relative improvement, correlation diagnostics, export."""
+"""Accuracy, relative improvement, transfer probes, export."""
 
-import math
 import warnings
 
 import numpy as np
@@ -11,11 +10,9 @@ from dcd import train as train_mod
 from dcd.autodiff import Tensor
 from dcd.errors import ConfigError, DivergenceError, FormatError, ShapeMismatchError
 from dcd.losses import cross_entropy_loss
-from dcd.metrics import (AccuracyTable, CorrelationReport, export_embeddings,
-                         fixture_relative_improvement, linear_probe, load_fixture_table,
-                         logit_correlation_diff, negative_buffer_bytes,
-                         parse_accuracy_table, read_embeddings, relative_improvement,
-                         top1_accuracy)
+from dcd.metrics import (export_embeddings, fixture_relative_improvement, linear_probe,
+                         load_fixture_table, negative_buffer_bytes, parse_accuracy_table,
+                         read_embeddings, relative_improvement, top1_accuracy)
 from dcd.models import ModelSpec, ProjectionHead, init_weights
 from dcd.train import OptimSpec, train_teacher
 from dcd.data import BatchPlan
@@ -100,71 +97,6 @@ def test_paired_rows_skips_na_columns():
     table = parse_accuracy_table("columns: c1 c2 c3\nA 1 n/a 3\nB 4 5 6\n")
     a, b = table.paired_rows("A", "B")
     assert a == [1.0, 3.0] and b == [4.0, 6.0]
-
-
-def _pearson_loop(u, v):
-    n = len(u)
-    mu = sum(u) / n
-    mv = sum(v) / n
-    cov = sum((u[i] - mu) * (v[i] - mv) for i in range(n))
-    su = math.sqrt(sum((x - mu) ** 2 for x in u))
-    sv = math.sqrt(sum((x - mv) ** 2 for x in v))
-    return cov / (su * sv)
-
-
-def test_correlation_identical_models_zero(rng):
-    blocks = [rng.normal(size=(10, 5)) for _ in range(5)]
-    report = logit_correlation_diff(blocks, [b.copy() for b in blocks])
-    assert report.mean_abs == 0.0 and report.max_abs == 0.0
-
-
-def test_correlation_permutation_consistent(rng):
-    t = [rng.normal(size=(8, 5)) for _ in range(5)]
-    s = [rng.normal(size=(8, 5)) for _ in range(5)]
-    base = logit_correlation_diff(t, s)
-    perm = [4, 2, 0, 1, 3]
-    permuted = logit_correlation_diff([t[i] for i in perm], [s[i] for i in perm])
-    assert abs(base.mean_abs - permuted.mean_abs) < 1e-12
-    assert abs(base.max_abs - permuted.max_abs) < 1e-12
-    assert np.allclose(base.matrix, permuted.matrix[np.ix_(
-        np.argsort(perm), np.argsort(perm))], atol=1e-12)
-
-
-def test_correlation_vs_pearson_loop(rng):
-    t = [rng.normal(size=(6, 5)) for _ in range(5)]
-    s = [rng.normal(size=(6, 5)) for _ in range(5)]
-    report = logit_correlation_diff(t, s)
-    t_means = [b.mean(axis=0) for b in t]
-    s_means = [b.mean(axis=0) for b in s]
-    for i in range(5):
-        for j in range(5):
-            want = abs(_pearson_loop(list(t_means[i]), list(t_means[j]))
-                       - _pearson_loop(list(s_means[i]), list(s_means[j])))
-            assert abs(report.matrix[i, j] - want) < 1e-10
-
-
-def test_correlation_symmetric_and_monotone_in_noise(rng):
-    t = [rng.normal(size=(20, 6)) for _ in range(6)]
-    means = []
-    for scale in (1e-1, 1e-2, 1e-3):
-        s = [b + scale * rng.normal(size=b.shape) for b in t]
-        report = logit_correlation_diff(t, s)
-        assert np.allclose(report.matrix, report.matrix.T, atol=1e-9)
-        assert report.mean_abs <= report.max_abs
-        means.append(report.mean_abs)
-    assert means[0] > means[1] > means[2]
-
-
-def test_correlation_excludes_degenerate_class(rng):
-    t = [rng.normal(size=(6, 4)) for _ in range(4)]
-    s = [b.copy() for b in t]
-    t[2] = np.full((6, 4), 1.5)  # zero-variance mean vector
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = logit_correlation_diff(t, s)
-    assert report.excluded == [2]
-    assert any("excluded" in str(c.message) for c in caught)
-    assert report.matrix.shape == (3, 3)
 
 
 def test_negative_buffer_bytes():

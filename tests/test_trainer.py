@@ -323,7 +323,7 @@ def _distill_both_ways(monkeypatch, tmp_path, *args):
     return out
 
 
-@pytest.mark.parametrize("batch_size", [79, 33, 40, 128])  # 80 rows: tails 1, 14, 0, none
+@pytest.mark.parametrize("batch_size", [33, 40, 128])  # 80 rows: tails 14, 0, none
 def test_precomputed_teacher_outputs_match_per_step_forward(batch_size, cli_blob_env,
                                                             monkeypatch, tmp_path):
     train, test, t_ckpt, student_spec = cli_blob_env
@@ -349,6 +349,27 @@ def test_precomputed_convnet_teacher_outputs_match_per_step_forward(rng, monkeyp
     assert precomputed == per_step
 
 
+def _assert_within_rounding_of_per_step_forward(monkeypatch, *args):
+    """The precomputed teacher outputs of every training row lie within
+    1e-13 of a step's live forward, and ``distill(*args)`` with them
+    within 1e-12 of a run that calls the teacher on every batch."""
+    t_ckpt, _, train, _, _, _, plan = args
+    teacher = restore_model(t_ckpt)
+    stats = stats_from_metadata(t_ckpt.metadata)
+    feats, logits = train_mod._frozen_teacher_outputs(teacher, train, stats,
+                                                      plan.batch_size)
+    for batch in batches(train, plan, 0, stats):
+        f, z = teacher.forward(batch.images)
+        assert np.allclose(f.data, feats[batch.index], rtol=0, atol=1e-13)
+        assert np.allclose(z.data, logits[batch.index], rtol=0, atol=1e-13)
+    precomputed, _ = distill(*args)
+    with monkeypatch.context() as patched:
+        patched.setattr(train_mod, "_frozen_teacher_outputs", lambda *a: None)
+        per_step, _ = distill(*args)
+    for name, arr in per_step.tensors.items():
+        assert np.allclose(precomputed.tensors[name], arr, rtol=0, atol=1e-12), name
+
+
 def test_precomputed_teacher_outputs_within_rounding_of_per_step_forward(
         blob_env, blob_teacher, monkeypatch):
     """Some BLAS builds round a row of a narrow matmul (here the 2-class
@@ -356,26 +377,26 @@ def test_precomputed_teacher_outputs_within_rounding_of_per_step_forward(
     per-step teacher outputs of a row can differ by an ulp from step to
     step; the precomputed outputs are one fixed rounding of each row."""
     train, test, _, student_spec = blob_env
-    teacher = restore_model(blob_teacher)
-    stats = stats_from_metadata(blob_teacher.metadata)
-    plan = BatchPlan(17, 3)
-    feats, logits = train_mod._frozen_teacher_outputs(teacher, train, stats, plan, 1)
-    for batch in batches(train, plan, 0, stats):
-        f, z = teacher.forward(batch.images)
-        assert np.allclose(f.data, feats[batch.index], rtol=0, atol=1e-13)
-        assert np.allclose(z.data, logits[batch.index], rtol=0, atol=1e-13)
-    args = (blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
-            OptimSpec(lr=0.02, epochs=3, seed=3), plan)
-    precomputed, _ = distill(*args)
-    monkeypatch.setattr(train_mod, "_frozen_teacher_outputs", lambda *a: None)
-    per_step, _ = distill(*args)
-    for name, arr in per_step.tensors.items():
-        assert np.allclose(precomputed.tensors[name], arr, rtol=0, atol=1e-12), name
+    _assert_within_rounding_of_per_step_forward(
+        monkeypatch, blob_teacher, student_spec, train, test, DistillConfig(proj_dim=4),
+        OptimSpec(lr=0.02, epochs=3, seed=3), BatchPlan(17, 3))
+
+
+def test_precomputed_teacher_outputs_within_rounding_of_per_step_forward_at_one_row_tail(
+        cli_blob_env, monkeypatch):
+    """At batch size 79 the CLI blob env's 80 rows leave a 1-row tail.  A
+    step runs it through 1-row matmuls, but its row was precomputed in a
+    79-row window, and BLAS may pick its kernel by row count, so the
+    outputs can differ in the last bits."""
+    train, test, t_ckpt, student_spec = cli_blob_env
+    _assert_within_rounding_of_per_step_forward(
+        monkeypatch, t_ckpt, student_spec, train, test, DistillConfig(proj_dim=16),
+        OptimSpec(lr=0.05, epochs=3, seed=3), BatchPlan(79, 3))
 
 
 @pytest.mark.parametrize("augment,epochs,batch_size,rows", [
-    ("none", 3, 17, 8 * 17 + 3 * 1),  # 8 windows, the last overlapping; 1-row tails
-    ("none", 3, 53, 3 * 53 + 3 * 14),
+    ("none", 3, 17, 120),  # one pass over the 120 rows, whatever the batch size
+    ("none", 3, 53, 120),
     ("none", 3, 40, 120),
     ("none", 3, 128, 120),
     ("flip", 3, 17, 3 * 120),
@@ -403,9 +424,9 @@ def test_teacher_forward_rows(augment, epochs, batch_size, rows, blob_env, blob_
 
 
 def test_teacher_forward_stays_off_the_tape(blob_env, blob_teacher, monkeypatch):
-    """Cached rows, a short tail's teacher forward and an augmented batch's
-    teacher forward all leave the step's tape with the same node count, for
-    an MLP and a ConvNet teacher."""
+    """Cached rows, a short tail's included, and an augmented batch's teacher
+    forward both leave the step's tape with the same node count, for an MLP
+    and a ConvNet teacher."""
     train, test, _, student_spec = blob_env
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, (28, 2, 8, 8)).astype(np.float32)
