@@ -18,9 +18,7 @@ import contextlib
 import csv
 import itertools
 import os
-import pickle
 import sys
-import tempfile
 
 import numpy as np
 
@@ -189,27 +187,28 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
             train = fold_clusters(train, cfg["blob_classes"])
             test = fold_clusters(test, cfg["blob_classes"])
         return train, test
+    # only the first train_limit training rows are converted to float
+    limit = cfg["train_limit"] or None
     if kind == "cifar10":
-        parts = [_read_file(os.path.join(data_dir, f"data_batch_{i}.bin"))
-                 for i in range(1, 6)]
-        train = parse_cifar10(b"".join(parts))
+        # the batch files are freed once joined, before the parse
+        train = parse_cifar10(b"".join([_read_file(os.path.join(data_dir, f"data_batch_{i}.bin"))
+                                        for i in range(1, 6)]), limit)
         test = parse_cifar10(_read_file(os.path.join(data_dir, "test_batch.bin")))
     elif kind == "cifar100":
-        train = parse_cifar100(_read_file(os.path.join(data_dir, "train.bin")))
+        train = parse_cifar100(_read_file(os.path.join(data_dir, "train.bin")), limit)
         test = parse_cifar100(_read_file(os.path.join(data_dir, "test.bin")))
     elif kind == "mnist":
         train = parse_mnist_idx(
             _read_file(os.path.join(data_dir, "train-images-idx3-ubyte")),
-            _read_file(os.path.join(data_dir, "train-labels-idx1-ubyte")))
+            _read_file(os.path.join(data_dir, "train-labels-idx1-ubyte")), limit)
         test = parse_mnist_idx(
             _read_file(os.path.join(data_dir, "t10k-images-idx3-ubyte")),
             _read_file(os.path.join(data_dir, "t10k-labels-idx1-ubyte")))
     else:
         raise ConfigError(f"unknown dataset {kind!r}")
-    limit = cfg["train_limit"]
     if limit:
-        train = Dataset(train.images[:limit], train.labels[:limit],
-                        train.class_count, f"{train.name}[:{limit}]")
+        train = Dataset(train.images, train.labels, train.class_count,
+                        f"{train.name}[:{limit}]")
     for split, ds in (("training", train), ("test", test)):
         if len(ds) == 0:
             raise FormatError(f"the {kind} {split} split in {data_dir!r} has no rows")
@@ -363,17 +362,25 @@ def _ablation_run(shared: tuple, task: tuple) -> tuple[int, int, float, str]:
         return (cell_index, seed_index, float("nan"), f"{type(exc).__name__}: {exc}")
 
 
+def _sweep_inputs(cfg: dict, teacher_path: str) -> tuple:
+    """A sweep's shared ``(teacher checkpoint, student spec, train, test, out_dir)``;
+    a malformed teacher, or one for another class count, stops the sweep."""
+    with _restored(teacher_path) as (teacher_ckpt, teacher, _):
+        spec, train, test = _spec_and_data(cfg, "student")
+        check_class_count(teacher.spec, train, "the teacher checkpoint")
+    return teacher_ckpt, spec, train, test, cfg["out_dir"]
+
+
 # The sweep inputs every run shares, loaded once per worker process by the
 # pool initializer.
 _worker_shared: tuple | None = None
 
 
-def _init_ablation_worker(shared_path: str, start) -> None:
+def _init_ablation_worker(cfg: dict, teacher_path: str, start) -> None:
     """Wait until the parent closes ``start``, then load the shared inputs."""
     global _worker_shared
     start.poll(None)  # end of file: every worker has been started
-    with open(shared_path, "rb") as fh:
-        _worker_shared = pickle.load(fh)
+    _worker_shared = _sweep_inputs(cfg, teacher_path)
 
 
 def _ablation_worker_run(task: tuple) -> tuple[int, int, float, str]:
@@ -405,7 +412,7 @@ def _submit(pool, task: tuple) -> concurrent.futures.Future:
         return future
 
 
-def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) -> list[tuple]:
+def _run_in_workers(cfg: dict, teacher_path: str, tasks: list[tuple], jobs: int) -> list[tuple]:
     """Run sweep tasks in spawned processes; rows come back in task order.
 
     Tasks are submitted longest first: those with ``beta != 0``, whose
@@ -415,12 +422,12 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) 
 
     The CPUs are split between the workers: each gets
     ``cpu_count // workers`` BLAS threads (at least one), so the workers'
-    BLAS pools do not oversubscribe the machine.  The shared inputs are
-    pickled once to a file under ``out_dir`` that each worker's
-    initializer loads.  No worker takes a task before the pool has
-    started every worker: the pool can lose track of a worker it is
-    still starting when another one dies, and then waits for it forever.
-    A task whose worker died gets a failed row carrying the error text.
+    BLAS pools do not oversubscribe the machine.  Each worker's
+    initializer loads the shared inputs with :func:`_sweep_inputs`.  No
+    worker takes a task before the pool has started every worker: the pool
+    can lose track of a worker it is still starting when another one dies,
+    and then waits for it forever.  A task whose worker died gets a failed
+    row carrying the error text.
     """
     # Imported here so that commands without worker processes do not pay for it.
     import multiprocessing
@@ -428,27 +435,21 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int, out_dir: str) 
     workers = min(jobs, len(tasks))
     context = multiprocessing.get_context("spawn")
     start_reader, start_writer = context.Pipe(duplex=False)
-    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
-        # A small process object lets the workers start side by side; with
-        # the inputs inside it, starting each one waits on the one before.
-        shared_path = os.path.join(tmp, "shared.pickle")
-        with open(shared_path, "wb") as fh:
-            pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        with start_reader, concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=context, initializer=_init_ablation_worker,
-                initargs=(shared_path, start_reader)) as pool:
-            futures: list = [None] * len(tasks)
-            # Workers start on submit and read the BLAS variables at start-up.
-            with start_writer, _blas_threads(max(1, (os.cpu_count() or 1) // workers)):
-                for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
-                    futures[index] = _submit(pool, tasks[index])
-            rows = []
-            for (cell_index, seed_index, *_), future in zip(tasks, futures):
-                try:
-                    rows.append(future.result())
-                except concurrent.futures.BrokenExecutor as exc:
-                    rows.append((cell_index, seed_index, float("nan"),
-                                 f"{type(exc).__name__}: {exc}"))
+    with start_reader, concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_init_ablation_worker,
+            initargs=(cfg, teacher_path, start_reader)) as pool:
+        futures: list = [None] * len(tasks)
+        # Workers start on submit and read the BLAS variables at start-up.
+        with start_writer, _blas_threads(max(1, (os.cpu_count() or 1) // workers)):
+            for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
+                futures[index] = _submit(pool, tasks[index])
+        rows = []
+        for (cell_index, seed_index, *_), future in zip(tasks, futures):
+            try:
+                rows.append(future.result())
+            except concurrent.futures.BrokenExecutor as exc:
+                rows.append((cell_index, seed_index, float("nan"),
+                             f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -458,8 +459,10 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
     Every run's configuration is built and checked before any run starts.
     With ``jobs > 1`` the runs go to up to ``jobs`` worker processes
     started with the spawn method, runs with ``beta != 0`` first (see
-    :func:`_run_in_workers`); each worker receives the teacher and the
-    datasets once and holds its own copy of them.  Either way the rows of
+    :func:`_run_in_workers`); each worker loads the teacher and the
+    datasets once from their files, as this process does, so those files
+    must not change while the sweep runs: a worker would read the new
+    ones, which this process has not checked.  Either way the rows of
     ``summary.csv`` stay in grid order, then seed order.  Spawned workers
     import the caller's main module again, so a script that calls
     :func:`main` with ``--jobs`` above 1 must do so under an
@@ -480,13 +483,9 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
                           _optim(run_cfg), _plan(run_cfg)))
     os.makedirs(out_dir, exist_ok=True)
     echo_config(cfg, out_dir)
-    # a malformed teacher, or one for another class count, stops the sweep
-    with _restored(teacher_path) as (teacher_ckpt, teacher, _):
-        spec, train, test = _spec_and_data(cfg, "student")
-        check_class_count(teacher.spec, train, "the teacher checkpoint")
-    shared = (teacher_ckpt, spec, train, test, out_dir)
+    shared = _sweep_inputs(cfg, teacher_path)
     if jobs > 1:
-        rows = _run_in_workers(shared, tasks, jobs, out_dir)
+        rows = _run_in_workers(cfg, teacher_path, tasks, jobs)
     else:
         rows = [_ablation_run(shared, task) for task in tasks]
 
@@ -666,6 +665,9 @@ def _run(args) -> int:
         return EXIT_DATA
     except (ConfigError, ShapeMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # array sizes follow from the config and the files it names
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

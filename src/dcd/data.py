@@ -58,22 +58,30 @@ class Batch:
     index: np.ndarray   # [n] int64, the rows' positions in the dataset
 
 
-def _parse_cifar(raw: bytes, record: int, label_byte: int, classes: int,
-                 what: str = "label") -> Dataset:
-    """``cifar{classes}`` records of ``record`` bytes: the label at
-    ``label_byte`` (named ``what`` in errors), then the 3072 pixel bytes;
-    earlier bytes are dropped."""
-    if len(raw) % record != 0:
-        raise FormatError(f"payload length {len(raw)} is not a multiple of {record}",
-                          offset=len(raw) - len(raw) % record)
-    m = len(raw) // record
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(m, record)
-    labels = arr[:, label_byte].astype(np.int64)
+def _labels(raw: np.ndarray, classes: int, what: str, start: int, stride: int) -> np.ndarray:
+    """``raw`` as int64 labels; the first of ``classes`` or more is a
+    :class:`FormatError` at its byte offset, ``start + index * stride``."""
+    labels = raw.astype(np.int64)
     bad = np.nonzero(labels >= classes)[0]
     if bad.size:
         raise FormatError(f"{what} {labels[bad[0]]} exceeds {classes - 1}",
-                          offset=int(bad[0]) * record + label_byte)
-    images = arr[:, label_byte + 1:].reshape(m, 3, 32, 32).astype(np.float32) / 255.0
+                          offset=start + int(bad[0]) * stride)
+    return labels
+
+
+def _parse_cifar(raw: bytes, record: int, label_byte: int, classes: int,
+                 what: str = "label", rows: int | None = None) -> Dataset:
+    """``cifar{classes}`` records of ``record`` bytes: the label at
+    ``label_byte`` (named ``what`` in errors), then the 3072 pixel bytes;
+    earlier bytes are dropped.  Every record is checked; only the first
+    ``rows`` (all when None) are kept and converted to float."""
+    if len(raw) % record != 0:
+        raise FormatError(f"payload length {len(raw)} is not a multiple of {record}",
+                          offset=len(raw) - len(raw) % record)
+    arr = np.frombuffer(raw, dtype=np.uint8).reshape(len(raw) // record, record)
+    labels = _labels(arr[:, label_byte], classes, what, label_byte, record)[:rows]
+    images = arr[:rows, label_byte + 1:].reshape(len(labels), 3, 32, 32).astype(np.float32)
+    images /= 255.0  # in place: one float copy of the kept rows at a time
     return Dataset(images, labels, classes, f"cifar{classes}")
 
 
@@ -84,24 +92,27 @@ def _serialize_cifar(ds: Dataset, *prefix: np.ndarray) -> bytes:
     return np.concatenate([*columns, pixels], axis=1).tobytes()
 
 
-def parse_cifar10(raw: bytes) -> Dataset:
-    return _parse_cifar(raw, CIFAR10_RECORD, 0, 10)
+def parse_cifar10(raw: bytes, rows: int | None = None) -> Dataset:
+    return _parse_cifar(raw, CIFAR10_RECORD, 0, 10, rows=rows)
 
 
 def serialize_cifar10(ds: Dataset) -> bytes:
     return _serialize_cifar(ds)
 
 
-def parse_cifar100(raw: bytes) -> Dataset:
+def parse_cifar100(raw: bytes, rows: int | None = None) -> Dataset:
     # byte 0 is the coarse label and is deliberately dropped
-    return _parse_cifar(raw, CIFAR100_RECORD, 1, 100, "fine label")
+    return _parse_cifar(raw, CIFAR100_RECORD, 1, 100, "fine label", rows)
 
 
 def serialize_cifar100(ds: Dataset, coarse: np.ndarray | None = None) -> bytes:
     return _serialize_cifar(ds, np.zeros(len(ds), dtype=np.uint8) if coarse is None else coarse)
 
 
-def parse_mnist_idx(images_bytes: bytes, labels_bytes: bytes) -> Dataset:
+def parse_mnist_idx(images_bytes: bytes, labels_bytes: bytes,
+                    rows: int | None = None) -> Dataset:
+    """Every image and label is checked; only the first ``rows`` (all when
+    None) are kept and converted to float."""
     if len(images_bytes) < 16:
         raise FormatError("image payload shorter than its 16-byte header", offset=len(images_bytes))
     magic, m, h, w = struct.unpack(">IIII", images_bytes[:16])
@@ -121,9 +132,11 @@ def parse_mnist_idx(images_bytes: bytes, labels_bytes: bytes) -> Dataset:
     if len(labels_bytes) != 8 + m:
         raise FormatError(f"label payload has {len(labels_bytes)} bytes, expected {8 + m}",
                           offset=min(len(labels_bytes), 8 + m))
+    labels = _labels(np.frombuffer(labels_bytes, dtype=np.uint8, offset=8), 10, "label", 8, 1)
+    labels = labels[:rows]
     images = (np.frombuffer(images_bytes, dtype=np.uint8, offset=16)
-              .reshape(m, 1, h, w).astype(np.float32) / 255.0)
-    labels = np.frombuffer(labels_bytes, dtype=np.uint8, offset=8).astype(np.int64)
+              .reshape(m, 1, h, w)[:rows].astype(np.float32))
+    images /= 255.0
     return Dataset(images, labels, 10, "mnist")
 
 
@@ -198,11 +211,14 @@ def synth_blob_split(classes: int, train_per_class: int, test_per_class: int, di
 
 
 def channel_stats(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over the training split, reused for every split."""
-    flat = train.images.astype(np.float64).transpose(1, 0, 2, 3).reshape(train.images.shape[1], -1)
-    mean = flat.mean(axis=1)
-    std = np.maximum(flat.std(axis=1), 1e-8)
-    return mean, std
+    """Per-channel mean/std over the training split, reused for every split;
+    one channel at a time is widened to float64."""
+    channels = train.images.shape[1]
+    mean, std = np.empty(channels), np.empty(channels)
+    for c in range(channels):
+        values = train.images[:, c].astype(np.float64)
+        mean[c], std[c] = values.mean(), values.std()
+    return mean, np.maximum(std, 1e-8)
 
 
 def standardize(images: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class ModelSpec:
     in_shape: tuple[int, ...]  # (C, H, W)
 
     def __post_init__(self):
-        if self.family not in ("mlp", "convnet"):
+        if self.family not in MODEL_CLASSES:
             raise ConfigError(f"unknown model family {self.family!r}")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ConfigError("widths must be non-empty and positive")
@@ -64,19 +65,20 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: i
     return rng.uniform(-bound, bound, size=shape)
 
 
+ParamSource = Callable[[str, tuple[int, ...], int | None], Parameter]  # (name, shape, fan_in)
+
+
 class Mlp:
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+    def __init__(self, spec: ModelSpec, param: ParamSource):
         self.spec = spec
         self.layers: list[tuple[Parameter, Parameter]] = []
         d = spec.in_dim
         for i, width in enumerate(spec.widths):
-            w = Parameter(_kaiming_uniform(rng, (d, width), d), name=f"model.layer{i}.weight")
-            b = Parameter(np.zeros(width), name=f"model.layer{i}.bias")
-            self.layers.append((w, b))
+            self.layers.append((param(f"model.layer{i}.weight", (d, width), d),
+                                param(f"model.layer{i}.bias", (width,), None)))
             d = width
-        self.cls_w = Parameter(_kaiming_uniform(rng, (d, spec.num_classes), d),
-                               name="model.classifier.weight")
-        self.cls_b = Parameter(np.zeros(spec.num_classes), name="model.classifier.bias")
+        self.cls_w = param("model.classifier.weight", (d, spec.num_classes), d)
+        self.cls_b = param("model.classifier.bias", (spec.num_classes,), None)
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -98,18 +100,15 @@ class Mlp:
 
 
 class ConvNet:
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+    def __init__(self, spec: ModelSpec, param: ParamSource):
         self.spec = spec
         self.kernels: list[Parameter] = []
         c = spec.in_shape[0]
         for i, f in enumerate(spec.widths):
-            k = Parameter(_kaiming_uniform(rng, (f, c, 3, 3), c * 9),
-                          name=f"model.block{i}.kernel")
-            self.kernels.append(k)
+            self.kernels.append(param(f"model.block{i}.kernel", (f, c, 3, 3), c * 9))
             c = f
-        self.cls_w = Parameter(_kaiming_uniform(rng, (c, spec.num_classes), c),
-                               name="model.classifier.weight")
-        self.cls_b = Parameter(np.zeros(spec.num_classes), name="model.classifier.bias")
+        self.cls_w = param("model.classifier.weight", (c, spec.num_classes), c)
+        self.cls_b = param("model.classifier.bias", (spec.num_classes,), None)
 
     def parameters(self) -> list[Parameter]:
         return [*self.kernels, self.cls_w, self.cls_b]
@@ -128,18 +127,21 @@ class ConvNet:
 
 
 Model = Mlp | ConvNet
+MODEL_CLASSES = {"mlp": Mlp, "convnet": ConvNet}  # ModelSpec.family -> class
 
 
 def init_weights(spec: ModelSpec, seed: int) -> Model:
     """Build a model with Kaiming-uniform fan-in weights, reproducible per seed.
 
-    Draw order is fixed (layer by layer, weights only; biases are
-    zero-initialized), so equal seeds give bitwise-equal weights.
+    Draw order is fixed (layer by layer, weights only; a bias has no
+    ``fan_in`` and starts at zero), so equal seeds give bitwise-equal weights.
     """
     rng = np.random.default_rng(seed)
-    if spec.family == "mlp":
-        return Mlp(spec, rng)
-    return ConvNet(spec, rng)
+
+    def draw(name: str, shape: tuple[int, ...], fan_in: int | None) -> Parameter:
+        value = np.zeros(shape) if fan_in is None else _kaiming_uniform(rng, shape, fan_in)
+        return Parameter(value, name=name)
+    return MODEL_CLASSES[spec.family](spec, draw)
 
 
 @dataclass

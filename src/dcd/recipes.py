@@ -83,6 +83,13 @@ def blob_distill_config(**overrides) -> DistillConfig:
     return DistillConfig(**kwargs)
 
 
+# DistillConfig overrides of the compared arms: cross-entropy alone, with KD,
+# and with KD and the DCD contrastive term; then the beta ablation's arms.
+TREND_ARMS = {"vanilla": dict(beta=0.0, lambda_kl=0.0), "kd": dict(beta=0.0, lambda_kl=1.0),
+              "dcd_kd": dict(beta=1.0, lambda_kl=1.0)}
+BETA_ARMS = {"beta_1": dict(beta=1.0), "beta_100": dict(beta=100.0)}
+
+
 # CIFAR-10 desk recipe: a 10k-image training subset with the shipped
 # ConvNet pair; used when the binary batches are available on disk.
 CIFAR_TRAIN_LIMIT = 10000

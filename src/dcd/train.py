@@ -22,7 +22,7 @@ from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, Di
     DomainError
 from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
     temperature_parameters, total_loss
-from .models import Model, ModelSpec, ProjectionHead, init_weights
+from .models import MODEL_CLASSES, Model, ModelSpec, ProjectionHead, init_weights
 
 CHECKPOINT_MAGIC = b"DCDC"
 CHECKPOINT_VERSION = 1
@@ -191,17 +191,18 @@ def _spec(metadata: dict) -> ModelSpec:
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    # every parameter is overwritten below, so the init seed does not matter
-    model = init_weights(_spec(ckpt.metadata), 0)
-    for p in model.parameters():
-        stored = ckpt.tensors.get(p.name)
-        if stored is None:
-            raise CheckpointFormatError(f"checkpoint is missing tensor {p.name!r}")
-        if stored.shape != p.value.shape:
+    """The checkpoint's ``model_spec`` model, each parameter a float64 copy of the
+    stored tensor of its name once its shape is checked; nothing is drawn."""
+    def stored(name: str, shape: tuple[int, ...], _fan_in) -> Parameter:
+        value = ckpt.tensors.get(name)
+        if value is None:
+            raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
+        if value.shape != shape:
             raise CheckpointFormatError(
-                f"tensor {p.name!r} has shape {stored.shape}, expected {p.value.shape}")
-        p.value.data[...] = stored
-    return model
+                f"tensor {name!r} has shape {value.shape}, expected {shape}")
+        return Parameter(value.astype(np.float64), name=name)
+    spec = _spec(ckpt.metadata)
+    return MODEL_CLASSES[spec.family](spec, stored)
 
 
 def check_class_count(spec: ModelSpec, dataset: Dataset, what: str) -> None:

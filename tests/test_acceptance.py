@@ -81,11 +81,7 @@ def _trend_arms(student_run, arms, seeds=(0, 1, 2)):
 
 def test_criterion_6_blob_distillation_trend(blob_recipe_student):
     started = time.time()
-    means = _trend_arms(blob_recipe_student, {
-        "vanilla": dict(beta=0.0, lambda_kl=0.0),
-        "kd": dict(beta=0.0, lambda_kl=1.0),
-        "dcd_kd": dict(beta=1.0, lambda_kl=1.0),
-    })
+    means = _trend_arms(blob_recipe_student, recipes.TREND_ARMS)
     print(f"\nblob trend means: vanilla={means['vanilla']:.2f} kd={means['kd']:.2f} "
           f"dcd_kd={means['dcd_kd']:.2f}")
     assert means["dcd_kd"] >= means["kd"] >= means["vanilla"]
@@ -124,11 +120,7 @@ def test_criterion_6_cifar_distillation_trend():
     plan = BatchPlan(batch_size=recipes.CIFAR_BATCH, shuffle_seed=7, augment="flip+crop")
     t_ckpt, _ = train_teacher(teacher_spec, train, test, recipes.CIFAR_TEACHER_OPTIM, plan)
     means = {}
-    for name, overrides in {
-        "vanilla": dict(beta=0.0, lambda_kl=0.0),
-        "kd": dict(beta=0.0, lambda_kl=1.0),
-        "dcd_kd": dict(beta=1.0, lambda_kl=1.0),
-    }.items():
+    for name, overrides in recipes.TREND_ARMS.items():
         accs = []
         for seed in (0, 1, 2):
             cfg = DistillConfig(**overrides)
@@ -149,10 +141,7 @@ def test_criterion_6_cifar_distillation_trend():
 
 def test_criterion_7_beta_ablation_monotonicity(blob_recipe_student):
     started = time.time()
-    means = _trend_arms(blob_recipe_student, {
-        "beta_1": dict(beta=1.0),
-        "beta_100": dict(beta=100.0),
-    })
+    means = _trend_arms(blob_recipe_student, recipes.BETA_ARMS)
     print(f"\nbeta ablation means: beta=1 {means['beta_1']:.2f}, "
           f"beta=100 {means['beta_100']:.2f}")
     assert means["beta_100"] < means["beta_1"]

@@ -3,7 +3,6 @@
 import concurrent.futures
 import csv
 import os
-import pickle
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -11,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from dcd import cli
+from dcd import cli, models
 from dcd.cli import (BLAS_THREAD_VARS, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA,
                      EXIT_DIVERGENCE, EXIT_OK, main, parse_grid, resolve_config)
 from dcd.errors import ConfigError
@@ -153,6 +152,40 @@ def test_unusable_path_exits_with_one_typed_line(case, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     prefix = "config error: " if code == EXIT_CONFIG else "data error: "
     assert len(lines) == 1 and lines[0].startswith(prefix) and str(bad) in lines[0], lines
+
+
+def test_mnist_label_above_9_exits_data_naming_its_offset(tmp_path, capsys):
+    from dcd.data import Dataset, serialize_mnist_idx
+    images = np.zeros((4, 1, 4, 4), np.float32)
+    for prefix, labels in (("train", [0, 1, 200, 3]), ("t10k", [0, 1, 2, 3])):
+        image_bytes, label_bytes = serialize_mnist_idx(Dataset(images, np.array(labels), 10, "x"))
+        (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(image_bytes)
+        (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(label_bytes)
+    out = tmp_path / "run"
+    assert main(["train-teacher", "--out", str(out), "--data", str(tmp_path),
+                 "--set", "dataset=mnist", "--set", "epochs=1"]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: label 200 exceeds 9 (byte offset 10)"]
+    assert not (out / "teacher.ckpt").exists()
+
+
+def test_out_of_memory_exits_config_with_one_line(teacher_run, tmp_path, capsys, monkeypatch):
+    """An array too large for the machine, its size set by a config value, ends
+    in one ``config error:`` line; the huge allocation itself is simulated."""
+    kaiming = models._kaiming_uniform
+
+    def refuse_huge(rng, shape, fan_in):
+        if max(shape) >= 10 ** 8:
+            raise MemoryError(f"Unable to allocate 381. GiB for an array with shape {shape} "
+                              f"and data type float64")
+        return kaiming(rng, shape, fan_in)
+    monkeypatch.setattr(models, "_kaiming_uniform", refuse_huge)
+    argv = ["distill", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+            "--out", str(tmp_path / "run")] + FAST + ["--set", "proj_dim=100000000"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: out of memory: Unable to allocate 381. GiB for an array with shape "
+        "(32, 100000000) and data type float64"]
 
 
 @pytest.mark.parametrize("empty", ["training", "test"])
@@ -468,8 +501,8 @@ class _BreakingPool:
     ok = 0
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
-        with open(initargs[0], "rb") as fh:
-            self.shared = pickle.load(fh)
+        cfg, teacher_path, _start = initargs
+        self.shared = cli._sweep_inputs(cfg, teacher_path)
         self.broken = False
 
     def __enter__(self):
@@ -637,6 +670,23 @@ def test_cifar10_cli_path_with_constructed_binaries(tmp_path):
     assert run_dir_complete(out)
 
 
+def test_train_limit_keeps_only_the_first_training_rows(tmp_path):
+    from dcd.data import Dataset, serialize_cifar10
+    rng = np.random.default_rng(0)
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        images = (rng.integers(0, 256, (4, 3, 32, 32)) / 255.0).astype(np.float32)
+        (tmp_path / name).write_bytes(
+            serialize_cifar10(Dataset(images, rng.integers(0, 10, 4), 10, "x")))
+    cfg = cli.resolve_config(None, {"dataset": "cifar10", "data_dir": str(tmp_path),
+                                    "train_limit": "6"})
+    train, test = cli.load_datasets(cfg)
+    whole, _ = cli.load_datasets({**cfg, "train_limit": 0})
+    assert (len(train), len(whole), len(test), train.name) == (6, 20, 4, "cifar10[:6]")
+    assert train.images.tobytes() == whole.images[:6].tobytes()
+    assert np.array_equal(train.labels, whole.labels[:6])
+    assert train.images.base is None  # no view holding every row's floats
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -740,6 +790,23 @@ CHECKPOINT_FAULTS = {
     "no-stats-distill": ("distill", "teacher", _drop_stats),
     "no-stats-ablate": ("ablate", "teacher", _drop_stats),
 }
+
+
+def test_checkpoint_spec_asking_for_huge_layers_exits_4_naming_the_tensor(
+        teacher_run, tmp_path, capsys, monkeypatch):
+    """The restore checks each stored tensor's shape and draws no weights, so
+    a spec far larger than its tensors allocates nothing before exit 4."""
+    def refuse(*args):
+        raise AssertionError("the restore drew weights")
+    monkeypatch.setattr(models, "_kaiming_uniform", refuse)
+    ckpt = load_checkpoint(os.path.join(teacher_run, "teacher.ckpt"))
+    ckpt.metadata["model_spec"]["widths"] = [200_000_000, 32]
+    path = str(tmp_path / "huge.ckpt")
+    save_checkpoint(ckpt, path)
+    assert main(["eval", "--ckpt", path] + FAST) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err.splitlines() == [
+        "checkpoint error: tensor 'model.layer0.weight' has shape (8, 32), "
+        "expected (8, 200000000)"]
 
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))

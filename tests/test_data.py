@@ -100,12 +100,42 @@ def test_mnist_count_mismatch_and_truncation():
         parse_mnist_idx(img[:-5], struct.pack(">II", 0x801, 2) + bytes(2))
 
 
+def test_mnist_bad_label_offset():
+    import struct
+    img = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(3 * 4)
+    with pytest.raises(FormatError, match="label 200 exceeds 9") as err:
+        parse_mnist_idx(img, struct.pack(">II", 0x801, 3) + bytes([9, 200, 10]))
+    assert err.value.offset == 8 + 1
+
+
 def test_mnist_round_trip(rng):
     images = (rng.integers(0, 256, (2, 1, 28, 28)) / 255.0).astype(np.float32)
     ds = Dataset(images, rng.integers(0, 10, 2), 10, "x")
     again = parse_mnist_idx(*serialize_mnist_idx(ds))
     assert np.array_equal(again.images, ds.images)
     assert np.array_equal(again.labels, ds.labels)
+
+
+PARSERS = {
+    "cifar10": (parse_cifar10, lambda ds: (serialize_cifar10(ds),), 10, (3, 32, 32)),
+    "cifar100": (parse_cifar100, lambda ds: (serialize_cifar100(ds),), 100, (3, 32, 32)),
+    "mnist": (parse_mnist_idx, serialize_mnist_idx, 10, (1, 28, 28)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARSERS))
+def test_parse_rows_converts_a_prefix_after_checking_every_label(fmt, rng):
+    parse, serialize, classes, shape = PARSERS[fmt]
+    images = (rng.integers(0, 256, (5, *shape)) / 255.0).astype(np.float32)
+    labels = rng.integers(0, classes, 5)
+    payload = serialize(Dataset(images, labels, classes, "x"))
+    head = parse(*payload, rows=2)
+    assert head.images.tobytes() == parse(*payload).images[:2].tobytes()
+    assert np.array_equal(head.labels, labels[:2])
+    assert head.images.base is None  # the other rows' floats are never made
+    labels[4] = classes
+    with pytest.raises(FormatError, match=f"label {classes} exceeds"):
+        parse(*serialize(Dataset(images, labels, classes, "x")), rows=2)
 
 
 def test_blobs_deterministic():
@@ -237,3 +267,15 @@ def test_standardization_uses_train_stats():
     redo = standardize(test.images[:60].astype(np.float64), stats)
     assert np.array_equal(batch.images.data, redo)
     assert np.array_equal(batch.index, np.arange(60))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (7, 3, 5, 5), (64, 1, 1, 32), (513, 3, 32, 32),
+                                   (200, 3, 17, 9)])
+def test_channel_stats_match_the_whole_split_formula_bitwise(shape, rng):
+    """One channel at a time gives the bytes of reducing every channel's row
+    of a float64 copy of the whole split."""
+    images = rng.uniform(0, 1, shape).astype(np.float32)
+    flat = images.astype(np.float64).transpose(1, 0, 2, 3).reshape(shape[1], -1)
+    mean, std = channel_stats(Dataset(images, np.zeros(shape[0], np.int64), 2, "x"))
+    assert mean.tobytes() == flat.mean(axis=1).tobytes()
+    assert std.tobytes() == np.maximum(flat.std(axis=1), 1e-8).tobytes()

@@ -583,6 +583,24 @@ def test_restore_model_round_trip(blob_env, tmp_path):
         assert np.array_equal(p.value.data, ckpt.tensors[p.name])
 
 
+@pytest.mark.parametrize("spec", [ModelSpec("mlp", (5, 4), 3, (1, 1, 6)),
+                                  ModelSpec("convnet", (2, 3), 3, (2, 8, 8))])
+def test_restore_model_draws_nothing(spec, monkeypatch):
+    """Each parameter is a copy of its stored tensor; no generator is made."""
+    from dataclasses import asdict
+    ckpt = Checkpoint({p.name: p.value.data for p in init_weights(spec, 3).parameters()},
+                      {"model_spec": asdict(spec)})
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("restore_model asked for a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    model = restore_model(ckpt)
+    assert [p.name for p in model.parameters()] == list(ckpt.tensors)
+    for p in model.parameters():
+        assert np.array_equal(p.value.data, ckpt.tensors[p.name])
+        assert not np.shares_memory(p.value.data, ckpt.tensors[p.name])
+
+
 def test_restore_model_missing_tensor(blob_env):
     train, test, teacher_spec, _ = blob_env
     ckpt, _ = train_teacher(teacher_spec, train, test, OptimSpec(lr=0.1, epochs=0, seed=2),
