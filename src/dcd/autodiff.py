@@ -167,9 +167,6 @@ class Tape:
                 self.grads[tid] = g if acc is None else acc + g
         return self.grads
 
-    def grad(self, t: Tensor) -> np.ndarray | None:
-        return self.grads.get(t.id)
-
 
 class Parameter:
     """Trainable tensor with an optional clamp interval applied after updates."""

@@ -164,14 +164,36 @@ def echo_config(cfg: dict, out_dir: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+def _read_files(data_dir: str, names: list[str]) -> bytearray:
+    """The files' bytes joined in one buffer, each file read straight into its place."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(os.path.join(data_dir, name), "rb")) for name in names]
+        sizes = [os.fstat(fh.fileno()).st_size for fh in files]
+        buf, start = bytearray(sum(sizes)), 0
+        for fh, size in zip(files, sizes):
+            if fh.readinto(memoryview(buf)[start:start + size]) != size or fh.read(1):
+                raise FormatError(f"{fh.name!r} changed size while it was read")
+            start += size
+    return buf
 
 
-def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
-    kind = cfg["dataset"]
-    data_dir = cfg["data_dir"]
+# dataset -> (parser, {split: the parser's buffers, each joined from its files})
+DATA_FILES: dict = {
+    "cifar10": (parse_cifar10, {"training": [[f"data_batch_{i}.bin" for i in range(1, 6)]],
+                                "test": [["test_batch.bin"]]}),
+    "cifar100": (parse_cifar100, {"training": [["train.bin"]], "test": [["test.bin"]]}),
+    "mnist": (parse_mnist_idx, {
+        "training": [["train-images-idx3-ubyte"], ["train-labels-idx1-ubyte"]],
+        "test": [["t10k-images-idx3-ubyte"], ["t10k-labels-idx1-ubyte"]]}),
+}
+
+
+def load_datasets(cfg: dict, splits: tuple[str, ...] = ("training", "test")
+                  ) -> tuple[Dataset, ...]:
+    """The dataset's ``splits``, by default ``(train, test)``.  A file dataset
+    reads only those splits' files and converts only the first ``train_limit``
+    training rows to float."""
+    kind, data_dir = cfg["dataset"], cfg["data_dir"]
     if kind == "blobs":
         if cfg["train_limit"]:
             # blob rows come in class order, so a prefix would drop whole classes
@@ -186,33 +208,20 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
         if cpc > 1:
             train = fold_clusters(train, cfg["blob_classes"])
             test = fold_clusters(test, cfg["blob_classes"])
-        return train, test
-    # only the first train_limit training rows are converted to float
-    limit = cfg["train_limit"] or None
-    if kind == "cifar10":
-        # the batch files are freed once joined, before the parse
-        train = parse_cifar10(b"".join([_read_file(os.path.join(data_dir, f"data_batch_{i}.bin"))
-                                        for i in range(1, 6)]), limit)
-        test = parse_cifar10(_read_file(os.path.join(data_dir, "test_batch.bin")))
-    elif kind == "cifar100":
-        train = parse_cifar100(_read_file(os.path.join(data_dir, "train.bin")), limit)
-        test = parse_cifar100(_read_file(os.path.join(data_dir, "test.bin")))
-    elif kind == "mnist":
-        train = parse_mnist_idx(
-            _read_file(os.path.join(data_dir, "train-images-idx3-ubyte")),
-            _read_file(os.path.join(data_dir, "train-labels-idx1-ubyte")), limit)
-        test = parse_mnist_idx(
-            _read_file(os.path.join(data_dir, "t10k-images-idx3-ubyte")),
-            _read_file(os.path.join(data_dir, "t10k-labels-idx1-ubyte")))
-    else:
+        return tuple({"training": train, "test": test}[split] for split in splits)
+    if kind not in DATA_FILES:
         raise ConfigError(f"unknown dataset {kind!r}")
-    if limit:
-        train = Dataset(train.images, train.labels, train.class_count,
-                        f"{train.name}[:{limit}]")
-    for split, ds in (("training", train), ("test", test)):
+    parse, files = DATA_FILES[kind]
+    loaded = []
+    for split in splits:
+        limit = (cfg["train_limit"] or None) if split == "training" else None
+        ds = parse(*[_read_files(data_dir, names) for names in files[split]], limit)
+        if limit:
+            ds = Dataset(ds.images, ds.labels, ds.class_count, f"{ds.name}[:{limit}]")
         if len(ds) == 0:
             raise FormatError(f"the {kind} {split} split in {data_dir!r} has no rows")
-    return train, test
+        loaded.append(ds)
+    return tuple(loaded)
 
 
 def _spec_and_data(cfg: dict, role: str) -> tuple[ModelSpec, Dataset, Dataset]:
@@ -257,17 +266,17 @@ def _train_run(run_cfg: dict, out_dir: str, name: str, fit) -> dict:
     return ckpt.metadata["final_metrics"]
 
 
-def cmd_train_teacher(cfg: dict) -> int:
+def cmd_train_teacher(cfg: dict, args) -> int:
     metrics = _train_run(cfg, cfg["out_dir"], "teacher.ckpt", lambda: train_teacher(
         *_spec_and_data(cfg, "teacher"), _optim(cfg), _plan(cfg)))
     print(f"teacher: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f}")
     return EXIT_OK
 
 
-def cmd_distill(cfg: dict, teacher_path: str) -> int:
+def cmd_distill(cfg: dict, args) -> int:
     # the teacher checkpoint is read before the data
     metrics = _train_run(cfg, cfg["out_dir"], "student.ckpt", lambda: distill(
-        load_checkpoint(teacher_path), *_spec_and_data(cfg, "student"), _distill_config(cfg),
+        load_checkpoint(args.teacher), *_spec_and_data(cfg, "student"), _distill_config(cfg),
         _optim(cfg), _plan(cfg)))
     print(f"student: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f} "
           f"tau={metrics['tau']:.4f} b={metrics['b']:.4f}")
@@ -287,17 +296,17 @@ def _restored(ckpt_path: str):
         raise DivergenceError(f"checkpoint {ckpt_path!r}: {exc}") from exc
 
 
-def cmd_eval(cfg: dict, ckpt_path: str) -> int:
-    with _restored(ckpt_path) as (_, model, stats):
-        _, test = load_datasets(cfg)
+def cmd_eval(cfg: dict, args) -> int:
+    with _restored(args.ckpt) as (_, model, stats):
+        (test,) = load_datasets(cfg, ("test",))
         check_class_count(model.spec, test, "the checkpoint")
         acc = evaluate(model, test, stats, cfg["batch_size"])
     print(f"top1_accuracy: {acc:.2f}")
     return EXIT_OK
 
 
-def cmd_transfer(cfg: dict, ckpt_path: str) -> int:
-    with _restored(ckpt_path) as (_, model, stats):
+def cmd_transfer(cfg: dict, args) -> int:
+    with _restored(args.ckpt) as (_, model, stats):
         train, test = load_datasets(cfg)
         got = tuple(int(v) for v in train.images.shape[1:])
         if got != model.spec.in_shape:
@@ -310,13 +319,17 @@ def cmd_transfer(cfg: dict, ckpt_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_export_embeddings(cfg: dict, ckpt_path: str, out_path: str) -> int:
-    with _restored(ckpt_path) as (ckpt, model, stats):
+def cmd_export_embeddings(cfg: dict, args) -> int:
+    with _restored(args.ckpt) as (ckpt, model, stats):
         head = restore_student_head(ckpt)
-        _, test = load_datasets(cfg)
-        count = export_embeddings(model, head, test, stats, out_path, cfg["batch_size"])
-    print(f"exported {count} embeddings to {out_path}")
+        (test,) = load_datasets(cfg, ("test",))
+        count = export_embeddings(model, head, test, stats, args.csv, cfg["batch_size"])
+    print(f"exported {count} embeddings to {args.csv}")
     return EXIT_OK
+
+
+# the config keys a sweep grid may vary, in the order of the summary.csv columns
+GRID_KEYS = ("alpha", "beta", "lambda_kl")
 
 
 def parse_grid(expr: str) -> list[dict[str, float]]:
@@ -327,8 +340,9 @@ def parse_grid(expr: str) -> list[dict[str, float]]:
             raise ConfigError(f"grid axis {axis!r} is not key=v1,v2,...")
         key, values = axis.split("=", 1)
         key = key.strip()
-        if key not in ("alpha", "beta", "lambda_kl"):
-            raise ConfigError(f"grid key must be alpha, beta or lambda_kl, got {key!r}")
+        if key not in GRID_KEYS:
+            raise ConfigError(f"grid key must be {', '.join(GRID_KEYS[:-1])} or "
+                              f"{GRID_KEYS[-1]}, got {key!r}")
         if key in axes:
             raise ConfigError(f"grid key {key!r} appears twice")
         items = [v.strip() for v in values.split(",")]
@@ -453,11 +467,11 @@ def _run_in_workers(cfg: dict, teacher_path: str, tasks: list[tuple], jobs: int)
     return rows
 
 
-def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: int) -> int:
-    """Distill every grid cell at ``seeds`` seeds and write ``summary.csv``.
+def cmd_ablate(cfg: dict, args) -> int:
+    """Distill every ``--grid`` cell at ``--seeds`` seeds and write ``summary.csv``.
 
     Every run's configuration is built and checked before any run starts.
-    With ``jobs > 1`` the runs go to up to ``jobs`` worker processes
+    With ``--jobs`` above 1 the runs go to up to that many worker processes
     started with the spawn method, runs with ``beta != 0`` first (see
     :func:`_run_in_workers`); each worker loads the teacher and the
     datasets once from their files, as this process does, so those files
@@ -469,23 +483,23 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
     ``if __name__ == "__main__":`` guard.  Exit code 3 when every run
     failed.
     """
-    if seeds < 1:
-        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = cfg["out_dir"]
-    cells = parse_grid(grid_expr)
+    cells = parse_grid(args.grid)
     tasks = []
     for cell_index, cell in enumerate(cells):
-        for seed_index in range(seeds):
+        for seed_index in range(args.seeds):
             run_cfg = {**cfg, **cell, "seed": cfg["seed"] + seed_index}
             tasks.append((cell_index, seed_index, run_cfg, _distill_config(run_cfg),
                           _optim(run_cfg), _plan(run_cfg)))
     os.makedirs(out_dir, exist_ok=True)
     echo_config(cfg, out_dir)
-    shared = _sweep_inputs(cfg, teacher_path)
-    if jobs > 1:
-        rows = _run_in_workers(cfg, teacher_path, tasks, jobs)
+    shared = _sweep_inputs(cfg, args.teacher)
+    if args.jobs > 1:
+        rows = _run_in_workers(cfg, args.teacher, tasks, args.jobs)
     else:
         rows = [_ablation_run(shared, task) for task in tasks]
 
@@ -495,18 +509,17 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes error texts holding commas
-        writer.writerow(["cell", "alpha", "beta", "lambda_kl", "seed", "test_acc", "cell_mean",
-                         "cell_std", "error"])
+        writer.writerow(["cell", *GRID_KEYS, "seed", "test_acc", "cell_mean", "cell_std",
+                         "error"])
         for cell_index, seed_index, acc, error in rows:
             cell = cells[cell_index]
             accs = np.asarray(by_cell[cell_index], dtype=np.float64)
             valid = accs[np.isfinite(accs)]
             mean = float(valid.mean()) if valid.size else float("nan")
             std = float(valid.std()) if valid.size else float("nan")
-            writer.writerow([cell_index, cell.get("alpha", cfg["alpha"]),
-                             cell.get("beta", cfg["beta"]),
-                             cell.get("lambda_kl", cfg["lambda_kl"]), cfg["seed"] + seed_index,
-                             f"{acc:.4f}", f"{mean:.4f}", f"{std:.4f}", error])
+            writer.writerow([cell_index, *(cell.get(key, cfg[key]) for key in GRID_KEYS),
+                             cfg["seed"] + seed_index, f"{acc:.4f}", f"{mean:.4f}", f"{std:.4f}",
+                             error])
     print(f"ablation summary: {summary_path} ({len(rows)} rows)")
     failures = sum(1 for _, _, acc, _ in rows if not np.isfinite(acc))
     if failures == len(rows):
@@ -515,7 +528,7 @@ def cmd_ablate(cfg: dict, teacher_path: str, grid_expr: str, seeds: int, jobs: i
     return EXIT_OK
 
 
-def cmd_verify() -> int:
+def cmd_verify(cfg: dict, args) -> int:
     from .verify import run_all
     results = run_all(verbose=True)
     failed = [r for r in results if not r.ok]
@@ -526,22 +539,25 @@ def cmd_verify() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's ``run`` takes the resolved config and the parsed
+    arguments; a flag whose ``dest`` is a :data:`CONFIG_KEYS` name spells that key."""
     parser = argparse.ArgumentParser(prog="dcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--data", help="dataset directory (overrides data_dir)")
-        p.add_argument("--out", help="run directory (overrides out_dir)")
+        p.add_argument("--data", dest="data_dir", help="dataset directory")
+        p.add_argument("--out", dest="out_dir", help="run directory")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key")
+        return p
 
-    p = sub.add_parser("train-teacher", help="supervised teacher pretraining")
-    add_common(p)
+    command("train-teacher", cmd_train_teacher, "supervised teacher pretraining")
 
-    p = sub.add_parser("distill", help="train a student under the combined objective")
-    add_common(p)
+    p = command("distill", cmd_distill, "train a student under the combined objective")
     p.add_argument("--teacher", required=True, help="teacher checkpoint")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -549,44 +565,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-tau", type=float, metavar="T",
                    help="freeze the temperature at divisor value T (and the bias at 0)")
 
-    p = sub.add_parser("eval", help="top-1 accuracy of a checkpoint on the test split")
-    add_common(p)
+    p = command("eval", cmd_eval, "top-1 accuracy of a checkpoint on the test split")
     p.add_argument("--ckpt", required=True)
 
-    p = sub.add_parser("transfer", help="linear probe on frozen features")
-    add_common(p)
+    p = command("transfer", cmd_transfer, "linear probe on frozen features")
     p.add_argument("--ckpt", required=True)
 
-    p = sub.add_parser("export-embeddings", help="write projected embeddings as CSV")
-    add_common(p)
+    p = command("export-embeddings", cmd_export_embeddings,
+                "write projected embeddings as CSV")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--csv", required=True, help="output CSV path")
 
-    p = sub.add_parser("ablate", help="cartesian hyperparameter sweep")
-    add_common(p)
+    p = command("ablate", cmd_ablate, "cartesian hyperparameter sweep")
     p.add_argument("--teacher", required=True)
     p.add_argument("--grid", required=True, help="e.g. alpha=0.1,0.5|beta=1,100")
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
 
-    sub.add_parser("verify", help="run the built-in verification suite")
+    sub.add_parser("verify", help="run the built-in verification suite").set_defaults(
+        run=cmd_verify)
     return parser
 
 
 def _overrides_from_args(args) -> dict[str, str]:
+    """The ``--set`` pairs, then every flag named after a config key, which wins."""
     overrides: dict[str, str] = {}
-    for pair in getattr(args, "set", []) or []:
+    for pair in getattr(args, "set", []):
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if getattr(args, "data", None):
-        overrides["data_dir"] = args.data
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    for key in ("alpha", "beta", "lambda_kl"):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
@@ -638,22 +647,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command == "verify":
-            return cmd_verify()
-        cfg = resolve_config(args.config, _overrides_from_args(args))
-        if args.command == "train-teacher":
-            return cmd_train_teacher(cfg)
-        if args.command == "distill":
-            return cmd_distill(cfg, args.teacher)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.ckpt)
-        if args.command == "transfer":
-            return cmd_transfer(cfg, args.ckpt)
-        if args.command == "export-embeddings":
-            return cmd_export_embeddings(cfg, args.ckpt, args.csv)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.teacher, args.grid, args.seeds, args.jobs)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(resolve_config(getattr(args, "config", None),
+                                       _overrides_from_args(args)), args)
     except CheckpointFormatError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

@@ -115,11 +115,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 class _Reader:
+    """Reads a checkpoint's fields in order; ``take`` returns a view, not a copy."""
+
     def __init__(self, raw: bytes):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.raw):
             raise CheckpointFormatError("truncated checkpoint", offset=self.pos)
         out = self.raw[self.pos:self.pos + n]
@@ -133,7 +135,7 @@ class _Reader:
         start = self.pos
         raw = self.take(n)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"{what} is not UTF-8",
                                         offset=start + exc.start) from exc
@@ -143,7 +145,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
     r = _Reader(raw)
-    magic = r.take(4)
+    magic = bytes(r.take(4))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}", offset=0)
     (version,) = r.unpack("<I")

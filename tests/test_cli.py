@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+import types
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -827,3 +828,157 @@ def test_malformed_checkpoint_exits_4_with_one_line(fault, teacher_run, student_
     assert not os.path.exists(tmp_path / "emb.csv")
     assert not os.path.exists(tmp_path / "run" / "DONE")
     assert not os.path.exists(tmp_path / "run" / "summary.csv")
+
+
+# each subcommand with its required flags
+COMMANDS = {
+    "train-teacher": [],
+    "distill": ["--teacher", "t.ckpt"],
+    "eval": ["--ckpt", "c.ckpt"],
+    "transfer": ["--ckpt", "c.ckpt"],
+    "export-embeddings": ["--ckpt", "c.ckpt", "--csv", "e.csv"],
+    "ablate": ["--teacher", "t.ckpt", "--grid", "beta=1"],
+    "verify": [],
+}
+
+
+def _subparsers():
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def test_every_subcommand_parses_to_its_handler():
+    assert sorted(_subparsers()) == sorted(COMMANDS)
+    for name, flags in COMMANDS.items():
+        args = cli.build_parser().parse_args([name] + flags)
+        assert callable(args.run)
+        assert args.run is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+
+# flag -> (its config key, a value, another value)
+CONFIG_FLAGS = {
+    "--data": ("data_dir", "some/data", "other/data"),
+    "--out": ("out_dir", "some/run", "other/run"),
+    "--seed": ("seed", "7", "9"),
+    "--alpha": ("alpha", "0.25", "0.75"),
+    "--beta": ("beta", "3", "5"),
+    "--lambda": ("lambda_kl", "0.5", "2"),
+}
+
+
+def _resolved(argv):
+    args = cli.build_parser().parse_args(["distill", "--teacher", "t.ckpt"] + argv)
+    return resolve_config(args.config, cli._overrides_from_args(args))
+
+
+def test_config_flags_are_the_parsers_flags_named_after_config_keys():
+    found = {}
+    for sub in _subparsers().values():
+        for action in sub._actions:
+            if action.dest in cli.CONFIG_KEYS:
+                found.update({option: action.dest for option in action.option_strings})
+    assert found == {flag: key for flag, (key, _, _) in CONFIG_FLAGS.items()}
+
+
+@pytest.mark.parametrize("flag", sorted(CONFIG_FLAGS))
+def test_config_flag_resolves_like_its_set_twin(flag):
+    key, value, other = CONFIG_FLAGS[flag]
+    cfg = _resolved(["--set", f"{key}={value}"])
+    assert cfg[key] != cli.CONFIG_KEYS[key][1]
+    assert _resolved([flag, value]) == cfg
+    assert _resolved(["--set", f"{key}={other}", flag, value]) == cfg  # the flag wins
+
+
+def test_grid_keys_name_the_summary_columns_and_the_grid_error(teacher_run, tmp_path):
+    with pytest.raises(ConfigError, match="^grid key must be alpha, beta or lambda_kl, "
+                                          "got 'gamma'$"):
+        parse_grid("gamma=1")
+    out = tmp_path / "abl"
+    assert main(["ablate", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+                 "--out", str(out), "--grid", "lambda_kl=0.5", "--set", "alpha=0.25"]
+                + FAST) == EXIT_OK
+    with open(out / "summary.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:5] == ["cell", "alpha", "beta", "lambda_kl", "seed"]
+    assert rows[1][:5] == ["0", "0.25", "1.0", "0.5", "0"]
+
+
+def test_empty_out_exits_data_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train-teacher", "--out", ""] + FAST) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    assert os.listdir(tmp_path) == []  # no runs/run
+
+
+@pytest.fixture(scope="module")
+def mnist_student(tmp_path_factory):
+    """An MNIST directory, a copy of its ``t10k`` files alone, and the path
+    of a student distilled on it."""
+    from dcd.data import Dataset, serialize_mnist_idx
+    root = tmp_path_factory.mktemp("mnist")
+    full, t10k = root / "full", root / "t10k"
+    full.mkdir()
+    t10k.mkdir()
+    rng = np.random.default_rng(5)
+    for prefix, rows, dirs in (("train", 40, [full]), ("t10k", 20, [full, t10k])):
+        images = (rng.integers(0, 256, (rows, 1, 8, 8)) / 255.0).astype(np.float32)
+        files = serialize_mnist_idx(Dataset(images, rng.integers(0, 10, rows), 10, "x"))
+        for d in dirs:
+            (d / f"{prefix}-images-idx3-ubyte").write_bytes(files[0])
+            (d / f"{prefix}-labels-idx1-ubyte").write_bytes(files[1])
+    common = FAST + ["--set", "dataset=mnist", "--data", str(full)]
+    assert main(["train-teacher", "--out", str(root / "teacher")] + common) == EXIT_OK
+    assert main(["distill", "--teacher", str(root / "teacher" / "teacher.ckpt"),
+                 "--out", str(root / "student")] + common) == EXIT_OK
+    return full, t10k, str(root / "student" / "student.ckpt")
+
+
+def test_eval_and_export_read_only_the_test_files(mnist_student, tmp_path, capsys):
+    full, t10k, ckpt = mnist_student
+    outputs = []
+    for data_dir in (full, t10k):
+        csv_path = tmp_path / f"{data_dir.name}.csv"
+        common = ["--ckpt", ckpt, "--set", "dataset=mnist", "--data", str(data_dir)]
+        assert main(["eval"] + common) == EXIT_OK
+        assert main(["export-embeddings", "--csv", str(csv_path)] + common) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("top1_accuracy: ")
+        outputs.append((out.splitlines()[0], csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _cifar10_dir(path, rows_per_file):
+    from dcd.data import Dataset, serialize_cifar10
+    rng = np.random.default_rng(0)
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+    for name, rows in zip(names, rows_per_file):
+        images = (rng.integers(0, 256, (rows, 3, 32, 32)) / 255.0).astype(np.float32)
+        (path / name).write_bytes(
+            serialize_cifar10(Dataset(images, rng.integers(0, 10, rows), 10, "x")))
+    return names
+
+
+def test_cifar10_batches_load_as_their_join(tmp_path):
+    from dcd.data import parse_cifar10
+    names = _cifar10_dir(tmp_path, [1, 2, 3, 4, 5, 2])
+    joined = b"".join((tmp_path / name).read_bytes() for name in names[:5])
+    assert cli._read_files(str(tmp_path), names[:5]) == joined
+    train, _ = cli.load_datasets(cli.resolve_config(
+        None, {"dataset": "cifar10", "data_dir": str(tmp_path)}))
+    whole = parse_cifar10(joined)
+    assert train.images.tobytes() == whole.images.tobytes()
+    assert np.array_equal(train.labels, whole.labels)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_data_file_changing_size_while_read_exits_data(delta, tmp_path, monkeypatch, capsys):
+    """A file longer or shorter than its size when it was opened."""
+    names = _cifar10_dir(tmp_path, [1] * 6)
+    fstat = os.fstat
+    monkeypatch.setattr(cli.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + delta))
+    assert main(["train-teacher", "--out", str(tmp_path / "run"), "--data", str(tmp_path),
+                 "--set", "dataset=cifar10"]) == EXIT_DATA
+    path = os.path.join(str(tmp_path), names[0])
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {path!r} changed size while it was read"]

@@ -1,13 +1,16 @@
 """Print the bitwise reproduction table of the shipped runs.
 
 Each row is a run, then the first 16 hex digits of the SHA-256 of its
-checkpoint and of its ``epochs.csv``.  The runs, made in a temporary
-directory that is removed afterwards:
+checkpoint and of its ``epochs.csv``; each CLI run also has a row for its
+``config.txt``, so the table shows that the flags resolve to the same
+config.  The runs, made in a temporary directory that is removed
+afterwards and named by paths relative to it, so that the echoed
+``out_dir`` is the same on every call:
 
 - ``dcd train-teacher --seed 0 --set data_seed=0``;
 - ``dcd ablate --grid "alpha=0.1,0.5|beta=0,1" --seeds 1 --seed 0 --set
   data_seed=0`` from that teacher, at ``--jobs 1`` and at ``--jobs 2``, each
-  with a row for its ``summary.csv``;
+  with a row for its ``summary.csv`` and one for its own ``config.txt``;
 - the blob-recipe teacher and its vanilla, kd, dcd_kd and beta_100 student
   arms at seeds 0 and 1, with the overrides of ``recipes.TREND_ARMS`` and
   ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too.
@@ -58,19 +61,24 @@ def dcd(argv: list[str]) -> None:
         raise SystemExit(f"dcd {argv[0]} exited with code {code}")
 
 
-def cli_rows(work: str) -> list[tuple[str, str]]:
-    teacher = os.path.join(work, "teacher")
-    dcd(["train-teacher", "--out", teacher])
-    rows = [("train-teacher", run_digests(teacher, "teacher.ckpt"))]
+def cli_rows() -> list[tuple[str, str]]:
+    """The CLI runs' rows; the runs go under the working directory."""
+    def run_rows(name: str, run_dir: str, ckpt_name: str) -> list[tuple[str, str]]:
+        return [(name, run_digests(run_dir, ckpt_name)),
+                (f"{name} config.txt", digest(os.path.join(run_dir, "config.txt")))]
+
+    dcd(["train-teacher", "--out", "teacher"])
+    rows = run_rows("train-teacher", "teacher", "teacher.ckpt")
     for jobs in (1, 2):
-        out = os.path.join(work, f"ablate-jobs{jobs}")
-        dcd(["ablate", "--teacher", os.path.join(teacher, "teacher.ckpt"), "--out", out,
+        out = f"ablate-jobs{jobs}"
+        dcd(["ablate", "--teacher", os.path.join("teacher", "teacher.ckpt"), "--out", out,
              "--grid", GRID, "--seeds", "1", "--jobs", str(jobs)])
         for cell in range(len(cli.parse_grid(GRID))):
-            rows.append((f"ablate --jobs {jobs} cell{cell}",
-                         run_digests(os.path.join(out, f"cell{cell}-seed0"), "student.ckpt")))
+            rows += run_rows(f"ablate --jobs {jobs} cell{cell}",
+                             os.path.join(out, f"cell{cell}-seed0"), "student.ckpt")
         rows.append((f"ablate --jobs {jobs} summary.csv",
                      digest(os.path.join(out, "summary.csv"))))
+        rows.append((f"ablate --jobs {jobs} config.txt", digest(os.path.join(out, "config.txt"))))
     return rows
 
 
@@ -98,8 +106,13 @@ def blob_rows(work: str) -> list[tuple[str, str]]:
 
 
 def main() -> int:
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="sha-table-") as work:
-        rows = cli_rows(work) + blob_rows(work)
+        os.chdir(work)
+        try:
+            rows = cli_rows() + blob_rows(work)
+        finally:
+            os.chdir(cwd)
     width = max(len(name) for name, _ in rows)
     for name, digests in rows:
         print(f"{name:<{width}}  {digests}")
