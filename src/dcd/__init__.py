@@ -2,7 +2,7 @@
 
 A self-contained framework: float64 tensors with reverse-mode autodiff,
 in-batch contrastive alignment of student/teacher projections with a
-relational-consistency KL regularizer and learnable temperature/bias,
+relational-consistency KL regularizer and learnable temperature,
 compact MLP/ConvNet model families, bit-exact dataset parsers, an SGD
 trainer with checkpointing, and evaluation/verification tooling.
 """

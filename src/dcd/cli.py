@@ -4,8 +4,8 @@ ablation sweeps and the verification suite.
 Configuration is a flat ``key=value`` file (one pair per line, ``#``
 comments) merged with flag overrides; flags always win.  Every run
 directory receives the fully-resolved config echo, the epoch CSV, the
-checkpoint, and a ``DONE`` completion marker.  Exit codes: 0 success,
-1 config error, 2 data error, 3 divergence, 4 checkpoint-format error.
+checkpoint, and a ``DONE`` completion marker.  Exit codes: 0 success, 1 config
+or usage error, 2 data error, 3 divergence, 4 checkpoint-format error.
 An unreadable config file is a config error, any other unusable path a data error.
 A closed stdout ends the output, not the run.
 """
@@ -16,6 +16,8 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -88,12 +90,11 @@ CONFIG_KEYS: dict = {
     "beta": (float, DistillConfig.beta),
     "lambda_kl": (float, DistillConfig.lambda_kl),
     "tau_init": (float, DistillConfig.tau_init),
-    "b_init": (float, DistillConfig.b_init),
     "tau_max": (float, DistillConfig.tau_max),
     "kd_temperature": (float, DistillConfig.kd_temperature),
     "proj_dim": (int, DistillConfig.proj_dim),
     "learn_temperature": (_parse_bool, DistillConfig.learn_temperature),
-    "detach_consistency": (_parse_bool, DistillConfig.detach_consistency_target),
+    "detach_consistency": (_parse_bool, DistillConfig.detach_consistency),
     "lr": (float, 0.05),
     "momentum": (float, OptimSpec.momentum),
     "weight_decay": (float, OptimSpec.weight_decay),
@@ -232,24 +233,18 @@ def _spec_and_data(cfg: dict, role: str) -> tuple[ModelSpec, Dataset, Dataset]:
                       (int(c), int(h), int(w))), train, test)
 
 
-def _optim(cfg: dict) -> OptimSpec:
-    return OptimSpec(lr=cfg["lr"], momentum=cfg["momentum"],
-                     weight_decay=cfg["weight_decay"], schedule=cfg["schedule"],
-                     epochs=cfg["epochs"], seed=cfg["seed"])
+def _from_config(cls, cfg: dict):
+    """A ``cls`` whose every field is the config value of that name."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
+
+
+_optim = functools.partial(_from_config, OptimSpec)
+_distill_config = functools.partial(_from_config, DistillConfig)
 
 
 def _plan(cfg: dict) -> BatchPlan:
     return BatchPlan(batch_size=cfg["batch_size"], shuffle_seed=cfg["seed"],
                      augment=cfg["augment"])
-
-
-def _distill_config(cfg: dict) -> DistillConfig:
-    return DistillConfig(alpha=cfg["alpha"], beta=cfg["beta"], lambda_kl=cfg["lambda_kl"],
-                         tau_init=cfg["tau_init"], b_init=cfg["b_init"],
-                         tau_max=cfg["tau_max"], kd_temperature=cfg["kd_temperature"],
-                         proj_dim=cfg["proj_dim"],
-                         learn_temperature=cfg["learn_temperature"],
-                         detach_consistency_target=cfg["detach_consistency"])
 
 
 def _train_run(run_cfg: dict, out_dir: str, name: str, fit) -> dict:
@@ -279,7 +274,7 @@ def cmd_distill(cfg: dict, args) -> int:
         load_checkpoint(args.teacher), *_spec_and_data(cfg, "student"), _distill_config(cfg),
         _optim(cfg), _plan(cfg)))
     print(f"student: train_acc={metrics['train_acc']:.2f} test_acc={metrics['test_acc']:.2f} "
-          f"tau={metrics['tau']:.4f} b={metrics['b']:.4f}")
+          f"tau={metrics['tau']:.4f}")
     return EXIT_OK
 
 
@@ -538,10 +533,16 @@ def cmd_verify(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is a config error (exit 1)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand's ``run`` takes the resolved config and the parsed
-    arguments; a flag whose ``dest`` is a :data:`CONFIG_KEYS` name spells that key."""
-    parser = argparse.ArgumentParser(prog="dcd", description=__doc__)
+    arguments; a flag whose ``dest`` is a :data:`CONFIG_KEYS` name spells that
+    key, and only :func:`resolve_config` parses its value."""
+    parser = _Parser(prog="dcd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
@@ -550,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--data", dest="data_dir", help="dataset directory")
         p.add_argument("--out", dest="out_dir", help="run directory")
-        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--seed", help="seed override")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key")
         return p
@@ -559,11 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("distill", cmd_distill, "train a student under the combined objective")
     p.add_argument("--teacher", required=True, help="teacher checkpoint")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", dest="lambda_kl", type=float)
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--lambda", dest="lambda_kl")
     p.add_argument("--fixed-tau", type=float, metavar="T",
-                   help="freeze the temperature at divisor value T (and the bias at 0)")
+                   help="freeze the temperature at divisor value T")
 
     p = command("eval", cmd_eval, "top-1 accuracy of a checkpoint on the test split")
     p.add_argument("--ckpt", required=True)
@@ -598,13 +599,12 @@ def _overrides_from_args(args) -> dict[str, str]:
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = str(value)
+            overrides[key] = value
     fixed_tau = getattr(args, "fixed_tau", None)
     if fixed_tau is not None:
         if not 0 < fixed_tau <= 1:  # T > 1 would need tau < 0; NaN fails too
             raise ConfigError(f"--fixed-tau must lie in (0, 1], got {fixed_tau}")
         overrides["tau_init"] = str(float(np.log(1.0 / fixed_tau)))
-        overrides["b_init"] = "0.0"
         overrides["learn_temperature"] = "false"
     return overrides
 
@@ -639,14 +639,15 @@ class _Stdout:
 def main(argv: list[str] | None = None) -> int:
     sys.stdout = out = _Stdout(sys.stdout)
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(argv)
     finally:
         out.flush()  # a closed pipe is met here, not in the exit flush
         sys.stdout = out.stream
 
 
-def _run(args) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.run(resolve_config(getattr(args, "config", None),
                                        _overrides_from_args(args)), args)
     except CheckpointFormatError as exc:

@@ -4,13 +4,13 @@ The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over student and
 teacher projections, with a learnable temperature ``tau`` (clamped to
 ``[0, tau_max]`` by the optimizer) and a bias ``b``, which shifts every
 logit of a row alike and so leaves each softmax unchanged: its gradient
-is only roundoff, and training leaves it at ``b_init`` to ~1e-16.  The
-contrastive term is cross-entropy of the student-anchored similarity
-rows against the diagonal; the consistency term is the mean KL
-divergence between student-anchored and teacher-anchored similarity
-distributions.  The loss functions return tape-tracked scalar tensors,
-so a single backward pass reaches the student network, both projection
-heads and the two scalars.
+is only roundoff, so training holds it at the constant 0 and only the
+public loss functions take it as an argument.  The contrastive term is
+cross-entropy of the student-anchored similarity rows against the
+diagonal; the consistency term is the mean KL divergence between
+student-anchored and teacher-anchored similarity distributions.  The
+loss functions return tape-tracked scalar tensors, so a single backward
+pass reaches the student network, both projection heads and ``tau``.
 
 One private kernel, :func:`_similarity_laws`, computes the similarity
 laws: it normalizes each side once (the only normalization a training
@@ -50,12 +50,11 @@ class DistillConfig:
     beta: float = 1.0
     lambda_kl: float = 1.0
     tau_init: float = TAU_INIT_DEFAULT
-    b_init: float = 0.0
     tau_max: float = 10.0
     kd_temperature: float = 4.0
     proj_dim: int = 128
     learn_temperature: bool = True
-    detach_consistency_target: bool = False
+    detach_consistency: bool = False
 
     def __post_init__(self):
         for name in ("alpha", "beta", "lambda_kl"):
@@ -66,20 +65,16 @@ class DistillConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.b_init):
-            raise ConfigError(f"b_init must be finite, got {self.b_init}")
         if self.proj_dim < 1:
             raise ConfigError("proj_dim must be at least 1")
         if not 0.0 <= self.tau_init <= self.tau_max:
             raise ConfigError(f"tau_init must lie in [0, {self.tau_max}], got {self.tau_init}")
 
 
-def temperature_parameters(cfg: DistillConfig) -> tuple[Parameter, Parameter]:
-    """Fresh (tau, b) scalars; tau carries the clamp interval, neither decays."""
-    tau = Parameter(np.float64(cfg.tau_init), name="temperature.tau",
-                    bounds=(0.0, cfg.tau_max), decay=False)
-    b = Parameter(np.float64(cfg.b_init), name="temperature.b", decay=False)
-    return tau, b
+def temperature_parameters(cfg: DistillConfig) -> Parameter:
+    """A fresh ``tau`` scalar that carries its clamp interval and does not decay."""
+    return Parameter(np.float64(cfg.tau_init), name="temperature.tau",
+                     bounds=(0.0, cfg.tau_max), decay=False)
 
 
 class EmbeddingPair:
@@ -271,8 +266,9 @@ class LossBreakdown:
 
 
 def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPair | None,
-               tau, b, cfg: DistillConfig) -> LossBreakdown:
-    """Supervised CE + lambda * plain KD KL + beta * (contrast + alpha * consist).
+               tau, cfg: DistillConfig) -> LossBreakdown:
+    """Supervised CE + lambda * plain KD KL + beta * (contrast + alpha * consist),
+    the embedding terms at ``b = 0``.
 
     Zero-weighted terms are still evaluated for logging but excluded
     from the total's graph, so e.g. beta=0, lambda=0 optimizes exactly
@@ -286,8 +282,8 @@ def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPa
             raise ConfigError(f"beta={cfg.beta} needs an embedding pair")
         contrast = consist = kd = Tensor(0.0)
     else:
-        kd, contrast, consist = _embedding_terms(pair, tau, b, (1.0, cfg.alpha),
-                                                 cfg.detach_consistency_target)
+        kd, contrast, consist = _embedding_terms(pair, tau, 0.0, (1.0, cfg.alpha),
+                                                 cfg.detach_consistency)
         contrast, consist = Tensor(contrast), Tensor(consist)
     total = sup
     if cfg.lambda_kl != 0.0:

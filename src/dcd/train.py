@@ -68,7 +68,7 @@ def sgd_step(params: list[Parameter], lr: float, momentum: float, weight_decay: 
              state: dict[int, np.ndarray]) -> None:
     """v <- momentum*v + g + wd*p; p <- p - lr*v; then clamp where bounds exist.
 
-    Parameters flagged ``decay=False`` (the temperature scalars) skip
+    Parameters flagged ``decay=False`` (the temperature ``tau``) skip
     weight decay.  Parameters without a gradient are left untouched.
     """
     for p in params:
@@ -238,7 +238,6 @@ class EpochLog:
     consist: float = 0.0
     total: float = 0.0
     tau: float = 0.0
-    b: float = 0.0
     train_acc: float = 0.0
     test_acc: float = 0.0
 
@@ -288,7 +287,7 @@ def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> fl
 
 
 def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test: Dataset,
-         stats, optim: OptimSpec, plan: BatchPlan, temperature: tuple[Parameter, ...] = (),
+         stats, optim: OptimSpec, plan: BatchPlan, tau: Parameter | None = None,
          epoch_logs: bool = True) -> tuple[list[EpochLog], dict]:
     """The one SGD loop: ``optim.epochs`` epochs over ``batches()``, each
     followed by an evaluation of ``model`` on both splits unless
@@ -298,13 +297,13 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     a tape that differentiates only ``params``: it records no op whose
     inputs are all untracked, so a frozen teacher's forward pass inside the
     step adds no nodes, and no step computes a gradient for its input
-    images or the teacher's outputs.  ``temperature`` is the ``(tau, b)``
-    pair that the epoch logs and final metrics report.  Returns the epoch
-    logs and the final metrics, which measure the final weights; a run of
-    zero epochs evaluates its initial weights once.
+    images or the teacher's outputs.  The epoch logs and final metrics
+    report ``tau`` when it is given.  Returns the epoch logs and the final
+    metrics, which measure the final weights; a run of zero epochs
+    evaluates its initial weights once.
     """
     def temperatures() -> dict:
-        return dict(zip(("tau", "b"), (float(p.value.data) for p in temperature)))
+        return {} if tau is None else {"tau": float(tau.value.data)}
 
     def accuracies() -> dict:
         try:
@@ -333,8 +332,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
                     tape.backward(bd.total)
                 collect_grads(tape, params)
                 sgd_step(params, lr, optim.momentum, optim.weight_decay, state)
-                if temperature:  # np.clip lets a NaN tau through
-                    tau = temperature[0]
+                if tau is not None:  # np.clip lets a NaN tau through
                     assert tau.bounds[0] <= float(tau.value.data) <= tau.bounds[1], \
                         "temperature escaped its clamp interval"
                 n = len(batch.labels)
@@ -372,7 +370,7 @@ def _supervised_step(model):
 
 
 def _distill_step(student: Model, teacher_targets, s_head: ProjectionHead,
-                  t_head: ProjectionHead, tau: Parameter, b: Parameter, cfg: DistillConfig):
+                  t_head: ProjectionHead, tau: Parameter, cfg: DistillConfig):
     """The step loss of distillation: :func:`total_loss` of ``student`` against
     ``teacher_targets(batch, step)``, the frozen teacher's ``(features,
     logits)``, with the heads' unnormalized outputs as the embedding pair,
@@ -382,7 +380,7 @@ def _distill_step(student: Model, teacher_targets, s_head: ProjectionHead,
         s_feats, s_logits = student.forward(batch.images)
         pair = None if cfg.beta == 0.0 else EmbeddingPair(s_head(s_feats), t_head(t_feats))
         try:
-            return total_loss(s_logits, t_logits, batch.labels, pair, tau, b, cfg)
+            return total_loss(s_logits, t_logits, batch.labels, pair, tau, cfg)
         except DegenerateInputError as exc:  # only a zero teacher projection raises it
             raise DivergenceError(f"teacher projection head: {exc}", step) from exc
     return step_loss
@@ -424,8 +422,9 @@ def _teacher_forward(teacher: Model, images: Tensor, step: int) -> tuple[Tensor,
 def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, test: Dataset,
             cfg: DistillConfig, optim: OptimSpec, plan: BatchPlan | None = None,
             ) -> tuple[Checkpoint, list[EpochLog]]:
-    """Optimize the student, both projection heads, tau and b under the
-    combined objective; the teacher backbone stays frozen.
+    """Optimize the student, both projection heads and tau under the
+    combined objective; the teacher backbone stays frozen.  The checkpoint
+    also stores ``temperature.b``: 0.0, the logit bias the loss adds.
 
     Without augmentation, and with at least one epoch, the teacher runs
     over the training split once, before the first epoch, in the windows
@@ -451,9 +450,9 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
                                    [optim.seed, 1])
     s_head = ProjectionHead.create(student_spec.feature_dim, cfg.proj_dim, "student",
                                    [optim.seed, 2])
-    tau, b = temperature_parameters(cfg)
-    saved = student.parameters() + [s_head.weight, t_head.weight, tau, b]
-    params = saved if cfg.learn_temperature else saved[:-2]
+    tau = temperature_parameters(cfg)
+    saved = student.parameters() + [s_head.weight, t_head.weight, tau]
+    params = saved if cfg.learn_temperature else saved[:-1]
     cached = None
     if plan.augment == "none" and optim.epochs:
         cached = _frozen_teacher_outputs(teacher, train, stats, plan.batch_size)
@@ -463,11 +462,12 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
             return _teacher_forward(teacher, batch.images, step)
         return tuple(Tensor(out[batch.index]) for out in cached)
 
-    step_loss = _distill_step(student, teacher_targets, s_head, t_head, tau, b, cfg)
-    logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan,
-                       temperature=(tau, b))
-    return _checkpoint(saved, "student", student_spec, optim, stats, final,
-                       teacher_spec=asdict(teacher.spec), distill_config=asdict(cfg)), logs
+    step_loss = _distill_step(student, teacher_targets, s_head, t_head, tau, cfg)
+    logs, final = _fit(student, params, step_loss, train, test, stats, optim, plan, tau)
+    ckpt = _checkpoint(saved, "student", student_spec, optim, stats, final,
+                       teacher_spec=asdict(teacher.spec), distill_config=asdict(cfg))
+    ckpt.tensors["temperature.b"] = np.zeros(())
+    return ckpt, logs
 
 
 def restore_student_head(ckpt: Checkpoint) -> ProjectionHead:

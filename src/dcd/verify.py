@@ -142,7 +142,7 @@ def _finite_difference_errors(step_loss, batch, params) -> list[float]:
 def check_gradient_correctness() -> str:
     """Central differences against one backward pass of the steps that
     training runs: the distillation step (:func:`dcd.train._distill_step`)
-    for every scalar of a 2-layer MLP student, both heads, tau and b, and
+    for every scalar of a 2-layer MLP student, both heads and tau, and
     the cross-entropy step (:func:`dcd.train._supervised_step`) for every
     kernel and classifier scalar of a two-block ConvNet, whose second pool
     drops a row and a column."""
@@ -152,12 +152,12 @@ def check_gradient_correctness() -> str:
     cfg = DistillConfig(proj_dim=5)
     s_head = ProjectionHead.create(8, 5, "student", [1, 2])
     t_head = ProjectionHead.create(12, 5, "teacher", [1, 1])
-    tau, b = temperature_parameters(cfg)
+    tau = temperature_parameters(cfg)
     batch = Batch(Tensor(rng.uniform(0, 1, (4, 1, 1, 6))), rng.integers(0, 3, 4), np.arange(4))
     step = _distill_step(student, lambda bt, i: _teacher_forward(teacher, bt.images, i),
-                         s_head, t_head, tau, b, cfg)
+                         s_head, t_head, tau, cfg)
     mlp = _finite_difference_errors(
-        step, batch, student.parameters() + [s_head.weight, t_head.weight, tau, b])
+        step, batch, student.parameters() + [s_head.weight, t_head.weight, tau])
     _require(len(mlp) > 100, f"only {len(mlp)} MLP scalars checked")
 
     convnet = init_weights(ModelSpec("convnet", (2, 3), 3, (2, 6, 6)), 3)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from dcd.cli import (BLAS_THREAD_VARS, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA,
                      EXIT_DIVERGENCE, EXIT_OK, main, parse_grid, resolve_config)
 from dcd.errors import ConfigError
 from dcd.losses import DistillConfig
-from dcd.train import load_checkpoint, save_checkpoint
+from dcd.train import OptimSpec, load_checkpoint, save_checkpoint
 
 FAST = ["--set", "epochs=2", "--set", "blob_train_per_class=40",
         "--set", "blob_test_per_class=30", "--set", "blob_dim=8",
@@ -77,6 +78,44 @@ def test_negative_seed_flag_exits_config_naming_key(tmp_path, capsys):
     code = main(["train-teacher", "--out", str(tmp_path / "x"), "--seed", "-1"])
     assert code == EXIT_CONFIG
     assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train-teacher", "--seed", "abc"], "bad value 'abc' for 'seed'"),
+    (["train-teacher", "--set", "seed=abc"], "bad value 'abc' for 'seed'"),
+    (["distill", "--teacher", "t.ckpt", "--alpha", "x"], "bad value 'x' for 'alpha'"),
+    (["distill", "--teacher", "t.ckpt", "--lambda", "x"], "bad value 'x' for 'lambda_kl'"),
+    (["distill", "--teacher", "t.ckpt", "--fixed-tau", "x"], "argument --fixed-tau"),
+    (["ablate", "--teacher", "t.ckpt", "--grid", "beta=1", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    (["distill"], "the following arguments are required: --teacher"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["seed-flag", "seed-set", "alpha", "lambda", "fixed-tau", "jobs", "missing-flag",
+        "unknown-command", "no-command"])
+def test_usage_error_exits_config_with_one_line_and_writes_nothing(argv, message, tmp_path,
+                                                                   monkeypatch):
+    """argparse's usage errors exit 1 like every other config error, with one
+    ``config error:`` line and no usage text; a config flag's value is parsed
+    by its config key alone, so ``--seed abc`` fails as ``--set seed=abc`` does."""
+    monkeypatch.chdir(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dcd.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0], \
+        proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_still_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distill", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--fixed-tau" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key,value", [("blob_std", "nan"), ("blob_std", "inf"),
@@ -256,6 +295,64 @@ def test_default_config_gives_the_default_distill_config():
     assert cli._distill_config(resolve_config(None, {})) == DistillConfig()
 
 
+# the keys whose CLI default is not the library's: the CLI steps the rate down at
+# epochs 15 and 23, while a library OptimSpec keeps it constant
+CLI_ONLY_DEFAULTS = {"schedule"}
+
+
+@pytest.mark.parametrize("cls", [DistillConfig, OptimSpec])
+def test_every_config_dataclass_field_is_a_config_key_with_its_default(cls):
+    for field in dataclasses.fields(cls):
+        assert field.name in cli.CONFIG_KEYS, field.name
+        if field.default is not dataclasses.MISSING and field.name not in CLI_ONLY_DEFAULTS:
+            assert cli.CONFIG_KEYS[field.name][1] == field.default, field.name
+
+
+@pytest.mark.parametrize("fixed_tau", [[], ["--fixed-tau", "0.07"]], ids=["learned", "fixed"])
+def test_distill_prints_no_bias_and_stores_it_as_zero(fixed_tau, teacher_run, tmp_path,
+                                                       capsys):
+    out = tmp_path / "student"
+    assert main(["distill", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+                 "--out", str(out), "--seed", "2"] + fixed_tau + FAST) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "tau=" in printed and "b=" not in printed
+    ckpt = load_checkpoint(str(out / "student.ckpt"))
+    assert float(ckpt.tensors["temperature.b"]) == 0.0
+    assert "b" not in ckpt.metadata["final_metrics"]
+    with open(out / "epochs.csv") as fh:
+        assert "b" not in fh.readline().strip().split(",")
+
+
+def test_b_init_is_an_unknown_config_key(teacher_run, tmp_path, capsys):
+    out = tmp_path / "student"
+    assert main(["distill", "--teacher", os.path.join(teacher_run, "teacher.ckpt"),
+                 "--out", str(out)] + FAST + ["--set", "b_init=0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown configuration key 'b_init'\n"
+    assert not out.exists()
+
+
+def test_student_with_a_nonzero_stored_bias_still_loads_evaluates_and_exports(
+        student_run, tmp_path, capsys):
+    """A checkpoint from before the bias left training: ``temperature.b`` is
+    0.25 (``b_init=0.25``), and its metadata holds that key and the old name
+    of ``detach_consistency``."""
+    ckpt = load_checkpoint(os.path.join(student_run, "student.ckpt"))
+    ckpt.tensors["temperature.b"] = np.asarray(0.25)
+    cfg = ckpt.metadata["distill_config"]
+    cfg["b_init"] = 0.25
+    cfg["detach_consistency_target"] = cfg.pop("detach_consistency")
+    ckpt.metadata["final_metrics"]["b"] = 0.25
+    old = str(tmp_path / "old.ckpt")
+    save_checkpoint(ckpt, old)
+    assert float(load_checkpoint(old).tensors["temperature.b"]) == 0.25
+    csv_path = tmp_path / "emb.csv"
+    assert main(["eval", "--ckpt", old] + FAST) == EXIT_OK
+    assert main(["export-embeddings", "--ckpt", old, "--csv", str(csv_path)] + FAST) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "top1_accuracy: " in out and f"to {csv_path}" in out
+    assert csv_path.stat().st_size > 0
+
+
 def test_distill_bad_checkpoint_exits_4(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -311,6 +408,8 @@ def test_parse_grid():
             parse_grid(bad)
 
 
+# b_init is no longer a config key, so a non-finite value for it now fails as an
+# unknown key: still exit 1, naming the key, before anything is written
 @pytest.mark.parametrize("key", ["lr", "weight_decay", "alpha", "beta", "lambda_kl",
                                  "tau_max", "kd_temperature", "b_init"])
 @pytest.mark.parametrize("value", ["nan", "inf"])

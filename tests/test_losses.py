@@ -53,10 +53,10 @@ def test_similarity_vs_loop_oracle(rng):
 
 def test_similarity_rejects_out_of_clamp_tau(rng):
     pair = make_pair(rng, 3, 4)
-    tau, b = temperature_parameters(DistillConfig())
+    tau = temperature_parameters(DistillConfig())
     tau.value.data[...] = 11.0
     with pytest.raises(ConfigError):
-        similarity_logits(pair, tau, b)
+        similarity_logits(pair, tau, 0.0)
 
 
 def test_similarity_rejects_unknown_anchor(rng):
@@ -187,10 +187,10 @@ def test_zero_teacher_row_raises_degenerate(rng):
 
 def test_similarity_laws_record_no_tape_node(rng):
     pair = make_pair(rng, 4, 5)
-    tau, b = temperature_parameters(DistillConfig())
+    tau = temperature_parameters(DistillConfig())
     with Tape() as tape:
         for fn in (similarity_logits, student_distribution, teacher_distribution):
-            fn(pair, tau, b)
+            fn(pair, tau, 0.0)
     assert tape.nodes == []
 
 
@@ -360,53 +360,53 @@ def test_embedding_terms_reject_zero_teacher_row_and_non_finite_logits(rng):
     pair = make_pair(rng, 3, 4)
     with pytest.raises(DomainError):
         consistency_loss(pair, 1.0, np.inf)
-    tau, b = temperature_parameters(DistillConfig())
+    tau = temperature_parameters(DistillConfig())
     tau.value.data[...] = -1.0
     with pytest.raises(ConfigError):
-        contrastive_loss(pair, tau, b)
+        contrastive_loss(pair, tau, 0.0)
 
 
 # -- combined kd loss ----------------------------------------------------------
 
-def dcd_term(pair, tau, b, cfg):
+def dcd_term(pair, tau, cfg):
     """The embedding term contrast + alpha * consist of total_loss."""
     logits = Tensor(np.zeros((pair.n, 3)))
     labels = np.zeros(pair.n, dtype=np.int64)
-    return total_loss(logits, logits, labels, pair, tau, b, cfg).kd.item()
+    return total_loss(logits, logits, labels, pair, tau, cfg).kd.item()
 
 
 def test_dcd_loss_alpha_zero_is_contrastive(rng):
     pair = make_pair(rng, 5, 6)
     cfg = DistillConfig(alpha=0.0)
-    assert dcd_term(pair, 1.0, 0.1, cfg) == contrastive_loss(pair, 1.0, 0.1).item()
+    assert dcd_term(pair, 1.0, cfg) == contrastive_loss(pair, 1.0, 0.0).item()
 
 
 def test_dcd_loss_identical_embeddings_reduces_to_contrastive(rng):
     z = unit_rows(rng, 4, 6)
     pair = EmbeddingPair(Tensor(z), Tensor(z.copy()))
     cfg = DistillConfig(alpha=0.7)
-    got = dcd_term(pair, 1.0, 0.1, cfg)
-    assert abs(got - contrastive_loss(pair, 1.0, 0.1).item()) < 1e-12
+    got = dcd_term(pair, 1.0, cfg)
+    assert abs(got - contrastive_loss(pair, 1.0, 0.0).item()) < 1e-12
 
 
 def test_dcd_loss_recomposition(rng):
     pair = make_pair(rng, 5, 7)
     cfg = DistillConfig(alpha=0.5)
-    got = dcd_term(pair, 1.2, -0.3, cfg)
-    want = contrastive_loss(pair, 1.2, -0.3).item() \
-        + 0.5 * consistency_loss(pair, 1.2, -0.3).item()
+    got = dcd_term(pair, 1.2, cfg)
+    want = contrastive_loss(pair, 1.2, 0.0).item() \
+        + 0.5 * consistency_loss(pair, 1.2, 0.0).item()
     assert abs(got - want) < 1e-12
 
 
 def test_total_loss_without_pair_has_zero_embedding_terms(rng):
     s_logits, t_logits = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
     labels = np.array([0, 1, 2, 0])
-    bd = total_loss(s_logits, t_logits, labels, None, 1.0, 0.1,
+    bd = total_loss(s_logits, t_logits, labels, None, 1.0,
                     DistillConfig(beta=0.0, lambda_kl=0.5))
     assert bd.contrast.item() == bd.consist.item() == bd.kd.item() == 0.0
     assert bd.total.item() == bd.sup.item() + 0.5 * bd.distill_kl.item()
     with pytest.raises(ConfigError):
-        total_loss(s_logits, t_logits, labels, None, 1.0, 0.1, DistillConfig(beta=1.0))
+        total_loss(s_logits, t_logits, labels, None, 1.0, DistillConfig(beta=1.0))
 
 
 # -- kd kl and cross entropy ---------------------------------------------------
@@ -480,8 +480,8 @@ def build_total(rng, cfg, n=5, c=4, d=6):
     s_logits = Tensor(rng.uniform(-2, 2, (n, c)))
     t_logits = Tensor(rng.uniform(-2, 2, (n, c)))
     labels = rng.integers(0, c, n)
-    tau, b = temperature_parameters(cfg)
-    return total_loss(s_logits, t_logits, labels, pair, tau, b, cfg), pair
+    tau = temperature_parameters(cfg)
+    return total_loss(s_logits, t_logits, labels, pair, tau, cfg), pair
 
 
 def test_total_reduces_to_supervised(rng):
@@ -526,11 +526,11 @@ def test_permutation_equivariance(rng):
         labels = rng.integers(0, c, n)
         perm = rng.permutation(n)
         cfg = DistillConfig()
-        tau, b = temperature_parameters(cfg)
+        tau = temperature_parameters(cfg)
         bd1 = total_loss(Tensor(s_logits), Tensor(t_logits), labels,
-                         EmbeddingPair(Tensor(zs), Tensor(zt)), tau, b, cfg)
+                         EmbeddingPair(Tensor(zs), Tensor(zt)), tau, cfg)
         bd2 = total_loss(Tensor(s_logits[perm]), Tensor(t_logits[perm]), labels[perm],
-                         EmbeddingPair(Tensor(zs[perm]), Tensor(zt[perm])), tau, b, cfg)
+                         EmbeddingPair(Tensor(zs[perm]), Tensor(zt[perm])), tau, cfg)
         for key in ("sup", "distill_kl", "contrast", "consist", "total"):
             assert abs(bd1.as_floats()[key] - bd2.as_floats()[key]) < 1e-10
 

@@ -465,7 +465,7 @@ def test_distill_zero_epochs_returns_initialized_student(blob_env, blob_teacher,
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(train_mod, "evaluate", counting)
-    cfg = DistillConfig(proj_dim=4, tau_init=1.5, b_init=0.25)
+    cfg = DistillConfig(proj_dim=4, tau_init=1.5)
     ckpt, logs = distill(blob_teacher, student_spec, train, test, cfg,
                          OptimSpec(lr=0.02, epochs=0, seed=3), BatchPlan(32, 3))
     assert logs == []
@@ -475,9 +475,29 @@ def test_distill_zero_epochs_returns_initialized_student(blob_env, blob_teacher,
     final = ckpt.metadata["final_metrics"]
     assert final["train_acc"] == evaluate(fresh, train, stats, 32)
     assert final["test_acc"] == evaluate(fresh, test, stats, 32)
-    assert (final["tau"], final["b"]) == (cfg.tau_init, cfg.b_init)
+    assert final["tau"] == cfg.tau_init and "b" not in final
     assert float(ckpt.tensors["temperature.tau"]) == cfg.tau_init
-    assert float(ckpt.tensors["temperature.b"]) == cfg.b_init
+    assert float(ckpt.tensors["temperature.b"]) == 0.0
+
+
+@pytest.mark.parametrize("learn_temperature", [True, False])
+def test_distill_hands_sgd_step_no_bias(blob_env, blob_teacher, monkeypatch, learn_temperature):
+    """The optimizer sees tau only when it is learned, and never ``temperature.b``,
+    which the checkpoint stores as the constant 0.0 the loss adds."""
+    train, test, _, student_spec = blob_env
+    names = set()
+
+    def recording(params, *args):
+        names.update(p.name for p in params)
+        return sgd_step(params, *args)
+
+    monkeypatch.setattr(train_mod, "sgd_step", recording)
+    ckpt, _ = distill(blob_teacher, student_spec, train, test,
+                      DistillConfig(proj_dim=4, learn_temperature=learn_temperature),
+                      OptimSpec(lr=0.02, epochs=1, seed=3), BatchPlan(32, 3))
+    trained = {n for n in ckpt.tensors if n.startswith(("model.", "head."))}
+    assert names == trained | ({"temperature.tau"} if learn_temperature else set())
+    assert ckpt.tensors["temperature.b"].shape == () and ckpt.tensors["temperature.b"] == 0.0
 
 
 def test_dead_student_row_is_clamped_not_a_divergence(blob_env, blob_teacher):
@@ -652,5 +672,5 @@ def test_epoch_csv_schema(tmp_path, blob_env):
     write_epoch_csv(logs, path)
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
-    assert lines[0] == "epoch,sup,distill_kl,contrast,consist,total,tau,b,train_acc,test_acc"
+    assert lines[0] == "epoch,sup,distill_kl,contrast,consist,total,tau,train_acc,test_acc"
     assert len(lines) == 3

@@ -1,11 +1,15 @@
 """Print the bitwise reproduction table of the shipped runs.
 
-Each row is a run, then the first 16 hex digits of the SHA-256 of its
-checkpoint and of its ``epochs.csv``; each CLI run also has a row for its
-``config.txt``, so the table shows that the flags resolve to the same
-config.  The runs, made in a temporary directory that is removed
-afterwards and named by paths relative to it, so that the echoed
-``out_dir`` is the same on every call:
+Each row is a run, then the first 16 hex digits of three SHA-256
+digests: of its checkpoint file, of the checkpoint's tensors alone (each
+tensor's name, dtype, shape and bytes in name order, as
+``perfbench/gate.fingerprint`` hashes them, without the metadata) and of
+its ``epochs.csv``.  A change that edits only checkpoint metadata or the
+epoch-log header moves the first and third digests but not the second.
+Each CLI run also has a row for its ``config.txt``, so the table shows
+that the flags resolve to the same config.  The runs, made in a temporary
+directory that is removed afterwards and named by paths relative to it,
+so that the echoed ``out_dir`` is the same on every call:
 
 - ``dcd train-teacher --seed 0 --set data_seed=0``;
 - ``dcd ablate --grid "alpha=0.1,0.5|beta=0,1" --seeds 1 --seed 0 --set
@@ -13,7 +17,10 @@ afterwards and named by paths relative to it, so that the echoed
   with a row for its ``summary.csv`` and one for its own ``config.txt``;
 - the blob-recipe teacher and its vanilla, kd, dcd_kd and beta_100 student
   arms at seeds 0 and 1, with the overrides of ``recipes.TREND_ARMS`` and
-  ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too.
+  ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too;
+- a ConvNet teacher and a DCD+KD ConvNet student trained with
+  ``augment=flip+crop`` on small seeded 3x8x8 images, so the table covers
+  ``autodiff.conv_block`` and the frozen teacher's per-batch forward pass.
 
 A change that keeps every run's bits prints the same table as its parent:
 
@@ -32,11 +39,17 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
 from dcd import cli, recipes  # noqa: E402
-from dcd.train import distill, save_checkpoint, train_teacher, write_epoch_csv  # noqa: E402
+from dcd.data import BatchPlan, Dataset  # noqa: E402
+from dcd.losses import DistillConfig  # noqa: E402
+from dcd.models import ModelSpec  # noqa: E402
+from dcd.train import (OptimSpec, distill, load_checkpoint, save_checkpoint,  # noqa: E402
+                       train_teacher, write_epoch_csv)
 
 CLI_COMMON = ["--seed", "0", "--set", "data_seed=0"]
 GRID = "alpha=0.1,0.5|beta=0,1"
@@ -48,9 +61,19 @@ def digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
+def tensor_digest(path: str) -> str:
+    h = hashlib.sha256()
+    tensors = load_checkpoint(path).tensors
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
 def run_digests(run_dir: str, ckpt_name: str) -> str:
-    return (f"{digest(os.path.join(run_dir, ckpt_name))} "
-            f"{digest(os.path.join(run_dir, 'epochs.csv'))}")
+    ckpt = os.path.join(run_dir, ckpt_name)
+    return f"{digest(ckpt)} {tensor_digest(ckpt)} {digest(os.path.join(run_dir, 'epochs.csv'))}"
 
 
 def dcd(argv: list[str]) -> None:
@@ -82,27 +105,47 @@ def cli_rows() -> list[tuple[str, str]]:
     return rows
 
 
+def saved(work: str, name: str, ckpt, logs) -> tuple[str, str]:
+    """The row of a run trained in this process, written under ``work``."""
+    run_dir = os.path.join(work, name)
+    os.makedirs(run_dir)
+    save_checkpoint(ckpt, os.path.join(run_dir, "model.ckpt"))
+    write_epoch_csv(logs, os.path.join(run_dir, "epochs.csv"))
+    return name, run_digests(run_dir, "model.ckpt")
+
+
 def blob_rows(work: str) -> list[tuple[str, str]]:
     teacher_train, student_train, test = recipes.blob_trend_datasets()
     teacher_spec, student_spec = recipes.blob_model_pair()
-
-    def saved(name: str, ckpt, logs) -> tuple[str, str]:
-        run_dir = os.path.join(work, name)
-        os.makedirs(run_dir)
-        save_checkpoint(ckpt, os.path.join(run_dir, "model.ckpt"))
-        write_epoch_csv(logs, os.path.join(run_dir, "epochs.csv"))
-        return name, run_digests(run_dir, "model.ckpt")
-
     t_ckpt, t_logs = train_teacher(teacher_spec, teacher_train, test,
                                    recipes.BLOB_TEACHER_OPTIM, recipes.BLOB_TEACHER_PLAN)
-    rows = [saved("blob teacher", t_ckpt, t_logs)]
+    rows = [saved(work, "blob teacher", t_ckpt, t_logs)]
     for arm, overrides in BLOB_ARMS.items():
         for seed in (0, 1):
-            rows.append(saved(f"blob {arm} seed{seed}", *distill(
+            rows.append(saved(work, f"blob {arm} seed{seed}", *distill(
                 t_ckpt, student_spec, student_train, test,
                 recipes.blob_distill_config(**overrides), recipes.blob_student_optim(seed),
                 recipes.blob_student_plan(seed))))
     return rows
+
+
+def convnet_rows(work: str) -> list[tuple[str, str]]:
+    """Two classes of 3x8x8 images: uniform noise, with the class in the
+    first channel's brightness."""
+    rng = np.random.default_rng(2024)
+    images = rng.uniform(0.0, 0.5, (64, 3, 8, 8)).astype(np.float32)
+    labels = np.arange(64) % 2
+    images[:, 0] += 0.5 * labels[:, None, None]
+    train = Dataset(images[:48], labels[:48], 2, "images-train")
+    test = Dataset(images[48:], labels[48:], 2, "images-test")
+    t_ckpt, t_logs = train_teacher(ModelSpec("convnet", (4, 8), 2, (3, 8, 8)), train, test,
+                                   OptimSpec(lr=0.05, epochs=2, seed=3),
+                                   BatchPlan(16, 3, "flip+crop"))
+    return [saved(work, "convnet teacher", t_ckpt, t_logs),
+            saved(work, "convnet dcd_kd", *distill(
+                t_ckpt, ModelSpec("convnet", (2, 4), 2, (3, 8, 8)), train, test,
+                DistillConfig(proj_dim=4), OptimSpec(lr=0.05, epochs=3, seed=4),
+                BatchPlan(16, 4, "flip+crop")))]
 
 
 def main() -> int:
@@ -110,7 +153,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="sha-table-") as work:
         os.chdir(work)
         try:
-            rows = cli_rows() + blob_rows(work)
+            rows = cli_rows() + blob_rows(work) + convnet_rows(work)
         finally:
             os.chdir(cwd)
     width = max(len(name) for name, _ in rows)
