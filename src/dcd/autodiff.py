@@ -13,12 +13,24 @@ of its inputs is tracked, and gives no gradient to an untracked tensor.
 ``matmul``, ``conv2d`` and ``conv_block`` then skip the product that
 would compute one.  A tape without ``leaves`` tracks every tensor.
 
-Convolutions run over chunks of samples (about 4 MB of patch matrix
+Convolutions run over chunks of samples (about 2 MB of patch matrix
 each).  ``conv_block`` is the ConvNet block, conv then 2x2 max-pool then
-ReLU, as one node: it pools each chunk's conv output before the next
-chunk runs, so neither the full-size conv output nor its gradient is
-ever held.  It shares its chunk, patch, pool and scatter helpers with
+ReLU, as one node: it pools each chunk's conv output as soon as it is
+made, so neither the full-size conv output nor its gradient is ever
+held.  It shares its chunk, patch, pool and scatter helpers with
 ``conv2d`` and ``maxpool2d``, so its bits equal the three-op composition.
+
+Each conv pass gives its chunks to lanes: the calling thread and the
+threads of a pool made at first use, one lane per thread that numpy's
+OpenBLAS reported at first use (one lane when no OpenBLAS thread control
+is found).  A pass pins OpenBLAS to one thread (:func:`single_blas_thread`),
+so every conv GEMM is single-threaded; each chunk writes only its own
+rows of the output and the input gradient, and the kernel gradient adds
+the chunks' terms in chunk order.  So the bits depend on neither the
+lane count nor the BLAS thread count.  Training and inference of a
+ConvNet hold the pin for the whole pass (``train._blas_pin``): after a
+multi-threaded GEMM, OpenBLAS's idle threads spin for a while and would
+take the cores from the lanes.
 
 Elementwise ops accept equal shapes or a scalar (size-1) operand; there
 is no general broadcasting.  All math is 64-bit.
@@ -26,7 +38,9 @@ is no general broadcasting.  All math is 64-bit.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import threading
 
 import numpy as np
@@ -479,9 +493,140 @@ def _pool_geometry(h: int, w: int, size, stride) -> tuple[int, int, int, int, in
 
 
 # conv2d and conv_block run over chunks of samples whose patch matrix holds
-# at most this many elements (4 MB of float64), or over single samples when
+# at most this many elements (2 MB of float64), or over single samples when
 # one holds more; the chunks fix the kernel gradient's summation order.
-_CONV_CHUNK_ELEMS = 2 ** 19
+_CONV_CHUNK_ELEMS = 2 ** 18
+
+# numpy's OpenBLAS thread control, looked up at first use: its (get, set)
+# thread-count functions, or () when none is found.  _LANES, the lanes a
+# conv pass runs its chunks on, is the thread count it reported then.
+_BLAS = None
+_LANES = 1
+_lane_lock = threading.Lock()
+_lane_pool = None  # the threads of lanes 1 and up, made at first use
+_pins = 0
+_unpinned = 1  # the thread count the outermost pin restores
+
+
+def _after_fork() -> None:
+    """A forked child has none of the pool's threads, and no other thread
+    that could hold the lock."""
+    global _lane_lock, _lane_pool
+    _lane_lock, _lane_pool = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
+
+def _blas() -> tuple:
+    global _BLAS, _LANES
+    with _lane_lock:
+        if _BLAS is None:
+            import ctypes
+            import glob
+            libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                          "numpy.libs", "*openblas*"))
+            _BLAS = ()
+            for path in [*libs, None]:  # None: the libraries loaded globally
+                try:
+                    lib = ctypes.CDLL(path)
+                except (OSError, TypeError):
+                    continue
+                for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                                       ("openblas", "")):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                    if get is not None and put is not None:
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        put.argtypes, put.restype = [ctypes.c_int], None
+                        _BLAS, _LANES = (get, put), max(1, get())
+                        return _BLAS
+    return _BLAS
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports now; None without its thread control."""
+    control = _blas()
+    return control[0]() if control else None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Pin OpenBLAS to one thread inside the block, restoring the count it had
+    when the outermost pin began on exit, also on error.  Pins nest and may
+    overlap across threads; without OpenBLAS thread control it does nothing."""
+    global _pins, _unpinned
+    control = _blas()
+    if not control:
+        yield
+        return
+    get, put = control
+    with _lane_lock:
+        if not _pins:
+            _unpinned = get()
+            put(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _lane_lock:
+            _pins -= 1
+            if not _pins:
+                put(_unpinned)
+
+
+def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
+    """Run ``task(i, lane)`` for each i in ``range(count)`` on ``lanes`` lanes,
+    a free lane taking the next i, and, if given, ``in_order(i, result)`` in
+    order of i, on the lane that ran task i, right after it.
+
+    Lane 0 is the calling thread, the others a lazily made pool's threads,
+    each lane in a copy of the caller's context (numpy's ``errstate`` is a
+    context variable).  Returns once every lane has stopped; the first error
+    a lane raises stops the others and is raised here.
+    """
+    global _lane_pool
+    cond = threading.Condition()
+    taken = ordered = 0  # items handed to a lane; items past in_order
+    error = None
+
+    def lane_loop(lane):
+        nonlocal taken, ordered, error
+        try:
+            while True:
+                with cond:
+                    if taken == count or error is not None:
+                        return
+                    i, taken = taken, taken + 1
+                result = task(i, lane)
+                if in_order is not None:
+                    with cond:
+                        cond.wait_for(lambda: ordered == i or error is not None)
+                        if error is not None:
+                            return
+                        in_order(i, result)
+                        ordered += 1
+                        cond.notify_all()
+        except BaseException as exc:  # raised again below, on the calling thread
+            with cond:
+                error = error or exc
+                cond.notify_all()
+
+    futures = []
+    if lanes > 1:
+        import concurrent.futures
+        import contextvars
+        with _lane_lock:
+            if _lane_pool is None:
+                _lane_pool = concurrent.futures.ThreadPoolExecutor(
+                    max(_LANES, lanes) - 1, thread_name_prefix="dcd-lane")
+        futures = [_lane_pool.submit(contextvars.copy_context().run, lane_loop, lane)
+                   for lane in range(1, lanes)]
+    lane_loop(0)
+    for future in futures:
+        future.result()
+    if error is not None:
+        raise error
 
 
 def _tap_window(d: int, stride: int, pad: int, size: int, out: int) -> tuple[slice, slice] | None:
@@ -495,15 +640,27 @@ def _tap_window(d: int, stride: int, pad: int, size: int, out: int) -> tuple[sli
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
+def _outside(window: slice | None, out: int) -> list[slice]:
+    """The output positions outside ``window`` (all of them when None)."""
+    if window is None:
+        return [slice(0, out)]
+    return [s for s in (slice(0, window.start), slice(window.stop, out)) if s.start < s.stop]
+
+
 class _ConvChunks:
     """One cross-correlation of an [N,C,H,W] input with an [F,C,kh,kw] kernel
     bank, worked one chunk of samples at a time: the geometry, patches and
     backward that ``conv2d`` and ``conv_block`` share.
 
-    Each pass builds its chunks' patch matrices in one buffer, dropped when
-    the pass ends, and runs one GEMM per chunk for each product; the kernel
-    gradient adds the chunks' terms in chunk order.  So the bits depend on
-    the chunk spans, which ``_CONV_CHUNK_ELEMS`` and the shapes fix.
+    Each pass gives its chunks to ``lanes`` lanes (:func:`_in_lanes`) under
+    :func:`single_blas_thread`.  The calling thread allocates every lane's
+    buffers before the lanes start, so the pool's threads allocate no large
+    arrays; the buffers are dropped when the pass ends.  A chunk runs one
+    single-threaded GEMM for each product and writes only its own rows of
+    the output and of the input gradient; the kernel gradient adds the
+    chunks' terms in chunk order.  So the bits depend on the chunk spans,
+    which ``_CONV_CHUNK_ELEMS`` and the shapes fix, and on neither the
+    lanes nor the BLAS thread count.
     """
 
     def __init__(self, op: str, x: Tensor, k: Tensor, stride: int, pad: int):
@@ -525,57 +682,99 @@ class _ConvChunks:
         self.k2 = k.data.reshape(f, c * kh * kw)
         step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
         self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
-        # each tap (di, dj) in scan order, with the output window whose
-        # input lies inside the image and that input window
+        _blas()
+        self.lanes = min(_LANES, len(self.spans))
+        # each tap (di, dj) in scan order, with the output window whose input
+        # lies inside the image and that input window (None when there is
+        # none), and the output rows and columns outside it, its padding
         self.taps = []
         for di in range(kh):
             rows = _tap_window(di, stride, pad, h, ho)
             for dj in range(kw):
                 cols = _tap_window(dj, stride, pad, w, wo)
-                if rows is not None and cols is not None:
-                    self.taps.append((di, dj, (rows[0], cols[0]), (rows[1], cols[1])))
+                pads = [(r, slice(None)) for r in _outside(rows[0] if rows else None, ho)]
+                window = None
+                if rows is not None:
+                    pads += [(rows[0], c) for c in _outside(cols[0] if cols else None, wo)]
+                    if cols is not None:
+                        window = (rows[0], cols[0]), (rows[1], cols[1])
+                self.taps.append((di, dj, window, pads))
 
-    def _patches(self):
-        """Each chunk's span and contiguous [C*kh*kw, m*ho*wo] patch matrix,
-        rows in (channel, kernel row, kernel column) order and columns
-        sample-major, in chunk order.  Each tap copies the part of the images
-        it sees, so the padding stays zero."""
-        rows = self.spans[0].stop  # samples in a whole chunk
-        buf = np.zeros(self.k2.shape[1] * rows * self.ho * self.wo, dtype=np.float64)
-        for span in self.spans:
-            m = span.stop - span.start
-            cols = buf[:buf.size // rows * m].reshape(*self.kshape[1:], m, self.ho, self.wo)
-            if m < rows:  # a short last chunk: its padding lands on stale values
-                cols.fill(0.0)
-            xc = self.x[span].transpose(1, 0, 2, 3)
-            for di, dj, (oi, oj), (ii, ij) in self.taps:
-                cols[:, di, dj, :, oi, oj] = xc[:, :, ii, ij]
-            yield span, cols.reshape(self.k2.shape[1], -1)
+    def _lane_buffers(self, rows: int) -> list[np.ndarray]:
+        """One uninitialized buffer per lane, with room for a matrix of
+        ``rows`` rows and a whole chunk's ``m*ho*wo`` columns."""
+        return [np.empty(rows * self.spans[0].stop * self.ho * self.wo)
+                for _ in range(self.lanes)]
 
-    def forward(self):
-        """Each chunk's span and [m, F, ho, wo] output; the next chunk overwrites it."""
+    def _patches(self, span: slice, buf: np.ndarray) -> np.ndarray:
+        """The chunk's contiguous [C*kh*kw, m*ho*wo] patch matrix, written into
+        ``buf``: rows in (channel, kernel row, kernel column) order, columns
+        sample-major.  Each tap copies the part of the images it sees and
+        zeroes the rest, its padding."""
+        m = span.stop - span.start
+        cols = buf[:self.k2.shape[1] * m * self.ho * self.wo].reshape(
+            *self.kshape[1:], m, self.ho, self.wo)
+        xc = self.x[span].transpose(1, 0, 2, 3)
+        for di, dj, window, pads in self.taps:
+            tap = cols[:, di, dj]
+            for r, c in pads:
+                tap[:, :, r, c] = 0.0
+            if window is not None:
+                (oi, oj), (ii, ij) = window
+                tap[:, :, oi, oj] = xc[:, :, ii, ij]
+        return cols.reshape(self.k2.shape[1], -1)
+
+    def forward(self, take) -> None:
+        """Hand each chunk's [m, F, ho, wo] output to ``take(span, out)`` in
+        the chunk's lane; the lane's next chunk overwrites ``out``."""
         f = len(self.k2)
-        buf = np.empty(f * self.spans[0].stop * self.ho * self.wo, dtype=np.float64)
-        for span, patches in self._patches():
-            out = np.matmul(self.k2, patches, out=buf[:f * patches.shape[1]].reshape(f, -1))
-            yield span, out.reshape(f, -1, self.ho, self.wo).transpose(1, 0, 2, 3)
+        bufs = list(zip(self._lane_buffers(self.k2.shape[1]), self._lane_buffers(f)))
 
-    def backward(self, chunk_grads, need_x: bool, need_k: bool):
-        """``(dx, dk)`` from each chunk's [m, F, ho, wo] output gradient,
-        given as ``(span, g)`` pairs in chunk order; None for an operand
-        that is not differentiated."""
+        def run(i, lane):
+            span = self.spans[i]
+            patch_buf, out_buf = bufs[lane]
+            patches = self._patches(span, patch_buf)
+            out = np.matmul(self.k2, patches, out=out_buf[:f * patches.shape[1]].reshape(f, -1))
+            take(span, out.reshape(f, -1, self.ho, self.wo).transpose(1, 0, 2, 3))
+
+        with single_blas_thread():
+            _in_lanes(run, len(self.spans), self.lanes)
+
+    def backward(self, grad_into, need_x: bool, need_k: bool):
+        """``(dx, dk)``, None for an operand that is not differentiated.
+        ``grad_into(span, g2, lane)`` writes a chunk's output gradient, in
+        the lane, into ``g2``, a [F, m*ho*wo] matrix (GEMM layout)."""
+        f, ckk = self.k2.shape
         dk = np.zeros(self.k2.shape, dtype=np.float64) if need_k else None
         dx = np.zeros(self.x.shape, dtype=np.float64) if need_x else None
-        patches = self._patches() if need_k else None
-        for span, gc in chunk_grads:
-            g2 = gc.transpose(1, 0, 2, 3).reshape(len(self.k2), -1)
+        # per lane: the chunk's output gradient; its patch matrix, which its
+        # input gradient's patch columns then overwrite; its kernel-gradient term
+        bufs = list(zip(self._lane_buffers(f), self._lane_buffers(ckk),
+                        [np.empty(self.k2.shape) for _ in range(self.lanes)]))
+
+        def run(i, lane):
+            span = self.spans[i]
+            g_buf, cols_buf, term = bufs[lane]
+            columns = (span.stop - span.start) * self.ho * self.wo
+            g2 = g_buf[:f * columns].reshape(f, columns)
+            grad_into(span, g2, lane)
             if need_k:
-                dk += g2 @ next(patches)[1].T
+                np.matmul(g2, self._patches(span, cols_buf).T, out=term)
             if need_x:
-                dcols = (self.k2.T @ g2).reshape(*self.kshape[1:], -1, self.ho, self.wo)
+                dcols = np.matmul(self.k2.T, g2, out=cols_buf[:ckk * columns].reshape(ckk, -1))
+                dcols = dcols.reshape(*self.kshape[1:], -1, self.ho, self.wo)
                 dxc = dx[span].transpose(1, 0, 2, 3)
-                for di, dj, (oi, oj), (ii, ij) in self.taps:
-                    dxc[:, :, ii, ij] += dcols[:, di, dj, :, oi, oj]
+                for di, dj, window, _ in self.taps:
+                    if window is not None:
+                        (oi, oj), (ii, ij) = window
+                        dxc[:, :, ii, ij] += dcols[:, di, dj, :, oi, oj]
+            return term
+
+        def add(_i, term):
+            np.add(dk, term, out=dk)
+
+        with single_blas_thread():
+            _in_lanes(run, len(self.spans), self.lanes, add if need_k else None)
         return dx, (dk.reshape(self.kshape) if need_k else None)
 
 
@@ -587,13 +786,15 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     rebuilds each chunk's patches.
     """
     conv = _ConvChunks("conv2d", x, k, stride, pad)
-    out = np.empty((x.shape[0], k.shape[0], conv.ho, conv.wo), dtype=np.float64)
-    for span, chunk in conv.forward():
-        out[span] = chunk
+    f, ho, wo = k.shape[0], conv.ho, conv.wo
+    out = np.empty((x.shape[0], f, ho, wo), dtype=np.float64)
+    conv.forward(lambda span, chunk: np.copyto(out[span], chunk))
     need_x, need_k = _differentiates(x), _differentiates(k)
 
     def bwd(g):
-        return conv.backward(((span, g[span]) for span in conv.spans), need_x, need_k)
+        def grad_into(span, g2, _lane):
+            np.copyto(g2.reshape(f, -1, ho, wo), g[span].transpose(1, 0, 2, 3))
+        return conv.backward(grad_into, need_x, need_k)
 
     return _emit("conv2d", (x, k), out, bwd)
 
@@ -674,8 +875,10 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     Works on the chunks of samples ``conv2d`` uses: each chunk's conv
     output is pooled while it is fresh and only the pooled rows are kept,
     so the full-size conv output and its gradient exist one chunk at a
-    time.  Saves the input, the pool's winning positions (only on a tape
-    that differentiates ``x`` or ``k``) and the ReLU output.
+    time.  Backward writes each chunk's pool gradient straight into the
+    conv backward's GEMM layout.  Saves the input, the pool's winning
+    positions (only on a tape that differentiates ``x`` or ``k``) and the
+    ReLU output.
     """
     conv = _ConvChunks("conv_block", x, k, 1, 1)
     n, f = x.shape[0], k.shape[0]
@@ -685,17 +888,32 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     need_x, need_k = _differentiates(x), _differentiates(k)
     y = np.empty((n, f, po, qo), dtype=np.float64)
     arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
-    for span, conv_out in conv.forward():
+
+    def pool(span, conv_out):
         _max_windows(conv_out, regions, y[span], None if arg is None else arg[span])
         _relu_into(y[span], y[span])
 
+    conv.forward(pool)
+
     def bwd(g):
-        def chunk_grads():
-            for span in conv.spans:
-                gc = np.zeros((span.stop - span.start, f, ho, wo), dtype=np.float64)
-                _max_windows_backward(g[span] * (y[span] > 0.0), arg[span], regions, gc)
-                yield span, gc
-        return conv.backward(chunk_grads(), need_x, need_k)
+        # each lane's masked gradient and mask, [F, m, po, qo] like the GEMM layout
+        shape = (f, conv.spans[0].stop, po, qo)
+        scratch = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in range(conv.lanes)]
+
+        def grad_into(span, g2, lane):
+            m = span.stop - span.start
+            gm, mask = (buf[:, :m] for buf in scratch[lane])
+            np.greater(y[span].transpose(1, 0, 2, 3), 0.0, out=mask)
+            np.multiply(g[span].transpose(1, 0, 2, 3), mask, out=gm)
+            out = g2.reshape(f, m, ho, wo)
+            if (po * sh, qo * sw) != (ho, wo):  # the windows leave a last row or column
+                out.fill(0.0)
+            args = arg[span].transpose(1, 0, 2, 3)
+            # the windows do not overlap: each position is written once
+            for pos, region in enumerate(regions):
+                np.equal(args, pos, out=mask)
+                np.multiply(gm, mask, out=out[region])
+        return conv.backward(grad_into, need_x, need_k)
 
     return _emit("conv_block", (x, k), y, bwd)
 

@@ -8,6 +8,7 @@ float32/int64 tensors with little-endian payloads.  Writes are atomic
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -16,13 +17,13 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Tensor, collect_grads
+from .autodiff import Parameter, Tape, Tensor, collect_grads, single_blas_thread
 from .data import BatchPlan, Dataset, batches, channel_stats, eval_batches
 from .errors import CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError, \
     DomainError
 from .losses import DistillConfig, EmbeddingPair, LossBreakdown, cross_entropy_loss, \
     temperature_parameters, total_loss
-from .models import MODEL_CLASSES, Model, ModelSpec, ProjectionHead, init_weights
+from .models import MODEL_CLASSES, ConvNet, Model, ModelSpec, ProjectionHead, init_weights
 
 CHECKPOINT_MAGIC = b"DCDC"
 CHECKPOINT_VERSION = 1
@@ -263,17 +264,30 @@ def write_epoch_csv(logs: list[EpochLog], path: str) -> None:
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
+def _blas_pin(model):
+    """:func:`autodiff.single_blas_thread` for a ConvNet, whose conv passes run
+    their chunks on one lane per BLAS thread with single-threaded GEMMs;
+    nothing for other models, whose large GEMMs keep every BLAS thread.
+
+    The pin spans a whole fit or inference pass, not each conv: after a
+    multi-threaded GEMM, OpenBLAS's idle threads spin for a while and take
+    the cores from the lanes."""
+    return single_blas_thread() if isinstance(model, ConvNet) else contextlib.nullcontext()
+
+
 def inference(model: Model, dataset: Dataset, stats, batch_size: int, output, what: str):
     """The one inference pass: each batch of an in-order, unaugmented, untaped
     pass with ``output(features, logits)`` as an array, computed with numpy's
-    warnings muted; a non-finite output raises :class:`DomainError` naming ``what``.
+    warnings muted and under :func:`_blas_pin`; a non-finite output raises
+    :class:`DomainError` naming ``what``.
     """
-    for batch in eval_batches(dataset, stats, batch_size):
-        with np.errstate(**_QUIET):
-            out = output(*model.forward(batch.images)).data
-        if not np.isfinite(out).all():
-            raise DomainError(f"{what} on {dataset.name!r} are non-finite")
-        yield batch, out
+    with _blas_pin(model):
+        for batch in eval_batches(dataset, stats, batch_size):
+            with np.errstate(**_QUIET):
+                out = output(*model.forward(batch.images)).data
+            if not np.isfinite(out).all():
+                raise DomainError(f"{what} on {dataset.name!r} are non-finite")
+            yield batch, out
 
 
 def evaluate(model: Model, dataset: Dataset, stats, batch_size: int = 256) -> float:
@@ -292,6 +306,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     """The one SGD loop: ``optim.epochs`` epochs over ``batches()``, each
     followed by an evaluation of ``model`` on both splits unless
     ``epoch_logs`` is false, which skips the epoch logs and their evaluations.
+    The whole loop runs under :func:`_blas_pin`.
 
     ``step_loss(batch, step)`` builds the step's :class:`LossBreakdown` on
     a tape that differentiates only ``params``: it records no op whose
@@ -316,7 +331,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
     state: dict[int, np.ndarray] = {}
     logs: list[EpochLog] = []
     step = 0
-    with np.errstate(**_QUIET):
+    with np.errstate(**_QUIET), _blas_pin(model):
         for epoch in range(optim.epochs):
             lr = optim.lr_at(epoch)
             sums = np.zeros(len(_LOSS_COLUMNS))
@@ -403,9 +418,10 @@ def _frozen_teacher_outputs(teacher: Model, train: Dataset, stats,
     one in-order pass over the windows evaluation uses (:func:`eval_batches`)."""
     feats = np.empty((len(train), teacher.spec.feature_dim))
     logits = np.empty((len(train), teacher.spec.num_classes))
-    for batch in eval_batches(train, stats, batch_size):
-        f, z = _teacher_forward(teacher, batch.images, 0)
-        feats[batch.index], logits[batch.index] = f.data, z.data
+    with _blas_pin(teacher):
+        for batch in eval_batches(train, stats, batch_size):
+            f, z = _teacher_forward(teacher, batch.images, 0)
+            feats[batch.index], logits[batch.index] = f.data, z.data
     return feats, logits
 
 

@@ -1,8 +1,12 @@
 """Op-level forward values, backward rules and tape invariants."""
 
+import contextlib
+import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -454,7 +458,25 @@ def test_relu_nan_and_signed_zero():
 
 # The original loop kernels, kept as the reference the shipped ones must
 # match bitwise: forward values, gradients and whole training runs.  The
-# conv reference runs the shipped chunks' GEMMs over a padded copy instead.
+# conv reference runs the shipped chunks' GEMMs, single-threaded, over a
+# padded copy instead.  The shipped ones are checked at one lane and on two.
+
+LANE_COUNTS = (1, 2)
+
+
+@contextlib.contextmanager
+def lanes_pinned(count):
+    """Conv passes on ``count`` lanes with OpenBLAS pinned to one thread, as
+    in a ConvNet fit; two lanes take the lane path on any machine."""
+    ad._blas()
+    saved = ad._LANES
+    ad._LANES = count
+    try:
+        with ad.single_blas_thread():
+            yield
+    finally:
+        ad._LANES = saved
+
 
 def ref_relu(x):
     mask = x.data > 0.0
@@ -488,16 +510,18 @@ def ref_conv2d(x, k, stride=1, pad=0):
             cols[:, di, dj] = xs[:, :, ii, ij]
         return cols.reshape(c * kh * kw, -1)
 
-    out = np.concatenate([(k2 @ patches(span)).reshape(f, -1, ho, wo).transpose(1, 0, 2, 3)
-                          for span in spans])
+    with ad.single_blas_thread():  # the shipped GEMMs are single-threaded
+        out = np.concatenate([(k2 @ patches(span)).reshape(f, -1, ho, wo).transpose(1, 0, 2, 3)
+                              for span in spans])
 
     def bwd(g):
         dk = np.zeros(k2.shape, dtype=np.float64)
         buf = np.zeros(xp.shape, dtype=np.float64)
         for span in spans:
             g2 = g[span].transpose(1, 0, 2, 3).reshape(f, -1)
-            dk += g2 @ patches(span).T
-            dcols = (k2.T @ g2).reshape(c, kh, kw, -1, ho, wo)
+            with ad.single_blas_thread():
+                dk += g2 @ patches(span).T
+                dcols = (k2.T @ g2).reshape(c, kh, kw, -1, ho, wo)
             for di, dj, ii, ij in taps():
                 buf[span, :, ii, ij] += dcols[:, di, dj].transpose(1, 0, 2, 3)
         dx = buf[:, :, pad:pad + h, pad:pad + w]
@@ -571,16 +595,21 @@ def test_relu_matches_reference_bitwise(rng):
 
 @pytest.mark.parametrize("kshape,stride,pad", [((4, 3, 3, 3), 1, 1), ((4, 3, 3, 3), 2, 0),
                                                ((2, 3, 2, 3), 2, 1), ((5, 3, 1, 1), 1, 0)])
-def test_conv2d_matches_reference_bitwise(kshape, stride, pad, rng):
+def test_conv2d_matches_reference_bitwise(kshape, stride, pad, rng, monkeypatch):
     x = rng.uniform(-1, 1, (2, 3, 7, 6))
     k = rng.uniform(-1, 1, kshape)
     out = ad.conv2d(Tensor(x), Tensor(k), stride, pad)
     w = rng.uniform(-1.5, 1.5, out.shape)
-    got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
-    ref, ref_grads = value_and_grads(lambda a, b: ref_conv2d(a, b, stride, pad), [x, k], w)
-    assert_same_bits(got, ref)
-    for g, r in zip(grads, ref_grads):
-        assert_same_bits(g, r)
+    for lanes in LANE_COUNTS:
+        if lanes > 1:  # a chunk per sample, so that each lane gets one
+            monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", math.prod(kshape[1:]) * out.size
+                                // (out.shape[0] * out.shape[1]))
+        ref, ref_grads = value_and_grads(lambda a, b: ref_conv2d(a, b, stride, pad), [x, k], w)
+        with lanes_pinned(lanes):
+            got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
+        assert_same_bits(got, ref)
+        for g, r in zip(grads, ref_grads):
+            assert_same_bits(g, r)
 
 
 @pytest.mark.parametrize("hw,stride,pad", [(12, 1, 1), (20, 2, 0)])
@@ -593,11 +622,13 @@ def test_conv2d_chunks_match_reference_bitwise(hw, stride, pad, rng):
     x = rng.uniform(-1, 1, (n, c, hw, hw))
     k = rng.uniform(-1, 1, (f, c, kh, kw))
     w = rng.uniform(-1.5, 1.5, (n, f, ho, ho))
-    got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
     ref, ref_grads = value_and_grads(lambda a, b: ref_conv2d(a, b, stride, pad), [x, k], w)
-    assert_same_bits(got, ref)
-    for g, r in zip(grads, ref_grads):
-        assert_same_bits(g, r)
+    for lanes in LANE_COUNTS:
+        with lanes_pinned(lanes):
+            got, grads = value_and_grads(lambda a, b: ad.conv2d(a, b, stride, pad), [x, k], w)
+        assert_same_bits(got, ref)
+        for g, r in zip(grads, ref_grads):
+            assert_same_bits(g, r)
 
 
 def test_conv2d_peak_memory_below_one_batch_patch_matrix(rng):
@@ -682,17 +713,38 @@ def ref_conv_block(x, k):
     return ref_relu(ref_maxpool2d(ref_conv2d(x, k, 1, 1), 2))
 
 
-def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
-    shipped = tiny_convnet_run()
-    for name, fn in (("relu", ref_relu), ("conv2d", ref_conv2d), ("maxpool2d", ref_maxpool2d),
-                     ("conv_block", ref_conv_block)):
-        monkeypatch.setattr(ad, name, fn)
-    reference = tiny_convnet_run()
+def assert_same_runs(shipped, reference):
     for new, ref in zip(shipped, reference):
         assert list(new.tensors) == list(ref.tensors)
         for name in new.tensors:
             assert_same_bits(new.tensors[name], ref.tensors[name])
         assert new.metadata == ref.metadata
+
+
+def test_convnet_checkpoints_match_reference_kernels(monkeypatch):
+    shipped = {}
+    for lanes in LANE_COUNTS:
+        with lanes_pinned(lanes):
+            shipped[lanes] = tiny_convnet_run()
+    for name, fn in (("relu", ref_relu), ("conv2d", ref_conv2d), ("maxpool2d", ref_maxpool2d),
+                     ("conv_block", ref_conv_block)):
+        monkeypatch.setattr(ad, name, fn)
+    reference = tiny_convnet_run()
+    for run in shipped.values():
+        assert_same_runs(run, reference)
+
+
+def narrow_convnet_run():
+    """A teacher with a narrow second block: OpenBLAS splits its kernel-gradient
+    GEMM (8 rows) across threads and rounds it differently."""
+    rng = np.random.default_rng(3)
+    images = rng.uniform(0, 1, (80, 3, 24, 24)).astype(np.float32)
+    labels = np.arange(80, dtype=np.int64) % 10
+    train = Dataset(images[:64], labels[:64], 10, "train")
+    test = Dataset(images[64:], labels[64:], 10, "test")
+    ckpt, _ = train_teacher(ModelSpec("convnet", (16, 8), 10, (3, 24, 24)), train, test,
+                            OptimSpec(lr=0.01, epochs=1, seed=3), BatchPlan(64, 3))
+    return (ckpt,)
 
 
 def test_convnet_checkpoints_do_not_depend_on_blas_threads():
@@ -701,9 +753,9 @@ def test_convnet_checkpoints_do_not_depend_on_blas_threads():
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(dcd.__file__)))
     code = (f"import hashlib, sys; sys.path.insert(0, {tests!r}); "
-            "from test_autodiff import tiny_convnet_run; "
-            "print(hashlib.sha256(b''.join(t.tobytes() for c in tiny_convnet_run(128, 128) "
-            "for t in c.tensors.values())).hexdigest())")
+            "from test_autodiff import narrow_convnet_run, tiny_convnet_run; "
+            "[print(hashlib.sha256(b''.join(t.tobytes() for c in run for t in c.tensors.values()))"
+            ".hexdigest()) for run in (tiny_convnet_run(128, 128), narrow_convnet_run())]")
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, **{var: threads for var in BLAS_THREAD_VARS},
@@ -728,14 +780,14 @@ def old_order_forward(self, images):
 
 
 def test_pool_before_relu_keeps_convnet_checkpoints_bitwise(monkeypatch):
-    shipped = tiny_convnet_run()
+    shipped = {}
+    for lanes in LANE_COUNTS:
+        with lanes_pinned(lanes):
+            shipped[lanes] = tiny_convnet_run()
     monkeypatch.setattr(ConvNet, "forward", old_order_forward)
     reference = tiny_convnet_run()
-    for new, ref in zip(shipped, reference):
-        assert list(new.tensors) == list(ref.tensors)
-        for name in new.tensors:
-            assert_same_bits(new.tensors[name], ref.tensors[name])
-        assert new.metadata == ref.metadata
+    for run in shipped.values():
+        assert_same_runs(run, reference)
 
 
 @pytest.mark.parametrize("values", ["awkward", "ties"])
@@ -809,22 +861,79 @@ def test_conv_backward_keeps_no_patch_buffer(op, rng, monkeypatch):
         node.backward(np.ones(out.shape))
 
 
+def test_lanes_keep_the_order_the_context_and_the_first_error():
+    ad._blas()
+    lanes_used, ordered = set(), []
+
+    def task(i, lane):
+        lanes_used.add(lane)
+        time.sleep(0.005)  # so that the second lane takes items too
+        return np.sqrt(np.array([-1.0]))  # invalid: a warning unless muted
+    with np.errstate(invalid="ignore"):  # must reach the pool's thread
+        ad._in_lanes(task, 8, 2, lambda i, result: ordered.append(i))
+    assert ordered == list(range(8)) and lanes_used == {0, 1}
+
+    def failing(i, lane):
+        if i == 3:
+            raise ValueError("item 3")
+        time.sleep(0.001)
+    with pytest.raises(ValueError, match="item 3"):  # no lane waits for item 3 forever
+        ad._in_lanes(failing, 40, 2, lambda i, result: None)
+
+
+def test_lanes_and_pins_hold_under_stress(monkeypatch):
+    """More lanes than cores and a short switch interval: every item runs
+    once and reaches ``in_order`` in order, and pins overlapping across
+    threads keep OpenBLAS at one thread until the last one ends."""
+    ad._blas()
+    monkeypatch.setattr(ad, "_lane_pool", None)  # three threads for four lanes
+    start = ad.blas_threads()
+    runs, ordered, inside = [], [], []
+
+    def pin_often():
+        for _ in range(200):
+            with ad.single_blas_thread(), ad.single_blas_thread():
+                inside.append(ad.blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ad._in_lanes(lambda i, lane: runs.append(i) or i, 300, 4,
+                     lambda i, result: ordered.append(result))
+        threads = [threading.Thread(target=pin_often) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        ad._lane_pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(runs) == ordered == list(range(300))
+    assert len(inside) == 1200 and set(inside) <= {1, None}
+    assert ad._pins == 0 and ad.blas_threads() == start
+
+
 def test_convnet_step_peak_memory(rng):
     spec, _ = convnet_pair((3, 32, 32), 100)  # the shipped teacher
     model = init_weights(spec, 0)
     images = Tensor(rng.uniform(0, 1, (32, 3, 32, 32)))
     labels = rng.integers(0, 100, 32)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            _, logits = model.forward(images)
-            tape.backward(cross_entropy_loss(logits, labels))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 31.1 MB with one GEMM per chunk (32.3 MB with per-sample GEMMs, 33.6 MB
-    # as three ops); 47.9 MB when the tape kept the full-size ReLU output
-    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+    for lanes in LANE_COUNTS:  # tracemalloc sees every thread
+        with lanes_pinned(lanes):
+            tracemalloc.start()
+            try:
+                with Tape() as tape:
+                    _, logits = model.forward(images)
+                    tape.backward(cross_entropy_loss(logits, labels))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 13.3 and 18.5 MB on one and two lanes; 31.1 MB with chunks of 4 MB of
+        # patches, each pool gradient zeroed and copied (32.3 MB with
+        # per-sample GEMMs, 33.6 MB as three ops); 47.9 MB when the tape kept
+        # the full-size ReLU output
+        assert peak < 40e6, f"{lanes} lanes: peak {peak / 1e6:.1f} MB"
 
 
 def block_composition(x, k):
@@ -858,14 +967,18 @@ def test_conv_block_matches_composition_bitwise(case, rng, monkeypatch):
         assert len(ad._ConvChunks("conv_block", Tensor(x), Tensor(k), 1, 1).spans) == 3
     w = rng.uniform(-1.5, 1.5, (shape[0], kshape[0], shape[2] // 2, shape[3] // 2))
     track_x = case != "untracked_x"
-    got = block_value_and_grads(ad.conv_block, x, k, w, track_x)
-    ref = block_value_and_grads(block_composition, x, k, w, track_x)
-    for a, b in zip(got, ref):
-        if b is None:
-            assert a is None
-        else:
-            assert_same_bits(a, b)
-    assert (got[1] is None) == (not track_x)
+    for lanes in LANE_COUNTS:
+        if lanes > 1 and case != "chunks":  # a chunk per sample, so that each lane gets one
+            monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", 3 * 9 * shape[2] * shape[3])
+        with lanes_pinned(lanes):
+            got = block_value_and_grads(ad.conv_block, x, k, w, track_x)
+            ref = block_value_and_grads(block_composition, x, k, w, track_x)
+        for a, b in zip(got, ref):
+            if b is None:
+                assert a is None
+            else:
+                assert_same_bits(a, b)
+        assert (got[1] is None) == (not track_x)
 
 
 def test_convnet_forward_records_one_node_per_block(rng):
@@ -884,18 +997,22 @@ def test_convnet_step_peak_memory_at_128_rows(rng):
     images = Tensor(rng.uniform(0, 1, (128, 3, 32, 32)))
     labels = rng.integers(0, 100, 128)
     params = [p.value for p in model.parameters()]
-    tracemalloc.start()
-    try:
-        model.forward(images)
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with Tape(params) as tape:
-            _, logits = model.forward(images)
-            tape.backward(cross_entropy_loss(logits, labels))
-        step_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 47.0 and 17.7 MB with one conv_block op per block; 69.4 and 42.0 MB
-    # when the full-size conv output and its pool gradient were held
-    assert step_peak < 60e6, f"step peak {step_peak / 1e6:.1f} MB"
-    assert forward_peak < 30e6, f"forward peak {forward_peak / 1e6:.1f} MB"
+    for lanes in LANE_COUNTS:  # tracemalloc sees every thread
+        with lanes_pinned(lanes):
+            tracemalloc.start()
+            try:
+                model.forward(images)
+                forward_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                with Tape(params) as tape:
+                    _, logits = model.forward(images)
+                    tape.backward(cross_entropy_loss(logits, labels))
+                step_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 33.1 and 14.8 MB on one lane, 36.6 and 17.2 MB on two; 47.0 and
+        # 17.7 MB with chunks of 4 MB of patches, each pool gradient zeroed
+        # and copied; 69.4 and 42.0 MB when the full-size conv output and its
+        # pool gradient were held
+        assert step_peak < 60e6, f"{lanes} lanes: step peak {step_peak / 1e6:.1f} MB"
+        assert forward_peak < 30e6, f"{lanes} lanes: forward peak {forward_peak / 1e6:.1f} MB"

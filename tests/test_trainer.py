@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from dcd import autodiff as ad
 from dcd.autodiff import Parameter, Tape, Tensor, collect_grads
 from dcd.data import BatchPlan, Dataset, batches, synth_blob_split
-from dcd.errors import CheckpointFormatError, ConfigError
+from dcd.errors import CheckpointFormatError, ConfigError, DivergenceError
 from dcd.losses import DistillConfig
+from dcd.metrics import linear_probe
 from dcd.models import ModelSpec, init_weights, mlp_pair
 from dcd import train as train_mod
 from dcd.cli import EXIT_CHECKPOINT, main
@@ -674,3 +676,59 @@ def test_epoch_csv_schema(tmp_path, blob_env):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "epoch,sup,distill_kl,contrast,consist,total,tau,train_acc,test_acc"
     assert len(lines) == 3
+
+
+@pytest.fixture
+def blas_sets(monkeypatch):
+    """Each thread count training sets on OpenBLAS, in order, and the count
+    it started with."""
+    control = ad._blas()
+    if not control:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread control")
+    get, put = control
+    sets = []
+    monkeypatch.setattr(ad, "_BLAS", (get, lambda n: sets.append(n) or put(n)))
+    return sets, ad.blas_threads()
+
+
+def tiny_convnet_data(rng):
+    images = rng.uniform(0, 1, (48, 2, 8, 8)).astype(np.float32)
+    labels = np.arange(48, dtype=np.int64) % 2
+    return Dataset(images[:32], labels[:32], 2, "train"), Dataset(images[32:], labels[32:], 2, "test")
+
+
+def test_convnet_training_pins_blas_to_one_thread_and_restores_it(blas_sets, rng, monkeypatch):
+    sets, start = blas_sets
+    train, test = tiny_convnet_data(rng)
+    spec = ModelSpec("convnet", (3, 4), 2, (2, 8, 8))
+    optim = OptimSpec(lr=0.1, epochs=1, seed=0)
+    seen = []
+    loss = train_mod.cross_entropy_loss
+
+    def observed(logits, labels):
+        seen.append(ad.blas_threads())
+        return loss(logits, labels)
+
+    monkeypatch.setattr(train_mod, "cross_entropy_loss", observed)
+    train_teacher(spec, train, test, optim, BatchPlan(16, 0))
+    assert seen == [1, 1]  # one pin spans the whole fit and its evaluations
+    assert sets == [1, start] and ad.blas_threads() == start
+
+    def nan_on_second_step(logits, labels):
+        return Tensor(np.float64("nan")) if len(seen) == 3 else observed(logits, labels)
+
+    sets.clear()
+    monkeypatch.setattr(train_mod, "cross_entropy_loss", nan_on_second_step)
+    with pytest.raises(DivergenceError):
+        train_teacher(spec, train, test, optim, BatchPlan(16, 0))
+    assert sets == [1, start] and ad.blas_threads() == start
+
+
+def test_mlp_fit_and_linear_probe_never_pin_blas(blas_sets, blob_env):
+    sets, start = blas_sets
+    train, test, teacher_spec, _ = blob_env
+    ckpt, _ = train_teacher(teacher_spec, train, test, OptimSpec(lr=0.1, epochs=1, seed=0),
+                            BatchPlan(32, 0))
+    linear_probe(restore_model(ckpt), train, test, stats_from_metadata(ckpt.metadata),
+                 epochs=1, seed=0)
+    assert sets == [] and ad.blas_threads() == start

@@ -20,7 +20,11 @@ so that the echoed ``out_dir`` is the same on every call:
   ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too;
 - a ConvNet teacher and a DCD+KD ConvNet student trained with
   ``augment=flip+crop`` on small seeded 3x8x8 images, so the table covers
-  ``autodiff.conv_block`` and the frozen teacher's per-batch forward pass.
+  ``autodiff.conv_block`` and the frozen teacher's per-batch forward pass;
+- a narrow ConvNet teacher, widths (16, 8), on 64 seeded 3x24x24 images
+  in one batch: its blocks run over several chunks of samples, and
+  OpenBLAS would split its second block's kernel-gradient GEMM across
+  threads.
 
 A change that keeps every run's bits prints the same table as its parent:
 
@@ -131,7 +135,7 @@ def blob_rows(work: str) -> list[tuple[str, str]]:
 
 def convnet_rows(work: str) -> list[tuple[str, str]]:
     """Two classes of 3x8x8 images: uniform noise, with the class in the
-    first channel's brightness."""
+    first channel's brightness; then ten classes of 3x24x24 noise."""
     rng = np.random.default_rng(2024)
     images = rng.uniform(0.0, 0.5, (64, 3, 8, 8)).astype(np.float32)
     labels = np.arange(64) % 2
@@ -141,11 +145,19 @@ def convnet_rows(work: str) -> list[tuple[str, str]]:
     t_ckpt, t_logs = train_teacher(ModelSpec("convnet", (4, 8), 2, (3, 8, 8)), train, test,
                                    OptimSpec(lr=0.05, epochs=2, seed=3),
                                    BatchPlan(16, 3, "flip+crop"))
-    return [saved(work, "convnet teacher", t_ckpt, t_logs),
+    rows = [saved(work, "convnet teacher", t_ckpt, t_logs),
             saved(work, "convnet dcd_kd", *distill(
                 t_ckpt, ModelSpec("convnet", (2, 4), 2, (3, 8, 8)), train, test,
                 DistillConfig(proj_dim=4), OptimSpec(lr=0.05, epochs=3, seed=4),
                 BatchPlan(16, 4, "flip+crop")))]
+    images = rng.uniform(0.0, 1.0, (80, 3, 24, 24)).astype(np.float32)
+    labels = np.arange(80) % 10
+    train = Dataset(images[:64], labels[:64], 10, "images24-train")
+    test = Dataset(images[64:], labels[64:], 10, "images24-test")
+    rows.append(saved(work, "convnet narrow teacher", *train_teacher(
+        ModelSpec("convnet", (16, 8), 10, (3, 24, 24)), train, test,
+        OptimSpec(lr=0.01, epochs=1, seed=3), BatchPlan(64, 3))))
+    return rows
 
 
 def main() -> int:
