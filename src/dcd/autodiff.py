@@ -550,6 +550,17 @@ def blas_threads() -> int | None:
     return control[0]() if control else None
 
 
+def set_blas_threads(count: int) -> None:
+    """Give numpy's OpenBLAS ``count`` threads and conv passes as many lanes,
+    outside any :func:`single_blas_thread` pin; without OpenBLAS thread
+    control it does nothing."""
+    global _LANES
+    control = _blas()
+    if control:
+        control[1](count)
+        _LANES = count
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Pin OpenBLAS to one thread inside the block, restoring the count it had

@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from .autodiff import set_blas_threads
 from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
                    synth_blob_split)
 from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
@@ -41,8 +42,6 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 EXIT_CHECKPOINT = 4
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_count(text: str) -> int:
@@ -380,35 +379,21 @@ def _sweep_inputs(cfg: dict, teacher_path: str) -> tuple:
     return teacher_ckpt, spec, train, test, cfg["out_dir"]
 
 
-# The sweep inputs every run shares, loaded once per worker process by the
-# pool initializer.
+# The sweep inputs every run shares, set in each worker process by the pool
+# initializer.
 _worker_shared: tuple | None = None
 
 
-def _init_ablation_worker(cfg: dict, teacher_path: str, start) -> None:
-    """Wait until the parent closes ``start``, then load the shared inputs."""
+def _init_ablation_worker(shared: tuple, threads: int) -> None:
+    """Keep the inherited ``shared`` inputs and give this worker ``threads``
+    BLAS threads and conv lanes."""
     global _worker_shared
-    start.poll(None)  # end of file: every worker has been started
-    _worker_shared = _sweep_inputs(cfg, teacher_path)
+    _worker_shared = shared
+    set_blas_threads(threads)
 
 
 def _ablation_worker_run(task: tuple) -> tuple[int, int, float, str]:
     return _ablation_run(_worker_shared, task)
-
-
-@contextlib.contextmanager
-def _blas_threads(count: int):
-    """Set the BLAS thread count that processes started inside inherit."""
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update({var: str(count) for var in BLAS_THREAD_VARS})
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                del os.environ[var]
-            else:
-                os.environ[var] = value
 
 
 def _submit(pool, task: tuple) -> concurrent.futures.Future:
@@ -421,37 +406,36 @@ def _submit(pool, task: tuple) -> concurrent.futures.Future:
         return future
 
 
-def _run_in_workers(cfg: dict, teacher_path: str, tasks: list[tuple], jobs: int) -> list[tuple]:
-    """Run sweep tasks in spawned processes; rows come back in task order.
+def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int) -> list[tuple]:
+    """Run sweep tasks in forked worker processes; rows come back in task order.
 
     Tasks are submitted longest first: those with ``beta != 0``, whose
     runs build the projection pipeline and take about twice as long, then
     the rest, each group in task order.  In task order the last long run
     can start when the other workers have nothing left to take.
 
-    The CPUs are split between the workers: each gets
-    ``cpu_count // workers`` BLAS threads (at least one), so the workers'
-    BLAS pools do not oversubscribe the machine.  Each worker's
-    initializer loads the shared inputs with :func:`_sweep_inputs`.  No
-    worker takes a task before the pool has started every worker: the pool
-    can lose track of a worker it is still starting when another one dies,
-    and then waits for it forever.  A task whose worker died gets a failed
-    row carrying the error text.
+    Each worker is forked from this process, so it inherits the imports
+    and ``shared``, the inputs :func:`_sweep_inputs` loaded and checked
+    here; only the tasks and their rows are pickled.  The CPUs are split
+    between the workers: each gets ``cpu_count // workers`` BLAS threads
+    and conv lanes (at least one), so the workers do not oversubscribe the
+    machine; this process keeps its own.  Under fork the pool starts every
+    worker at the first submit, before its manager thread hands out a task,
+    so it cannot lose track of a worker it is still starting when another
+    one dies.  A task whose worker died gets a failed row carrying the
+    error text.
     """
     # Imported here so that commands without worker processes do not pay for it.
     import multiprocessing
 
     workers = min(jobs, len(tasks))
-    context = multiprocessing.get_context("spawn")
-    start_reader, start_writer = context.Pipe(duplex=False)
-    with start_reader, concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_init_ablation_worker,
-            initargs=(cfg, teacher_path, start_reader)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_ablation_worker,
+            initargs=(shared, max(1, (os.cpu_count() or 1) // workers))) as pool:
         futures: list = [None] * len(tasks)
-        # Workers start on submit and read the BLAS variables at start-up.
-        with start_writer, _blas_threads(max(1, (os.cpu_count() or 1) // workers)):
-            for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
-                futures[index] = _submit(pool, tasks[index])
+        for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
+            futures[index] = _submit(pool, tasks[index])
         rows = []
         for (cell_index, seed_index, *_), future in zip(tasks, futures):
             try:
@@ -467,16 +451,11 @@ def cmd_ablate(cfg: dict, args) -> int:
 
     Every run's configuration is built and checked before any run starts.
     With ``--jobs`` above 1 the runs go to up to that many worker processes
-    started with the spawn method, runs with ``beta != 0`` first (see
-    :func:`_run_in_workers`); each worker loads the teacher and the
-    datasets once from their files, as this process does, so those files
-    must not change while the sweep runs: a worker would read the new
-    ones, which this process has not checked.  Either way the rows of
-    ``summary.csv`` stay in grid order, then seed order.  Spawned workers
-    import the caller's main module again, so a script that calls
-    :func:`main` with ``--jobs`` above 1 must do so under an
-    ``if __name__ == "__main__":`` guard.  Exit code 3 when every run
-    failed.
+    forked from this one, runs with ``beta != 0`` first (see
+    :func:`_run_in_workers`); each worker inherits the teacher and the
+    datasets this process loaded and checked, and reads no file of them
+    again.  Either way the rows of ``summary.csv`` stay in grid order, then
+    seed order.  Exit code 3 when every run failed.
     """
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -494,7 +473,7 @@ def cmd_ablate(cfg: dict, args) -> int:
     echo_config(cfg, out_dir)
     shared = _sweep_inputs(cfg, args.teacher)
     if args.jobs > 1:
-        rows = _run_in_workers(cfg, args.teacher, tasks, args.jobs)
+        rows = _run_in_workers(shared, tasks, args.jobs)
     else:
         rows = [_ablation_run(shared, task) for task in tasks]
 

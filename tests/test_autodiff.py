@@ -16,8 +16,8 @@ from conftest import central_difference, rel_err
 
 import dcd
 from dcd import autodiff as ad
+from dcd import cli
 from dcd.autodiff import Parameter, Tape, Tensor
-from dcd.cli import BLAS_THREAD_VARS
 from dcd.data import BatchPlan, Dataset
 from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
@@ -747,6 +747,9 @@ def narrow_convnet_run():
     return (ckpt,)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_convnet_checkpoints_do_not_depend_on_blas_threads():
     """``ablate --jobs 2`` workers run with fewer BLAS threads, and a chunk's
     conv GEMMs are large enough for the BLAS to split across threads."""
@@ -765,6 +768,34 @@ def test_convnet_checkpoints_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
     assert len(digests) == 1
+
+
+def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path):
+    """``ablate --jobs`` workers fork from a process whose lane pool is alive,
+    and whose threads the child has not (``_after_fork``).  One worker gets
+    every CPU, so on more than one it runs its conv passes on lanes too.
+    Each cell matches its run in this process bitwise."""
+    rng = np.random.default_rng(7)
+    images = rng.uniform(0, 1, (48, 3, 24, 24)).astype(np.float32)
+    labels = np.arange(48, dtype=np.int64) % 4
+    train = Dataset(images[:32], labels[:32], 4, "train")
+    test = Dataset(images[32:], labels[32:], 4, "test")
+    spec = ModelSpec("convnet", (4, 4), 4, (3, 24, 24))
+    optim = OptimSpec(lr=0.01, epochs=1, seed=3)
+    plan = BatchPlan(batch_size=32, shuffle_seed=3)  # two chunks per block-1 pass
+    with lanes_pinned(2):
+        teacher, _ = train_teacher(spec, train, test, optim, plan)
+    assert ad._lane_pool is not None
+    tasks = [(cell, 0, {"beta": beta}, DistillConfig(beta=beta, proj_dim=4), optim, plan)
+             for cell, beta in enumerate((0.0, 1.0))]
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    rows = cli._run_in_workers((teacher, spec, train, test, str(forked)), tasks, 1)
+    assert rows == [cli._ablation_run((teacher, spec, train, test, str(inline)), task)
+                    for task in tasks]
+    for cell in range(len(tasks)):
+        for name in ("student.ckpt", "epochs.csv", "config.txt"):
+            run = f"cell{cell}-seed0"
+            assert (forked / run / name).read_bytes() == (inline / run / name).read_bytes()
 
 
 def old_order_forward(self, images):

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -12,9 +13,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from dcd import autodiff as ad
 from dcd import cli, models
-from dcd.cli import (BLAS_THREAD_VARS, EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA,
-                     EXIT_DIVERGENCE, EXIT_OK, main, parse_grid, resolve_config)
+from dcd.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main,
+                     parse_grid, resolve_config)
 from dcd.errors import ConfigError
 from dcd.losses import DistillConfig
 from dcd.train import OptimSpec, load_checkpoint, save_checkpoint
@@ -578,20 +580,45 @@ def test_ablate_summary_rows(teacher_run, tmp_path):
         assert run_dir_complete(os.path.join(out, cell))
 
 
-def test_ablate_jobs_do_not_change_results(teacher_run, tmp_path):
-    """Workers run with fewer BLAS threads; every run's files stay byte-identical."""
-    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
-    env_before = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+def test_ablate_jobs_do_not_change_results(teacher_run, tmp_path, monkeypatch):
+    """Workers run with fewer BLAS threads on the inputs this process checked,
+    even when the teacher file is gone before they start; every run's files
+    stay byte-identical."""
+    sweep_inputs = cli._sweep_inputs
+
+    def load_then_delete_teacher(cfg, teacher_path):
+        shared = sweep_inputs(cfg, teacher_path)
+        os.remove(teacher_path)
+        return shared
+
+    monkeypatch.setattr(cli, "_sweep_inputs", load_then_delete_teacher)
     outs = {}
     for jobs in ("1", "2"):
         outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert main(["ablate", "--teacher", teacher_ckpt, "--out", str(outs[jobs]),
+        teacher_ckpt = tmp_path / f"teacher{jobs}.ckpt"
+        shutil.copyfile(os.path.join(teacher_run, "teacher.ckpt"), teacher_ckpt)
+        assert main(["ablate", "--teacher", str(teacher_ckpt), "--out", str(outs[jobs]),
                      "--grid", "beta=0,1", "--seeds", "2", "--jobs", jobs] + FAST) == EXIT_OK
-    assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == env_before
+        assert not teacher_ckpt.exists()
     for run in ("cell0-seed0", "cell0-seed1", "cell1-seed0", "cell1-seed1"):
         for name in ("student.ckpt", "epochs.csv"):
             assert (outs["1"] / run / name).read_bytes() == (outs["2"] / run / name).read_bytes()
     assert (outs["1"] / "summary.csv").read_text() == (outs["2"] / "summary.csv").read_text()
+
+
+def test_sweep_workers_split_blas_threads_and_lanes(monkeypatch):
+    """Each of two workers gets ``cpu_count // 2`` BLAS threads and as many
+    conv lanes; this process keeps its own.  A forked worker runs the
+    ``_ablation_run`` patched here, which reports them."""
+    if ad.blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS offers no thread control")
+    before = (ad.blas_threads(), ad._LANES)
+    monkeypatch.setattr(cli, "_ablation_run", lambda shared, task: (
+        task[0], task[1], ad.blas_threads(), ad._LANES))
+    tasks = [(cell, 0, None, DistillConfig(), None, None) for cell in range(4)]
+    want = max(1, (os.cpu_count() or 1) // 2)
+    assert cli._run_in_workers(None, tasks, 2) == [(cell, 0, want, want) for cell in range(4)]
+    assert (ad.blas_threads(), ad._LANES) == before
 
 
 class _BreakingPool:
@@ -601,8 +628,7 @@ class _BreakingPool:
     ok = 0
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
-        cfg, teacher_path, _start = initargs
-        self.shared = cli._sweep_inputs(cfg, teacher_path)
+        self.shared, _threads = initargs
         self.broken = False
 
     def __enter__(self):
@@ -675,9 +701,9 @@ def test_sweep_submits_runs_with_projections_first(teacher_run, tmp_path, monkey
 
 # A script calling the CLI with the beta != 0 runs' batch plans replaced by an
 # object that kills the worker process unpickling it; those runs are submitted
-# first, so the first worker dies on its first task.  Run as a file, it is
-# imported again by each spawned worker, which slows their start as a real
-# script's import would.
+# first, so the first worker dies on its first task: the tasks are pickled to
+# the forked workers.  The script needs no ``__main__`` guard, since no worker
+# imports it.
 _CRASHING_SWEEP = """
 import os, sys
 from dcd import cli
@@ -686,10 +712,9 @@ class Crash:
     def __reduce__(self):
         return (os._exit, (7,))
 
-if __name__ == "__main__":
-    plan = cli._plan
-    cli._plan = lambda cfg: Crash() if cfg["beta"] != 0.0 else plan(cfg)
-    sys.exit(cli.main(sys.argv[1:]))
+plan = cli._plan
+cli._plan = lambda cfg: Crash() if cfg["beta"] != 0.0 else plan(cfg)
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
