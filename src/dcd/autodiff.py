@@ -518,6 +518,19 @@ def _after_fork() -> None:
 os.register_at_fork(after_in_child=_after_fork)
 
 
+def stop_lanes() -> None:
+    """End the lane pool's threads, after any lane still running; the next
+    pass on more than one lane makes the pool again.  Called before a
+    fork: a child forked while other threads run can inherit a lock one of
+    them held, and Python 3.12 warns of it (OpenBLAS ends its own threads
+    at fork)."""
+    global _lane_pool
+    with _lane_lock:
+        pool, _lane_pool = _lane_pool, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
 def _blas() -> tuple:
     global _BLAS, _LANES
     with _lane_lock:

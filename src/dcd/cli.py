@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import set_blas_threads
+from .autodiff import set_blas_threads, stop_lanes
 from .data import (BatchPlan, Dataset, parse_cifar10, parse_cifar100, parse_mnist_idx,
                    synth_blob_split)
 from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
@@ -416,19 +416,23 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int) -> list[tuple]
 
     Each worker is forked from this process, so it inherits the imports
     and ``shared``, the inputs :func:`_sweep_inputs` loaded and checked
-    here; only the tasks and their rows are pickled.  The CPUs are split
-    between the workers: each gets ``cpu_count // workers`` BLAS threads
-    and conv lanes (at least one), so the workers do not oversubscribe the
-    machine; this process keeps its own.  Under fork the pool starts every
-    worker at the first submit, before its manager thread hands out a task,
-    so it cannot lose track of a worker it is still starting when another
-    one dies.  A task whose worker died gets a failed row carrying the
-    error text.
+    here; only the tasks and their rows are pickled.  The lane pool's
+    threads are ended first, so that no thread of this process is alive
+    when the workers fork.  Where numpy's OpenBLAS thread control is found,
+    the CPUs are split between the workers: each gets ``cpu_count //
+    workers`` BLAS threads and conv lanes (at least one), so the workers do
+    not oversubscribe the machine; this process keeps its own.  Without it
+    (MKL, or an OpenBLAS this module cannot reach) each worker keeps this
+    process's BLAS threads and one lane.  Under fork the pool starts every worker at the
+    first submit, before its manager thread hands out a task, so it cannot
+    lose track of a worker it is still starting when another one dies.  A
+    task whose worker died gets a failed row carrying the error text.
     """
     # Imported here so that commands without worker processes do not pay for it.
     import multiprocessing
 
     workers = min(jobs, len(tasks))
+    stop_lanes()
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_ablation_worker,

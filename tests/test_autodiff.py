@@ -770,11 +770,19 @@ def test_convnet_checkpoints_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
-def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path):
-    """``ablate --jobs`` workers fork from a process whose lane pool is alive,
-    and whose threads the child has not (``_after_fork``).  One worker gets
-    every CPU, so on more than one it runs its conv passes on lanes too.
-    Each cell matches its run in this process bitwise."""
+def os_threads():
+    """The threads of this process, as the kernel counts them."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])
+
+
+def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path, monkeypatch):
+    """``ablate --jobs`` workers fork from a process whose lane pool is alive.
+    The pool's threads are ended first, so the process forks with no thread
+    but its own (Python 3.12 warns on a fork with others alive; OpenBLAS
+    ends its threads itself), and the next lane pass makes the pool again.
+    One worker gets every CPU, so on more than one it runs its conv passes
+    on lanes too.  Each cell matches its run in this process bitwise."""
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, (48, 3, 24, 24)).astype(np.float32)
     labels = np.arange(48, dtype=np.int64) % 4
@@ -786,12 +794,26 @@ def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path):
     with lanes_pinned(2):
         teacher, _ = train_teacher(spec, train, test, optim, plan)
     assert ad._lane_pool is not None
+    threads_at_fork = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            threads_at_fork.append(os_threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     tasks = [(cell, 0, {"beta": beta}, DistillConfig(beta=beta, proj_dim=4), optim, plan)
              for cell, beta in enumerate((0.0, 1.0))]
     forked, inline = tmp_path / "forked", tmp_path / "inline"
     rows = cli._run_in_workers((teacher, spec, train, test, str(forked)), tasks, 1)
-    assert rows == [cli._ablation_run((teacher, spec, train, test, str(inline)), task)
-                    for task in tasks]
+    assert threads_at_fork == [1]
+    assert ad._lane_pool is None
+    with lanes_pinned(2):
+        assert rows == [cli._ablation_run((teacher, spec, train, test, str(inline)), task)
+                        for task in tasks]
+    assert ad._lane_pool is not None
     for cell in range(len(tasks)):
         for name in ("student.ckpt", "epochs.csv", "config.txt"):
             run = f"cell{cell}-seed0"

@@ -3,9 +3,9 @@
     python tools/ab.py PARENT CHANGE --workload W --pairs N --seed S --out BENCH_<pr>.json
 
 PARENT and CHANGE are git revisions of this repository.  Pair i runs
-``python3 perfbench/run.py --workload W --seed S+i --seconds X --trace 0``
-once on each side, the parent first in even pairs and the change first
-in odd ones.  Before each run the side's tree is extracted with ``git
+``python3 perfbench/run.py --workload W --seed S+i --trace 0`` once on
+each side, for the run length ``run.py`` itself sets, the parent first
+in even pairs and the change first in odd ones.  Before each run the side's tree is extracted with ``git
 archive`` into the same directory, and removed after it, so both sides
 run from one path: the checkout's path alone moves end-to-end times by
 up to 15%.  ``perfbench/run.py`` is each side's own, called unchanged.
@@ -16,9 +16,9 @@ workload already in that file: the per-pair values of every end-to-end
 metric in the change's BENCHMARK.json (plus ``error_rate``), each side's
 median and quartiles, and for each metric the count of pairs the change
 wins, loses and ties by the metric's ``better`` direction.  It also
-holds the revisions and their ``src`` trees, the seeds, the run length,
-each run's repetition count and failed operations, and the machine,
-Python, numpy and BLAS versions that ``perfbench/worker.py`` reports.
+holds the revisions and their ``src`` trees, the seeds, each run's
+repetition count and failed operations, and the machine, Python, numpy
+and BLAS versions that ``perfbench/worker.py`` reports.
 The tool is not part of the test suite.
 """
 
@@ -50,14 +50,14 @@ def extract(sha: str, tree: str) -> None:
         tar.extractall(tree, filter="data")
 
 
-def run_side(sha: str, tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_side(sha: str, tree: str, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run of ``sha`` from ``tree``: its metric values,
     repetition count, failed operations and run metadata."""
     extract(sha, tree)
     try:
         proc = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                                "--workload", workload, "--seed", str(seed),
-                               "--seconds", repr(seconds), "--trace", "0"],
+                               "--trace", "0"],
                               cwd=tree, capture_output=True, text=True)
         lines = proc.stdout.strip().splitlines()
         if not lines:
@@ -108,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i uses seed+i")
-    p.add_argument("--seconds", type=float, default=55.0)
     p.add_argument("--out", required=True, help="JSON record to write or extend")
     args = p.parse_args(argv)
 
@@ -126,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_side(shas[side], tree, args.workload, seed, args.seconds)
+                pair[side] = run_side(shas[side], tree, args.workload, seed)
             pairs.append(pair)
             print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{name} {pair['parent']['values'][name]:.4g}/"
@@ -136,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     meta = pairs[0]["parent"]["meta"]
     record = {
-        "parent": shas["parent"], "change": shas["change"], "seconds": args.seconds,
+        "parent": shas["parent"], "change": shas["change"],
         # the trees outlive a rewritten commit
         "src_trees": {side: git("rev-parse", f"{sha}:src").decode().strip()
                       for side, sha in shas.items()},
