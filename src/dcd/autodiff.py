@@ -653,24 +653,6 @@ def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
         raise error
 
 
-def _tap_window(d: int, stride: int, pad: int, size: int, out: int) -> tuple[slice, slice] | None:
-    """The output positions o whose input ``o * stride + d - pad`` lies in
-    ``[0, size)``, and those inputs, as a pair of slices; None if none do."""
-    lo = max(0, -((d - pad) // stride))
-    hi = min(out, (size - 1 + pad - d) // stride + 1)
-    if hi <= lo:
-        return None
-    start = lo * stride + d - pad
-    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
-
-
-def _outside(window: slice | None, out: int) -> list[slice]:
-    """The output positions outside ``window`` (all of them when None)."""
-    if window is None:
-        return [slice(0, out)]
-    return [s for s in (slice(0, window.start), slice(window.stop, out)) if s.start < s.stop]
-
-
 class _ConvChunks:
     """One cross-correlation of an [N,C,H,W] input with an [F,C,kh,kw] kernel
     bank, worked one chunk of samples at a time: the geometry, patches and
@@ -685,6 +667,11 @@ class _ConvChunks:
     chunks' terms in chunk order.  So the bits depend on the chunk spans,
     which ``_CONV_CHUNK_ELEMS`` and the shapes fix, and on neither the
     lanes nor the BLAS thread count.
+
+    Each lane holds one zero-bordered buffer for its chunk's padded input.
+    The patches copy each tap's strided window of it; the input gradient
+    adds each tap's patch-gradient rows into that window, in tap order,
+    and copies out the interior.
     """
 
     def __init__(self, op: str, x: Tensor, k: Tensor, stride: int, pad: int):
@@ -708,21 +695,7 @@ class _ConvChunks:
         self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
         _blas()
         self.lanes = min(_LANES, len(self.spans))
-        # each tap (di, dj) in scan order, with the output window whose input
-        # lies inside the image and that input window (None when there is
-        # none), and the output rows and columns outside it, its padding
-        self.taps = []
-        for di in range(kh):
-            rows = _tap_window(di, stride, pad, h, ho)
-            for dj in range(kw):
-                cols = _tap_window(dj, stride, pad, w, wo)
-                pads = [(r, slice(None)) for r in _outside(rows[0] if rows else None, ho)]
-                window = None
-                if rows is not None:
-                    pads += [(rows[0], c) for c in _outside(cols[0] if cols else None, wo)]
-                    if cols is not None:
-                        window = (rows[0], cols[0]), (rows[1], cols[1])
-                self.taps.append((di, dj, window, pads))
+        self.stride, self.pad = stride, pad
 
     def _lane_buffers(self, rows: int) -> list[np.ndarray]:
         """One uninitialized buffer per lane, with room for a matrix of
@@ -730,34 +703,50 @@ class _ConvChunks:
         return [np.empty(rows * self.spans[0].stop * self.ho * self.wo)
                 for _ in range(self.lanes)]
 
-    def _patches(self, span: slice, buf: np.ndarray) -> np.ndarray:
+    def _padded_buffers(self) -> list[np.ndarray]:
+        """One zeroed [C, m, H+2*pad, W+2*pad] buffer per lane, room for a
+        whole chunk; its border is zero whenever a chunk starts."""
+        _, c, h, w = self.x.shape
+        return [np.zeros((c, self.spans[0].stop, h + 2 * self.pad, w + 2 * self.pad))
+                for _ in range(self.lanes)]
+
+    def _taps(self, padded: np.ndarray) -> list[np.ndarray]:
+        """Each tap's [C, m, ho, wo] strided window of a chunk's padded
+        input, in (kernel row, kernel column) scan order."""
+        s, kh, kw = self.stride, *self.kshape[2:]
+        rows, cols = (self.ho - 1) * s + 1, (self.wo - 1) * s + 1
+        return [padded[:, :, di:di + rows:s, dj:dj + cols:s]
+                for di in range(kh) for dj in range(kw)]
+
+    def _interior(self, padded: np.ndarray) -> np.ndarray:
+        p, (h, w) = self.pad, self.x.shape[2:]
+        return padded[:, :, p:p + h, p:p + w]
+
+    def _patches(self, span: slice, buf: np.ndarray, padded: np.ndarray) -> np.ndarray:
         """The chunk's contiguous [C*kh*kw, m*ho*wo] patch matrix, written into
         ``buf``: rows in (channel, kernel row, kernel column) order, columns
-        sample-major.  Each tap copies the part of the images it sees and
-        zeroes the rest, its padding."""
+        sample-major.  The chunk is copied into the interior of ``padded``,
+        whose zero border is its padding, and each tap copies its window."""
         m = span.stop - span.start
-        cols = buf[:self.k2.shape[1] * m * self.ho * self.wo].reshape(
-            *self.kshape[1:], m, self.ho, self.wo)
-        xc = self.x[span].transpose(1, 0, 2, 3)
-        for di, dj, window, pads in self.taps:
-            tap = cols[:, di, dj]
-            for r, c in pads:
-                tap[:, :, r, c] = 0.0
-            if window is not None:
-                (oi, oj), (ii, ij) = window
-                tap[:, :, oi, oj] = xc[:, :, ii, ij]
+        c = self.kshape[1]
+        cols = buf[:self.k2.shape[1] * m * self.ho * self.wo].reshape(c, -1, m, self.ho, self.wo)
+        padded = padded[:, :m]
+        np.copyto(self._interior(padded), self.x[span].transpose(1, 0, 2, 3))
+        for t, window in enumerate(self._taps(padded)):
+            cols[:, t] = window
         return cols.reshape(self.k2.shape[1], -1)
 
     def forward(self, take) -> None:
         """Hand each chunk's [m, F, ho, wo] output to ``take(span, out)`` in
         the chunk's lane; the lane's next chunk overwrites ``out``."""
         f = len(self.k2)
-        bufs = list(zip(self._lane_buffers(self.k2.shape[1]), self._lane_buffers(f)))
+        bufs = list(zip(self._lane_buffers(self.k2.shape[1]), self._lane_buffers(f),
+                        self._padded_buffers()))
 
         def run(i, lane):
             span = self.spans[i]
-            patch_buf, out_buf = bufs[lane]
-            patches = self._patches(span, patch_buf)
+            patch_buf, out_buf, padded = bufs[lane]
+            patches = self._patches(span, patch_buf, padded)
             out = np.matmul(self.k2, patches, out=out_buf[:f * patches.shape[1]].reshape(f, -1))
             take(span, out.reshape(f, -1, self.ho, self.wo).transpose(1, 0, 2, 3))
 
@@ -770,28 +759,31 @@ class _ConvChunks:
         the lane, into ``g2``, a [F, m*ho*wo] matrix (GEMM layout)."""
         f, ckk = self.k2.shape
         dk = np.zeros(self.k2.shape, dtype=np.float64) if need_k else None
-        dx = np.zeros(self.x.shape, dtype=np.float64) if need_x else None
+        dx = np.empty(self.x.shape, dtype=np.float64) if need_x else None
         # per lane: the chunk's output gradient; its patch matrix, which its
-        # input gradient's patch columns then overwrite; its kernel-gradient term
+        # input gradient's patch columns then overwrite; its kernel-gradient
+        # term; its padded input, which its padded input gradient then overwrites
         bufs = list(zip(self._lane_buffers(f), self._lane_buffers(ckk),
-                        [np.empty(self.k2.shape) for _ in range(self.lanes)]))
+                        [np.empty(self.k2.shape) for _ in range(self.lanes)],
+                        self._padded_buffers()))
 
         def run(i, lane):
             span = self.spans[i]
-            g_buf, cols_buf, term = bufs[lane]
-            columns = (span.stop - span.start) * self.ho * self.wo
-            g2 = g_buf[:f * columns].reshape(f, columns)
+            g_buf, cols_buf, term, padded = bufs[lane]
+            m = span.stop - span.start
+            g2 = g_buf[:f * m * self.ho * self.wo].reshape(f, -1)
             grad_into(span, g2, lane)
             if need_k:
-                np.matmul(g2, self._patches(span, cols_buf).T, out=term)
+                np.matmul(g2, self._patches(span, cols_buf, padded).T, out=term)
             if need_x:
-                dcols = np.matmul(self.k2.T, g2, out=cols_buf[:ckk * columns].reshape(ckk, -1))
-                dcols = dcols.reshape(*self.kshape[1:], -1, self.ho, self.wo)
-                dxc = dx[span].transpose(1, 0, 2, 3)
-                for di, dj, window, _ in self.taps:
-                    if window is not None:
-                        (oi, oj), (ii, ij) = window
-                        dxc[:, :, ii, ij] += dcols[:, di, dj, :, oi, oj]
+                dcols = np.matmul(self.k2.T, g2, out=cols_buf[:ckk * g2.shape[1]].reshape(ckk, -1))
+                dcols = dcols.reshape(self.kshape[1], -1, m, self.ho, self.wo)
+                dpadded = padded[:, :m]
+                dpadded.fill(0.0)
+                for t, window in enumerate(self._taps(dpadded)):
+                    window += dcols[:, t]
+                np.copyto(dx[span].transpose(1, 0, 2, 3), self._interior(dpadded))
+                dpadded.fill(0.0)  # the next chunk's padding
             return term
 
         def add(_i, term):

@@ -69,19 +69,32 @@ def _labels(raw: np.ndarray, classes: int, what: str, start: int, stride: int) -
     return labels
 
 
-def _parse_cifar(raw: bytes, record: int, label_byte: int, classes: int,
+def _parse_cifar(parts, sizes: list[int], record: int, label_byte: int, classes: int,
                  what: str = "label", rows: int | None = None) -> Dataset:
     """``cifar{classes}`` records of ``record`` bytes: the label at
     ``label_byte`` (named ``what`` in errors), then the 3072 pixel bytes;
-    earlier bytes are dropped.  Every record is checked; only the first
-    ``rows`` (all when None) are kept and converted to float."""
-    if len(raw) % record != 0:
-        raise FormatError(f"payload length {len(raw)} is not a multiple of {record}",
-                          offset=len(raw) - len(raw) % record)
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(len(raw) // record, record)
-    labels = _labels(arr[:, label_byte], classes, what, label_byte, record)[:rows]
-    images = arr[:rows, label_byte + 1:].reshape(len(labels), 3, 32, 32).astype(np.float32)
-    images /= 255.0  # in place: one float copy of the kept rows at a time
+    earlier bytes are dropped.  ``parts`` yields the split's buffers in
+    turn, of ``sizes`` bytes each and each of whole records, so that only
+    one is held at a time; error offsets count from the start of their
+    join.  Every record is checked; only the first ``rows`` (all when None)
+    are kept, and only their pixel bytes are converted to float."""
+    keep = sum(size // record for size in sizes)
+    keep = keep if rows is None else min(rows, keep)
+    images = np.empty((keep, 3, 32, 32), dtype=np.float32)
+    labels = np.empty(keep, dtype=np.int64)
+    start = kept = 0
+    for raw in parts:
+        if len(raw) % record != 0:
+            raise FormatError(f"payload length {len(raw)} is not a multiple of {record}",
+                              offset=start + len(raw) - len(raw) % record)
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(len(raw) // record, record)
+        part = _labels(arr[:, label_byte], classes, what, start + label_byte, record)
+        n = min(len(arr), keep - kept)
+        labels[kept:kept + n] = part[:n]
+        images[kept:kept + n] = arr[:n, label_byte + 1:].reshape(n, 3, 32, 32)
+        kept, start = kept + n, start + len(raw)
+        del raw, arr  # before the next part is read
+    images /= 255.0  # in place: the kept rows' one float copy
     return Dataset(images, labels, classes, f"cifar{classes}")
 
 
@@ -93,7 +106,14 @@ def _serialize_cifar(ds: Dataset, *prefix: np.ndarray) -> bytes:
 
 
 def parse_cifar10(raw: bytes, rows: int | None = None) -> Dataset:
-    return _parse_cifar(raw, CIFAR10_RECORD, 0, 10, rows=rows)
+    return _parse_cifar([raw], [len(raw)], CIFAR10_RECORD, 0, 10, rows=rows)
+
+
+def parse_cifar10_parts(parts, sizes: list[int], rows: int | None = None) -> Dataset:
+    """The CIFAR-10 records of buffers read in turn (the five training batch
+    files), equal to :func:`parse_cifar10` of their join: ``parts`` yields
+    the buffers, of ``sizes`` bytes each and each of whole records."""
+    return _parse_cifar(parts, sizes, CIFAR10_RECORD, 0, 10, rows=rows)
 
 
 def serialize_cifar10(ds: Dataset) -> bytes:
@@ -102,7 +122,7 @@ def serialize_cifar10(ds: Dataset) -> bytes:
 
 def parse_cifar100(raw: bytes, rows: int | None = None) -> Dataset:
     # byte 0 is the coarse label and is deliberately dropped
-    return _parse_cifar(raw, CIFAR100_RECORD, 1, 100, "fine label", rows)
+    return _parse_cifar([raw], [len(raw)], CIFAR100_RECORD, 1, 100, "fine label", rows)
 
 
 def serialize_cifar100(ds: Dataset, coarse: np.ndarray | None = None) -> bytes:

@@ -612,7 +612,7 @@ def test_conv2d_matches_reference_bitwise(kshape, stride, pad, rng, monkeypatch)
             assert_same_bits(g, r)
 
 
-@pytest.mark.parametrize("hw,stride,pad", [(12, 1, 1), (20, 2, 0)])
+@pytest.mark.parametrize("hw,stride,pad", [(12, 1, 1), (20, 2, 0), (15, 2, 2)])
 def test_conv2d_chunks_match_reference_bitwise(hw, stride, pad, rng):
     c, f, kh, kw = 16, 8, 3, 3
     ho = (hw + 2 * pad - kh) // stride + 1

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from concurrent.futures.process import BrokenProcessPool
 
@@ -17,7 +18,7 @@ from dcd import autodiff as ad
 from dcd import cli, models
 from dcd.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main,
                      parse_grid, resolve_config)
-from dcd.errors import ConfigError
+from dcd.errors import ConfigError, FormatError
 from dcd.losses import DistillConfig
 from dcd.train import OptimSpec, load_checkpoint, save_checkpoint
 
@@ -1083,15 +1084,47 @@ def _cifar10_dir(path, rows_per_file):
 
 
 def test_cifar10_batches_load_as_their_join(tmp_path):
+    """The split, read one file at a time, equals the parse of the joined
+    files, also at a train_limit inside file 2, and a bad label in file 4
+    has its offset in the join."""
     from dcd.data import parse_cifar10
-    names = _cifar10_dir(tmp_path, [1, 2, 3, 4, 5, 2])
+    names = _cifar10_dir(tmp_path, [3, 4, 5, 6, 7, 2])
     joined = b"".join((tmp_path / name).read_bytes() for name in names[:5])
     assert cli._read_files(str(tmp_path), names[:5]) == joined
-    train, _ = cli.load_datasets(cli.resolve_config(
-        None, {"dataset": "cifar10", "data_dir": str(tmp_path)}))
-    whole = parse_cifar10(joined)
-    assert train.images.tobytes() == whole.images.tobytes()
-    assert np.array_equal(train.labels, whole.labels)
+    cfg = cli.resolve_config(None, {"dataset": "cifar10", "data_dir": str(tmp_path)})
+    for limit in (0, 5):
+        train, _ = cli.load_datasets({**cfg, "train_limit": limit})
+        whole = parse_cifar10(joined, rows=limit or None)
+        assert train.images.tobytes() == whole.images.tobytes()
+        assert np.array_equal(train.labels, whole.labels)
+        assert (train.images.dtype, train.labels.dtype) == (np.float32, np.int64)
+
+    fourth = tmp_path / names[3]
+    raw = bytearray(fourth.read_bytes())
+    raw[2 * 3073] = 10  # the label of file 4's third record
+    fourth.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as joined_error:
+        parse_cifar10(b"".join((tmp_path / name).read_bytes() for name in names[:5]))
+    with pytest.raises(FormatError) as loaded_error:
+        cli.load_datasets({**cfg, "train_limit": 5})
+    assert loaded_error.value.offset == joined_error.value.offset == (3 + 4 + 5 + 2) * 3073
+
+
+def test_cifar10_load_holds_one_batch_file_and_the_kept_rows(tmp_path):
+    names = _cifar10_dir(tmp_path, [200] * 5 + [1])
+    limit = 300  # inside file 2
+    file_bytes = (tmp_path / names[0]).stat().st_size
+    kept_bytes = limit * 3072 * 4  # float32 pixels
+    cfg = cli.resolve_config(None, {"dataset": "cifar10", "data_dir": str(tmp_path),
+                                    "train_limit": str(limit)})
+    tracemalloc.start()
+    try:
+        train, = cli.load_datasets(cfg, ("training",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(train) == limit
+    assert peak < 1.1 * (file_bytes + kept_bytes), f"peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

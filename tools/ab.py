@@ -19,7 +19,21 @@ wins, loses and ties by the metric's ``better`` direction.  It also
 holds the revisions and their ``src`` trees, the seeds, each run's
 repetition count and failed operations, and the machine, Python, numpy
 and BLAS versions that ``perfbench/worker.py`` reports.
-The tool is not part of the test suite.
+
+Each metric also gets a verdict, printed at the end, by its relative
+``bound`` in BENCHMARK.json:
+
+- ``gain``: the change wins at least 9 of 10 pairs (a tie counts for
+  neither side) and its median beats the parent's by more than the
+  parent's IQR;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound times the parent's median; for a metric without a bound
+  (``error_rate``), worse at all;
+- ``unresolved``: neither, and either side's IQR exceeds the bound times
+  its median, unless every change run beats every parent run;
+- ``unchanged``: otherwise.
+
+The tool runs no test; ``summarize`` has one in ``tests/test_ab.py``.
 """
 
 from __future__ import annotations
@@ -80,7 +94,9 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float | None]) -> dict:
+    """Each metric's spread on both sides, pair counts and verdict."""
     out = {}
     for name, direction in better.items():
         parent = [p["parent"]["values"][name] for p in pairs]
@@ -89,13 +105,26 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         diffs = [sign * (c - p) for p, c in zip(parent, change)]
         p_stats, c_stats = spread(parent), spread(change)
         gap = sign * (c_stats["median"] - p_stats["median"])
+        wins = sum(d > 0 for d in diffs)
+        bound = bounds.get(name)
+        every_run_better = min(sign * v for v in change) > max(sign * v for v in parent)
+        if wins >= 0.9 * len(pairs) and gap > p_stats["iqr"]:
+            verdict = "gain"
+        elif gap < -(0.0 if bound is None else bound * abs(p_stats["median"])):
+            verdict = "worse"
+        elif (bound is not None and not every_run_better
+              and any(s["iqr"] > bound * abs(s["median"]) for s in (p_stats, c_stats))):
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
         out[name] = {
             "better": direction, "parent": p_stats, "change": c_stats,
             "median_change": (c_stats["median"] / p_stats["median"] - 1.0
                               if p_stats["median"] else None),
-            "change_wins": sum(d > 0 for d in diffs), "change_loses": sum(d < 0 for d in diffs),
+            "change_wins": wins, "change_loses": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
             "gap_exceeds_parent_iqr": gap > p_stats["iqr"],
+            "bound": bound, "verdict": verdict,
         }
     return out
 
@@ -116,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better["error_rate"] = "lower"
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     scratch = tempfile.mkdtemp(prefix="ab-")
     tree = os.path.join(scratch, "tree")  # both sides, every run
     pairs = []
@@ -143,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {key: meta.get(key) for key in ("cpu_model", "nproc", "cpu_affinity",
                                                    "python", "numpy", "blas_vendor",
                                                    "blas_threads")},
-        "metrics": summarize(pairs, better),
+        "metrics": summarize(pairs, better, bounds),
         "pairs": [{"seed": pair["seed"], "first": pair["first"],
                    **{side: {key: pair[side][key] for key in
                              ("values", "repeat_count", "attempted", "failed")}
@@ -159,9 +189,10 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, m in record["metrics"].items():
-        print(f"{args.workload} {name}: {m['parent']['median']:.6g} -> "
+        print(f"{args.workload} {name}: {m['verdict']}, {m['parent']['median']:.6g} -> "
               f"{m['change']['median']:.6g}, change better in {m['change_wins']}/{len(pairs)}, "
-              f"worse in {m['change_loses']}, parent IQR {m['parent']['iqr']:.4g}")
+              f"worse in {m['change_loses']}, IQR {m['parent']['iqr']:.4g} / "
+              f"{m['change']['iqr']:.4g}")
     return 0
 
 
