@@ -719,6 +719,7 @@ class _ConvChunks:
                 for di in range(kh) for dj in range(kw)]
 
     def _interior(self, padded: np.ndarray) -> np.ndarray:
+        """The [C, m, H, W] images inside a padded buffer's border."""
         p, (h, w) = self.pad, self.x.shape[2:]
         return padded[:, :, p:p + h, p:p + w]
 
@@ -728,8 +729,8 @@ class _ConvChunks:
         sample-major.  The chunk is copied into the interior of ``padded``,
         whose zero border is its padding, and each tap copies its window."""
         m = span.stop - span.start
-        c = self.kshape[1]
-        cols = buf[:self.k2.shape[1] * m * self.ho * self.wo].reshape(c, -1, m, self.ho, self.wo)
+        cols = buf[:self.k2.shape[1] * m * self.ho * self.wo].reshape(
+            self.kshape[1], -1, m, self.ho, self.wo)
         padded = padded[:, :m]
         np.copyto(self._interior(padded), self.x[span].transpose(1, 0, 2, 3))
         for t, window in enumerate(self._taps(padded)):
@@ -779,7 +780,7 @@ class _ConvChunks:
                 dcols = np.matmul(self.k2.T, g2, out=cols_buf[:ckk * g2.shape[1]].reshape(ckk, -1))
                 dcols = dcols.reshape(self.kshape[1], -1, m, self.ho, self.wo)
                 dpadded = padded[:, :m]
-                dpadded.fill(0.0)
+                dpadded.fill(0.0)  # the patches left the chunk's input here
                 for t, window in enumerate(self._taps(dpadded)):
                     window += dcols[:, t]
                 np.copyto(dx[span].transpose(1, 0, 2, 3), self._interior(dpadded))

@@ -23,9 +23,9 @@ and BLAS versions that ``perfbench/worker.py`` reports.
 Each metric also gets a verdict, printed at the end, by its relative
 ``bound`` in BENCHMARK.json:
 
-- ``gain``: the change wins at least 9 of 10 pairs (a tie counts for
-  neither side) and its median beats the parent's by more than the
-  parent's IQR;
+- ``gain``: the change wins at least nine tenths of the pairs (a tie
+  counts for neither side) and its median beats the parent's by more
+  than the parent's IQR;
 - ``worse``: the change's median is worse than the parent's by more than
   the bound times the parent's median; for a metric without a bound
   (``error_rate``), worse at all;
@@ -33,7 +33,8 @@ Each metric also gets a verdict, printed at the end, by its relative
   its median, unless every change run beats every parent run;
 - ``unchanged``: otherwise.
 
-The tool runs no test; ``summarize`` has one in ``tests/test_ab.py``.
+The tool is not part of the test suite; ``tests/test_ab.py`` checks
+``summarize``.
 """
 
 from __future__ import annotations
