@@ -25,8 +25,7 @@ import sys
 import numpy as np
 
 from .autodiff import set_blas_threads, stop_lanes
-from .data import (BatchPlan, Dataset, parse_cifar10_parts, parse_cifar100, parse_mnist_idx,
-                   synth_blob_split)
+from .data import BatchPlan, Dataset, load_split, synth_blob_split
 from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
                      DomainError, FormatError, ShapeMismatchError)
 from .losses import DistillConfig
@@ -164,66 +163,11 @@ def echo_config(cfg: dict, out_dir: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-@contextlib.contextmanager
-def _opened(data_dir: str, names: list[str]):
-    """The files, all opened at once, and their sizes then."""
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(os.path.join(data_dir, name), "rb")) for name in names]
-        yield files, [os.fstat(fh.fileno()).st_size for fh in files]
-
-
-def _fill(fh, buf):
-    """``buf``, filled with the whole of ``fh``; a file of another length is
-    a :class:`FormatError`."""
-    if fh.readinto(buf) != len(buf) or fh.read(1):
-        raise FormatError(f"{fh.name!r} changed size while it was read")
-    return buf
-
-
-def _read_files(data_dir: str, names: list[str]) -> bytearray:
-    """The files' bytes joined in one buffer, each file read straight into its place."""
-    with _opened(data_dir, names) as (files, sizes):
-        buf, start = bytearray(sum(sizes)), 0
-        for fh, size in zip(files, sizes):
-            _fill(fh, memoryview(buf)[start:start + size])
-            start += size
-    return buf
-
-
-def _joined(parse, *groups: list[str]):
-    """A split loaded by ``parse(*buffers, rows)``, each buffer joined from a group of files."""
-    return lambda data_dir, rows: parse(*[_read_files(data_dir, names) for names in groups],
-                                        rows)
-
-
-def _in_turn(parse, names: list[str]):
-    """A split loaded by ``parse(parts, sizes, rows)`` from files read one at a time."""
-    def load(data_dir, rows):
-        with _opened(data_dir, names) as (files, sizes):
-            return parse((_fill(fh, bytearray(size)) for fh, size in zip(files, sizes)),
-                         sizes, rows)
-    return load
-
-
-# dataset -> {split: load(data_dir, rows)}
-DATA_FILES: dict = {
-    "cifar10": {"training": _in_turn(parse_cifar10_parts,
-                                     [f"data_batch_{i}.bin" for i in range(1, 6)]),
-                "test": _in_turn(parse_cifar10_parts, ["test_batch.bin"])},
-    "cifar100": {"training": _joined(parse_cifar100, ["train.bin"]),
-                 "test": _joined(parse_cifar100, ["test.bin"])},
-    "mnist": {"training": _joined(parse_mnist_idx, ["train-images-idx3-ubyte"],
-                                  ["train-labels-idx1-ubyte"]),
-              "test": _joined(parse_mnist_idx, ["t10k-images-idx3-ubyte"],
-                              ["t10k-labels-idx1-ubyte"])},
-}
-
-
 def load_datasets(cfg: dict, splits: tuple[str, ...] = ("training", "test")
                   ) -> tuple[Dataset, ...]:
     """The dataset's ``splits``, by default ``(train, test)``.  A file dataset
-    reads only those splits' files, CIFAR-10's one at a time, and converts
-    only the first ``train_limit`` training rows to float."""
+    reads only those splits' files, one file at a time (:func:`data.load_split`),
+    and converts only the first ``train_limit`` training rows to float."""
     kind, data_dir = cfg["dataset"], cfg["data_dir"]
     if kind == "blobs":
         if cfg["train_limit"]:
@@ -240,12 +184,10 @@ def load_datasets(cfg: dict, splits: tuple[str, ...] = ("training", "test")
             train = fold_clusters(train, cfg["blob_classes"])
             test = fold_clusters(test, cfg["blob_classes"])
         return tuple({"training": train, "test": test}[split] for split in splits)
-    if kind not in DATA_FILES:
-        raise ConfigError(f"unknown dataset {kind!r}")
     loaded = []
     for split in splits:
         limit = (cfg["train_limit"] or None) if split == "training" else None
-        ds = DATA_FILES[kind][split](data_dir, limit)
+        ds = load_split(kind, split, data_dir, limit)
         if limit:
             ds = Dataset(ds.images, ds.labels, ds.class_count, f"{ds.name}[:{limit}]")
         if len(ds) == 0:

@@ -1,15 +1,20 @@
-"""Dataset parsing, synthetic blobs, and deterministic batch assembly.
+"""Dataset files and parsing, synthetic blobs, and deterministic batch assembly.
 
 Binary parsers are bit-exact: CIFAR-10 records are 3073 bytes (label +
 3072 RGB plane bytes), CIFAR-100 records are 3074 bytes (coarse label,
 fine label, pixels), and the IDX format uses big-endian headers with
-magics 0x00000803 (images) and 0x00000801 (labels).  Images are stored
-float32 in [0, 1] and widened to float64 at batch assembly.
+magics 0x00000803 (images) and 0x00000801 (labels).  :func:`load_split`
+reads every file dataset: ``FILE_DATASETS`` names each split's files and
+parser, and the files are read one at a time.  Images are stored float32
+in [0, 1] and widened to float64 at batch assembly.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,8 +74,8 @@ def _labels(raw: np.ndarray, classes: int, what: str, start: int, stride: int) -
     return labels
 
 
-def _parse_cifar(parts, sizes: list[int], record: int, label_byte: int, classes: int,
-                 what: str = "label", rows: int | None = None) -> Dataset:
+def _parse_cifar(record: int, label_byte: int, classes: int, what: str, parts,
+                 sizes: list[int], rows: int | None = None) -> Dataset:
     """``cifar{classes}`` records of ``record`` bytes: the label at
     ``label_byte`` (named ``what`` in errors), then the 3072 pixel bytes;
     earlier bytes are dropped.  ``parts`` yields the split's buffers in
@@ -105,15 +110,13 @@ def _serialize_cifar(ds: Dataset, *prefix: np.ndarray) -> bytes:
     return np.concatenate([*columns, pixels], axis=1).tobytes()
 
 
+_cifar10 = functools.partial(_parse_cifar, CIFAR10_RECORD, 0, 10, "label")
+# byte 0 is the coarse label and is deliberately dropped
+_cifar100 = functools.partial(_parse_cifar, CIFAR100_RECORD, 1, 100, "fine label")
+
+
 def parse_cifar10(raw: bytes, rows: int | None = None) -> Dataset:
-    return _parse_cifar([raw], [len(raw)], CIFAR10_RECORD, 0, 10, rows=rows)
-
-
-def parse_cifar10_parts(parts, sizes: list[int], rows: int | None = None) -> Dataset:
-    """The CIFAR-10 records of buffers read in turn (the five training batch
-    files), equal to :func:`parse_cifar10` of their join: ``parts`` yields
-    the buffers, of ``sizes`` bytes each and each of whole records."""
-    return _parse_cifar(parts, sizes, CIFAR10_RECORD, 0, 10, rows=rows)
+    return _cifar10([raw], [len(raw)], rows)
 
 
 def serialize_cifar10(ds: Dataset) -> bytes:
@@ -121,8 +124,7 @@ def serialize_cifar10(ds: Dataset) -> bytes:
 
 
 def parse_cifar100(raw: bytes, rows: int | None = None) -> Dataset:
-    # byte 0 is the coarse label and is deliberately dropped
-    return _parse_cifar([raw], [len(raw)], CIFAR100_RECORD, 1, 100, "fine label", rows)
+    return _cifar100([raw], [len(raw)], rows)
 
 
 def serialize_cifar100(ds: Dataset, coarse: np.ndarray | None = None) -> bytes:
@@ -166,6 +168,44 @@ def serialize_mnist_idx(ds: Dataset) -> tuple[bytes, bytes]:
     images_bytes = struct.pack(">IIII", IDX_IMAGE_MAGIC, m, h, w) + pixels.tobytes()
     labels_bytes = struct.pack(">II", IDX_LABEL_MAGIC, m) + ds.labels.astype(np.uint8).tobytes()
     return images_bytes, labels_bytes
+
+
+def _mnist(parts, _sizes: list[int], rows: int | None = None) -> Dataset:
+    """:func:`parse_mnist_idx` of the two buffers ``parts`` yields, images first."""
+    return parse_mnist_idx(*parts, rows)
+
+
+# dataset -> {split: (parse(parts, sizes, rows), the split's file names in order)}
+FILE_DATASETS: dict = {
+    "cifar10": {"training": (_cifar10, [f"data_batch_{i}.bin" for i in range(1, 6)]),
+                "test": (_cifar10, ["test_batch.bin"])},
+    "cifar100": {"training": (_cifar100, ["train.bin"]), "test": (_cifar100, ["test.bin"])},
+    "mnist": {"training": (_mnist, ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"]),
+              "test": (_mnist, ["t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"])},
+}
+
+
+def _fill(fh, buf):
+    """``buf``, filled with the whole of ``fh``; a file of another length is
+    a :class:`FormatError`."""
+    if fh.readinto(buf) != len(buf) or fh.read(1):
+        raise FormatError(f"{fh.name!r} changed size while it was read")
+    return buf
+
+
+def load_split(kind: str, split: str, data_dir: str, rows: int | None = None) -> Dataset:
+    """The ``split`` of file dataset ``kind`` in ``data_dir``, its first
+    ``rows`` kept (all when None).  The split's files are opened together
+    and sized then, and read one at a time, each into a fresh buffer that
+    the parser drops before the next is read."""
+    if kind not in FILE_DATASETS:
+        raise ConfigError(f"unknown dataset {kind!r}")
+    parse, names = FILE_DATASETS[kind][split]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(os.path.join(data_dir, name), "rb")) for name in names]
+        sizes = [os.fstat(fh.fileno()).st_size for fh in files]
+        # a generator expression: no frame of ours holds a buffer while the next is read
+        return parse((_fill(fh, bytearray(size)) for fh, size in zip(files, sizes)), sizes, rows)
 
 
 def _blob_means(classes: int, dim: int, separation: float, rng: np.random.Generator) -> np.ndarray:

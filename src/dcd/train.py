@@ -167,7 +167,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
+        name_start = r.pos
         name = r.text(name_len, "tensor name")
+        if name in tensors:
+            raise CheckpointFormatError(f"duplicate tensor name {name!r}", offset=name_start)
         tag, ndim = r.unpack("<BB")
         if tag not in _DTYPES:
             raise CheckpointFormatError(f"unknown dtype tag {tag}", offset=r.pos - 2)
@@ -488,10 +491,10 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
 
 def restore_student_head(ckpt: Checkpoint) -> ProjectionHead:
     """The student projection head: a 2-D tensor with one row per feature
-    of the checkpoint's model."""
+    of the checkpoint's model and at least one column."""
     w = ckpt.tensors.get("head.student.weight")
     rows = _spec(ckpt.metadata).feature_dim
-    if w is None or w.ndim != 2 or w.shape[0] != rows:
+    if w is None or w.ndim != 2 or w.shape[0] != rows or w.shape[1] == 0:
         raise CheckpointFormatError(f"checkpoint has no student projection head of shape ({rows}, "
                                     f"proj_dim): 'head.student.weight' is "
                                     f"{'missing' if w is None else w.shape}")

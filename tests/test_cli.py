@@ -912,6 +912,8 @@ CHECKPOINT_FAULTS = {
     "two-means": ("eval", "teacher", lambda c: c.metadata.update(channel_mean=[0.0, 0.0])),
     "head-shape": ("export-embeddings", "student",
                    lambda c: c.tensors.update({"head.student.weight": np.ones((3, 5))})),
+    "head-no-columns": ("export-embeddings", "student",
+                        lambda c: c.tensors.update({"head.student.weight": np.ones((16, 0))})),
     "no-stats": ("eval", "teacher", _drop_stats),
     "no-stats-distill": ("distill", "teacher", _drop_stats),
     "no-stats-ablate": ("ablate", "teacher", _drop_stats),
@@ -1083,6 +1085,59 @@ def _cifar10_dir(path, rows_per_file):
     return names
 
 
+def _cifar100_dir(path, rows_per_file):
+    from dcd.data import Dataset, serialize_cifar100
+    rng = np.random.default_rng(1)
+    names = ["train.bin", "test.bin"]
+    for name, rows in zip(names, rows_per_file):
+        images = (rng.integers(0, 256, (rows, 3, 32, 32)) / 255.0).astype(np.float32)
+        ds = Dataset(images, rng.integers(0, 100, rows), 100, "x")
+        (path / name).write_bytes(serialize_cifar100(ds, rng.integers(0, 20, rows)))
+    return names
+
+
+def _mnist_dir(path, rows_per_file):
+    from dcd.data import Dataset, serialize_mnist_idx
+    rng = np.random.default_rng(2)
+    names = []
+    for prefix, rows in zip(("train", "t10k"), rows_per_file):
+        images = (rng.integers(0, 256, (rows, 1, 8, 8)) / 255.0).astype(np.float32)
+        files = serialize_mnist_idx(Dataset(images, rng.integers(0, 10, rows), 10, "x"))
+        for kind, raw in zip(("images-idx3", "labels-idx1"), files):
+            names.append(f"{prefix}-{kind}-ubyte")
+            (path / names[-1]).write_bytes(raw)
+    return names
+
+
+def test_cifar100_load_equals_the_one_buffer_parse(tmp_path):
+    """Both splits load as the parse of their file's bytes, also at a
+    train_limit inside the file, and a bad fine label has the offset the
+    one-buffer parse gives it."""
+    from dcd.data import parse_cifar100
+    names = _cifar100_dir(tmp_path, [9, 4])
+    raw = [(tmp_path / name).read_bytes() for name in names]
+    cfg = cli.resolve_config(None, {"dataset": "cifar100", "data_dir": str(tmp_path)})
+    for limit in (0, 5):
+        loaded = cli.load_datasets({**cfg, "train_limit": limit})
+        parsed = (parse_cifar100(raw[0], rows=limit or None), parse_cifar100(raw[1]))
+        for ds, whole in zip(loaded, parsed):
+            assert ds.images.tobytes() == whole.images.tobytes()
+            assert np.array_equal(ds.labels, whole.labels)
+            assert (ds.images.dtype, ds.labels.dtype) == (np.float32, np.int64)
+            assert ds.class_count == 100
+    assert len(loaded[0]) == 5
+
+    bad = bytearray(raw[0])
+    bad[6 * 3074 + 1] = 100  # the fine label of the seventh record, past the limit
+    (tmp_path / names[0]).write_bytes(bytes(bad))
+    with pytest.raises(FormatError) as parsed_error:
+        parse_cifar100(bytes(bad))
+    with pytest.raises(FormatError) as loaded_error:
+        cli.load_datasets({**cfg, "train_limit": 5})
+    assert str(loaded_error.value) == str(parsed_error.value)
+    assert loaded_error.value.offset == parsed_error.value.offset == 6 * 3074 + 1
+
+
 def test_cifar10_batches_load_as_their_join(tmp_path):
     """The split, read one file at a time, equals the parse of the joined
     files, also at a train_limit inside file 2, and a bad label in file 4
@@ -1090,7 +1145,6 @@ def test_cifar10_batches_load_as_their_join(tmp_path):
     from dcd.data import parse_cifar10
     names = _cifar10_dir(tmp_path, [3, 4, 5, 6, 7, 2])
     joined = b"".join((tmp_path / name).read_bytes() for name in names[:5])
-    assert cli._read_files(str(tmp_path), names[:5]) == joined
     cfg = cli.resolve_config(None, {"dataset": "cifar10", "data_dir": str(tmp_path)})
     for limit in (0, 5):
         train, _ = cli.load_datasets({**cfg, "train_limit": limit})
@@ -1127,15 +1181,23 @@ def test_cifar10_load_holds_one_batch_file_and_the_kept_rows(tmp_path):
     assert peak < 1.1 * (file_bytes + kept_bytes), f"peak {peak / 1e6:.2f} MB"
 
 
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_data_file_changing_size_while_read_exits_data(delta, tmp_path, monkeypatch, capsys):
+DATA_DIRS = {"cifar10": lambda path: _cifar10_dir(path, [1] * 6),
+             "cifar100": lambda path: _cifar100_dir(path, [1, 1]),
+             "mnist": lambda path: _mnist_dir(path, [1, 1])}
+
+
+@pytest.mark.parametrize("dataset,delta", [
+    pytest.param("cifar10", -1, id="-1"), pytest.param("cifar10", 1, id="1"),
+    *[(dataset, delta) for dataset in ("cifar100", "mnist") for delta in (-1, 1)]])
+def test_data_file_changing_size_while_read_exits_data(dataset, delta, tmp_path, monkeypatch,
+                                                       capsys):
     """A file longer or shorter than its size when it was opened."""
-    names = _cifar10_dir(tmp_path, [1] * 6)
+    names = DATA_DIRS[dataset](tmp_path)
     fstat = os.fstat
     monkeypatch.setattr(cli.os, "fstat",
                         lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + delta))
     assert main(["train-teacher", "--out", str(tmp_path / "run"), "--data", str(tmp_path),
-                 "--set", "dataset=cifar10"]) == EXIT_DATA
+                 "--set", f"dataset={dataset}"]) == EXIT_DATA
     path = os.path.join(str(tmp_path), names[0])
     assert capsys.readouterr().err.splitlines() == [
         f"data error: {path!r} changed size while it was read"]

@@ -264,6 +264,17 @@ def test_checkpoint_header_whose_size_overflows_int64_is_truncated(dim, tmp_path
     assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
 
 
+def test_checkpoint_repeating_a_tensor_name_is_rejected_at_the_name(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint({"v": np.zeros(2), "w": np.ones(2)}, {}), str(path))
+    raw = path.read_bytes().replace(b"\x01\x00v", b"\x01\x00w")  # rename v to w
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError, match="duplicate tensor name 'w'") as err:
+        load_checkpoint(str(path))
+    assert err.value.offset == raw.rindex(b"\x01\x00w") + 2
+    assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
+
+
 def test_checkpoint_empty_tensor_with_a_huge_dim_round_trips(tmp_path):
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(Checkpoint({"w": np.zeros((0, 2**32 - 1))}, {}), path)

@@ -26,6 +26,14 @@ so that the echoed ``out_dir`` is the same on every call:
   OpenBLAS would split its second block's kernel-gradient GEMM across
   threads.
 
+Then one row per split that ``cli.load_datasets`` returns from seeded
+CIFAR-10, CIFAR-100 and MNIST directories written with
+``data.serialize_*``, each at every training row and at a ``train_limit``
+(for CIFAR-10, five batch files and a limit inside file 2): the digests
+of the split's ``images`` and ``labels`` arrays, each of its dtype, shape
+and bytes.  These rows call only ``cli.load_datasets``, so the table of
+one tree's ``src`` compares with another's even where the loaders differ.
+
 A change that keeps every run's bits prints the same table as its parent:
 
     python tools/sha_table.py > after.txt   # likewise in the parent's checkout
@@ -49,7 +57,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from dcd import cli, recipes  # noqa: E402
-from dcd.data import BatchPlan, Dataset  # noqa: E402
+from dcd.data import (BatchPlan, Dataset, serialize_cifar10, serialize_cifar100,  # noqa: E402
+                      serialize_mnist_idx)
 from dcd.losses import DistillConfig  # noqa: E402
 from dcd.models import ModelSpec  # noqa: E402
 from dcd.train import (OptimSpec, distill, load_checkpoint, save_checkpoint,  # noqa: E402
@@ -72,6 +81,12 @@ def tensor_digest(path: str) -> str:
         arr = np.ascontiguousarray(tensors[name])
         h.update(f"{name}|{arr.dtype.str}|{arr.shape}".encode())
         h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def array_digest(arr: np.ndarray) -> str:
+    h = hashlib.sha256(f"{arr.dtype.str}|{arr.shape}".encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -160,12 +175,48 @@ def convnet_rows(work: str) -> list[tuple[str, str]]:
     return rows
 
 
+def _random_rows(rng: np.random.Generator, rows: int, shape: tuple[int, ...],
+                 classes: int) -> Dataset:
+    images = (rng.integers(0, 256, (rows, *shape)) / 255.0).astype(np.float32)
+    return Dataset(images, rng.integers(0, classes, rows), classes, "x")
+
+
+def load_rows(work: str) -> list[tuple[str, str]]:
+    """Seeded data directories under ``work`` and the rows of their loads."""
+    rng = np.random.default_rng(2025)
+    files = {"cifar10": {f"data_batch_{i}.bin": serialize_cifar10(
+                 _random_rows(rng, 6, (3, 32, 32), 10)) for i in range(1, 6)}}
+    files["cifar10"]["test_batch.bin"] = serialize_cifar10(_random_rows(rng, 5, (3, 32, 32), 10))
+    files["cifar100"] = {name: serialize_cifar100(_random_rows(rng, rows, (3, 32, 32), 100),
+                                                  rng.integers(0, 20, rows))
+                         for name, rows in (("train.bin", 12), ("test.bin", 5))}
+    files["mnist"] = {}
+    for prefix, rows in (("train", 12), ("t10k", 5)):
+        images, labels = serialize_mnist_idx(_random_rows(rng, rows, (1, 28, 28), 10))
+        files["mnist"][f"{prefix}-images-idx3-ubyte"] = images
+        files["mnist"][f"{prefix}-labels-idx1-ubyte"] = labels
+    rows = []
+    for kind, limit in (("cifar10", 8), ("cifar100", 7), ("mnist", 7)):
+        data_dir = os.path.join(work, f"data-{kind}")
+        os.makedirs(data_dir)
+        for name, raw in files[kind].items():
+            with open(os.path.join(data_dir, name), "wb") as fh:
+                fh.write(raw)
+        for train_limit, splits in ((0, ("training", "test")), (limit, ("training",))):
+            cfg = cli.resolve_config(None, {"dataset": kind, "data_dir": data_dir,
+                                            "train_limit": str(train_limit)})
+            for split, ds in zip(splits, cli.load_datasets(cfg, splits)):
+                rows.append((f"load {ds.name} {split}",
+                             f"{array_digest(ds.images)} {array_digest(ds.labels)}"))
+    return rows
+
+
 def main() -> int:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="sha-table-") as work:
         os.chdir(work)
         try:
-            rows = cli_rows() + blob_rows(work) + convnet_rows(work)
+            rows = cli_rows() + blob_rows(work) + convnet_rows(work) + load_rows(work)
         finally:
             os.chdir(cwd)
     width = max(len(name) for name, _ in rows)
