@@ -32,8 +32,11 @@ ConvNet hold the pin for the whole pass (``train._blas_pin``): after a
 multi-threaded GEMM, OpenBLAS's idle threads spin for a while and would
 take the cores from the lanes.
 
-Elementwise ops accept equal shapes or a scalar (size-1) operand; there
-is no general broadcasting.  All math is 64-bit.
+The ops take only the shapes the models send them.  Elementwise ops take
+equal shapes, with no broadcasting.  Convolutions run at stride 1 over a
+one-pixel zero border, ``maxpool2d`` and ``conv_block`` pool 2x2 windows
+at stride 2, and ``avgpool2d`` is the global average pool.  All math is
+64-bit.
 """
 
 from __future__ import annotations
@@ -224,15 +227,8 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_fn
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is scalar")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # -- elementwise suite --------------------------------------------------------
@@ -240,8 +236,8 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("add", a, b)
 
-    def bwd(g, sa=a.shape, sb=b.shape):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
+    def bwd(g):
+        return g, g
 
     return _emit("add", (a, b), a.data + b.data, bwd)
 
@@ -249,8 +245,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("sub", a, b)
 
-    def bwd(g, sa=a.shape, sb=b.shape):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
+    def bwd(g):
+        return g, -g
 
     return _emit("sub", (a, b), a.data - b.data, bwd)
 
@@ -258,8 +254,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
 
-    def bwd(g, ad=a.data, bd=b.data, sa=a.shape, sb=b.shape):
-        return _reduce_to(g * bd, sa), _reduce_to(g * ad, sb)
+    def bwd(g, ad=a.data, bd=b.data):
+        return g * bd, g * ad
 
     return _emit("mul", (a, b), a.data * b.data, bwd)
 
@@ -269,8 +265,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("div: denominator contains zero")
 
-    def bwd(g, ad=a.data, bd=b.data, sa=a.shape, sb=b.shape):
-        return _reduce_to(g / bd, sa), _reduce_to(-g * ad / (bd * bd), sb)
+    def bwd(g, ad=a.data, bd=b.data):
+        return g / bd, -g * ad / (bd * bd)
 
     return _emit("div", (a, b), a.data / b.data, bwd)
 
@@ -479,17 +475,15 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 
 # -- convolution and pooling ---------------------------------------------------
 
-def _pool_geometry(h: int, w: int, size, stride) -> tuple[int, int, int, int, int, int]:
-    sh, sw = (size, size) if isinstance(size, int) else (int(size[0]), int(size[1]))
-    if stride is None:
-        th, tw = sh, sw
-    else:
-        th, tw = (stride, stride) if isinstance(stride, int) else (int(stride[0]), int(stride[1]))
-    if sh < 1 or sw < 1 or th < 1 or tw < 1:
-        raise ShapeMismatchError("pooling window and stride must be positive")
-    if sh > h or sw > w:
-        raise ShapeMismatchError(f"pooling window ({sh}x{sw}) exceeds input ({h}x{w})")
-    return sh, sw, th, tw, (h - sh) // th + 1, (w - sw) // tw + 1
+def _pool_regions(op: str, h: int, w: int) -> tuple[int, int, list[tuple]]:
+    """The rows and columns of 2x2 windows at stride 2 over an H x W image,
+    an odd last row or column dropped, and the index of each window
+    position's strided slice of an [N,C,H,W] input, in scan order."""
+    if h < 2 or w < 2:
+        raise ShapeMismatchError(f"{op}: the 2x2 pooling window exceeds the {h}x{w} input")
+    ho, wo = h // 2, w // 2
+    return ho, wo, [(slice(None), slice(None), slice(di, di + 2 * ho, 2),
+                     slice(dj, dj + 2 * wo, 2)) for di in range(2) for dj in range(2)]
 
 
 # conv2d and conv_block run over chunks of samples whose patch matrix holds
@@ -655,8 +649,9 @@ def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
 
 class _ConvChunks:
     """One cross-correlation of an [N,C,H,W] input with an [F,C,kh,kw] kernel
-    bank, worked one chunk of samples at a time: the geometry, patches and
-    backward that ``conv2d`` and ``conv_block`` share.
+    bank at stride 1 over a one-pixel zero border, worked one chunk of
+    samples at a time: the geometry, patches and backward that ``conv2d``
+    and ``conv_block`` share.
 
     Each pass gives its chunks to ``lanes`` lanes (:func:`_in_lanes`) under
     :func:`single_blas_thread`.  The calling thread allocates every lane's
@@ -669,25 +664,22 @@ class _ConvChunks:
     lanes nor the BLAS thread count.
 
     Each lane holds one zero-bordered buffer for its chunk's padded input.
-    The patches copy each tap's strided window of it; the input gradient
+    The patches copy each tap's window of it; the input gradient
     adds each tap's patch-gradient rows into that window, in tap order,
     and copies out the interior.
     """
 
-    def __init__(self, op: str, x: Tensor, k: Tensor, stride: int, pad: int):
+    def __init__(self, op: str, x: Tensor, k: Tensor):
         if x.data.ndim != 4 or k.data.ndim != 4:
             raise ShapeMismatchError(f"{op} expects 4-D input and kernel, got {x.shape}, {k.shape}")
         n, c, h, w = x.shape
         f, ck, kh, kw = k.shape
         if ck != c:
             raise ShapeMismatchError(f"{op}: input channels {c} != kernel channels {ck}")
-        if stride < 1 or pad < 0:
-            raise ShapeMismatchError(f"{op}: stride must be >= 1 and pad >= 0")
-        if kh > h + 2 * pad or kw > w + 2 * pad:
-            raise ShapeMismatchError(
-                f"{op}: kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
-        self.ho = ho = (h + 2 * pad - kh) // stride + 1
-        self.wo = wo = (w + 2 * pad - kw) // stride + 1
+        if kh > h + 2 or kw > w + 2:
+            raise ShapeMismatchError(f"{op}: kernel {kh}x{kw} exceeds padded input {h + 2}x{w + 2}")
+        self.ho = ho = h + 3 - kh
+        self.wo = wo = w + 3 - kw
         self.x = x.data
         self.kshape = k.shape
         self.k2 = k.data.reshape(f, c * kh * kw)
@@ -695,7 +687,6 @@ class _ConvChunks:
         self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
         _blas()
         self.lanes = min(_LANES, len(self.spans))
-        self.stride, self.pad = stride, pad
 
     def _lane_buffers(self, rows: int) -> list[np.ndarray]:
         """One uninitialized buffer per lane, with room for a matrix of
@@ -704,24 +695,22 @@ class _ConvChunks:
                 for _ in range(self.lanes)]
 
     def _padded_buffers(self) -> list[np.ndarray]:
-        """One zeroed [C, m, H+2*pad, W+2*pad] buffer per lane, room for a
-        whole chunk; its border is zero whenever a chunk starts."""
+        """One zeroed [C, m, H+2, W+2] buffer per lane, room for a whole
+        chunk; its border is zero whenever a chunk starts."""
         _, c, h, w = self.x.shape
-        return [np.zeros((c, self.spans[0].stop, h + 2 * self.pad, w + 2 * self.pad))
-                for _ in range(self.lanes)]
+        return [np.zeros((c, self.spans[0].stop, h + 2, w + 2)) for _ in range(self.lanes)]
 
     def _taps(self, padded: np.ndarray) -> list[np.ndarray]:
-        """Each tap's [C, m, ho, wo] strided window of a chunk's padded
-        input, in (kernel row, kernel column) scan order."""
-        s, kh, kw = self.stride, *self.kshape[2:]
-        rows, cols = (self.ho - 1) * s + 1, (self.wo - 1) * s + 1
-        return [padded[:, :, di:di + rows:s, dj:dj + cols:s]
+        """Each tap's [C, m, ho, wo] window of a chunk's padded input, in
+        (kernel row, kernel column) scan order."""
+        kh, kw = self.kshape[2:]
+        return [padded[:, :, di:di + self.ho, dj:dj + self.wo]
                 for di in range(kh) for dj in range(kw)]
 
-    def _interior(self, padded: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _interior(padded: np.ndarray) -> np.ndarray:
         """The [C, m, H, W] images inside a padded buffer's border."""
-        p, (h, w) = self.pad, self.x.shape[2:]
-        return padded[:, :, p:p + h, p:p + w]
+        return padded[:, :, 1:-1, 1:-1]
 
     def _patches(self, span: slice, buf: np.ndarray, padded: np.ndarray) -> np.ndarray:
         """The chunk's contiguous [C*kh*kw, m*ho*wo] patch matrix, written into
@@ -795,14 +784,15 @@ class _ConvChunks:
         return dx, (dk.reshape(self.kshape) if need_k else None)
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank.
+def conv2d(x: Tensor, k: Tensor) -> Tensor:
+    """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank
+    at stride 1 over a one-pixel zero border.
 
     Works on chunks of samples (see :class:`_ConvChunks`), so no temporary
     spans the whole batch.  Saves only the input for backward, which
     rebuilds each chunk's patches.
     """
-    conv = _ConvChunks("conv2d", x, k, stride, pad)
+    conv = _ConvChunks("conv2d", x, k)
     f, ho, wo = k.shape[0], conv.ho, conv.wo
     out = np.empty((x.shape[0], f, ho, wo), dtype=np.float64)
     conv.forward(lambda span, chunk: np.copyto(out[span], chunk))
@@ -814,13 +804,6 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         return conv.backward(grad_into, need_x, need_k)
 
     return _emit("conv2d", (x, k), out, bwd)
-
-
-def _pool_regions(sh: int, sw: int, th: int, tw: int, ho: int, wo: int) -> list[tuple]:
-    """Index of each window position's strided slice of an [N,C,H,W] input,
-    in scan order."""
-    return [(slice(None), slice(None), slice(di, di + ho * th, th), slice(dj, dj + wo * tw, tw))
-            for di in range(sh) for dj in range(sw)]
 
 
 def _max_windows(x: np.ndarray, regions: list[tuple], best: np.ndarray,
@@ -855,26 +838,23 @@ def _max_windows_backward(g: np.ndarray, arg: np.ndarray, regions: list[tuple],
         dx[region] += g * (arg == pos)
 
 
-def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
-    """Max pooling that ignores NaN; ties resolve to the first window position
-    in scan order.
+def maxpool2d(x: Tensor) -> Tensor:
+    """Max pooling over 2x2 windows at stride 2 (:func:`_pool_regions`) that
+    ignores NaN; ties resolve to the first window position in scan order.
 
     On a tape that differentiates ``x`` it saves only each window's winning
-    position, one byte per output for windows of up to 256 positions (a
-    wider integer beyond), and backward sends each window's gradient there.
-    A window with nothing above -inf (all -inf or NaN) outputs -inf and
-    sends its gradient to its first position.  A zero maximum is always
-    +0.0.  Otherwise (evaluation, a frozen teacher) no positions are kept.
+    position, one byte per output, and backward sends each window's
+    gradient there.  A window with nothing above -inf (all -inf or NaN)
+    outputs -inf and sends its gradient to its first position.  A zero
+    maximum is always +0.0.  Otherwise (evaluation, a frozen teacher) no
+    positions are kept.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
-    sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
-    regions = _pool_regions(sh, sw, th, tw, ho, wo)
+    ho, wo, regions = _pool_regions("maxpool2d", h, w)
     best = np.empty((n, c, ho, wo), dtype=np.float64)
-    arg = None
-    if _differentiates(x):
-        arg = np.empty((n, c, ho, wo), dtype=np.min_scalar_type(len(regions) - 1))
+    arg = np.empty((n, c, ho, wo), dtype=np.uint8) if _differentiates(x) else None
     _max_windows(x.data, regions, best, arg)
 
     def bwd(g, shape=x.shape, arg=arg, regions=regions):
@@ -886,7 +866,7 @@ def maxpool2d(x: Tensor, size=2, stride=None) -> Tensor:
 
 
 def conv_block(x: Tensor, k: Tensor) -> Tensor:
-    """One ConvNet block as one op: ``relu(maxpool2d(conv2d(x, k, 1, 1), 2))``,
+    """One ConvNet block as one op: ``relu(maxpool2d(conv2d(x, k)))``,
     with the same bits for the output and both gradients.
 
     Works on the chunks of samples ``conv2d`` uses: each chunk's conv
@@ -897,11 +877,10 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     positions (only on a tape that differentiates ``x`` or ``k``) and the
     ReLU output.
     """
-    conv = _ConvChunks("conv_block", x, k, 1, 1)
+    conv = _ConvChunks("conv_block", x, k)
     n, f = x.shape[0], k.shape[0]
     ho, wo = conv.ho, conv.wo
-    sh, sw, th, tw, po, qo = _pool_geometry(ho, wo, 2, None)
-    regions = _pool_regions(sh, sw, th, tw, po, qo)
+    po, qo, regions = _pool_regions("conv_block", ho, wo)
     need_x, need_k = _differentiates(x), _differentiates(k)
     y = np.empty((n, f, po, qo), dtype=np.float64)
     arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
@@ -923,7 +902,7 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
             np.greater(y[span].transpose(1, 0, 2, 3), 0.0, out=mask)
             np.multiply(g[span].transpose(1, 0, 2, 3), mask, out=gm)
             out = g2.reshape(f, m, ho, wo)
-            if (po * sh, qo * sw) != (ho, wo):  # the windows leave a last row or column
+            if (2 * po, 2 * qo) != (ho, wo):  # the windows leave a last row or column
                 out.fill(0.0)
             args = arg[span].transpose(1, 0, 2, 3)
             # the windows do not overlap: each position is written once
@@ -935,22 +914,21 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     return _emit("conv_block", (x, k), y, bwd)
 
 
-def avgpool2d(x: Tensor, size=2, stride=None) -> Tensor:
+def avgpool2d(x: Tensor) -> Tensor:
+    """The global average pool: the mean of each [H, W] image of an
+    [N,C,H,W] input, as an [N, C] matrix; the positions are added in scan
+    order."""
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"avgpool2d expects 4-D input, got shape {x.shape}")
     n, c, h, w = x.shape
-    sh, sw, th, tw, ho, wo = _pool_geometry(h, w, size, stride)
-    regions = _pool_regions(sh, sw, th, tw, ho, wo)
-    acc = np.zeros((n, c, ho, wo), dtype=np.float64)
-    for region in regions:
-        acc += x.data[region]
-    inv = 1.0 / (sh * sw)
+    acc = np.zeros((n, c), dtype=np.float64)
+    for plane in x.data.reshape(n, c, h * w).transpose(2, 0, 1):
+        acc += plane
+    inv = 1.0 / (h * w)
 
-    def bwd(g, shape=x.shape, regions=regions):
+    def bwd(g, shape=x.shape):
         buf = np.zeros(shape, dtype=np.float64)
-        gs = g * inv
-        for region in regions:
-            buf[region] += gs
+        buf += (g * inv)[:, :, None, None]
         return (buf,)
 
     return _emit("avgpool2d", (x,), acc * inv, bwd)

@@ -391,9 +391,10 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int) -> list[tuple]
     here; only the tasks and their rows are pickled.  The lane pool's
     threads are ended first, so that no thread of this process is alive
     when the workers fork.  Where numpy's OpenBLAS thread control is found,
-    the CPUs are split between the workers: each gets ``cpu_count //
-    workers`` BLAS threads and conv lanes (at least one), so the workers do
-    not oversubscribe the machine; this process keeps its own.  Without it
+    the CPUs this process may run on (its affinity mask, which ``taskset``
+    or a cpuset narrows) are split between the workers: each gets
+    ``cpus // workers`` BLAS threads and conv lanes (at least one), so the
+    workers do not oversubscribe them; this process keeps its own.  Without it
     (MKL, or an OpenBLAS this module cannot reach) each worker keeps this
     process's BLAS threads and one lane.  Under fork the pool starts every worker at the
     first submit, before its manager thread hands out a task, so it cannot
@@ -408,7 +409,7 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int) -> list[tuple]
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_ablation_worker,
-            initargs=(shared, max(1, (os.cpu_count() or 1) // workers))) as pool:
+            initargs=(shared, max(1, len(os.sched_getaffinity(0)) // workers))) as pool:
         futures: list = [None] * len(tasks)
         for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
             futures[index] = _submit(pool, tasks[index])

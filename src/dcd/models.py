@@ -120,8 +120,7 @@ class ConvNet:
         h = images
         for k in self.kernels:
             h = ad.conv_block(h, k.value)
-        n, c, hh, ww = h.shape
-        features = ad.reshape(ad.avgpool2d(h, (hh, ww)), (n, c))
+        features = ad.avgpool2d(h)
         logits = ad.add_rowvec(ad.matmul(features, self.cls_w.value), self.cls_b.value)
         return features, logits
 

@@ -161,6 +161,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset = meta_start + len(meta_text[:exc.pos].encode("utf-8"))
         raise CheckpointFormatError(f"metadata is not valid JSON: {exc.msg}",
                                     offset=offset) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an integer too long
+        raise CheckpointFormatError(f"metadata cannot be read: {exc}", offset=meta_start) from exc
     if not isinstance(metadata, dict):
         raise CheckpointFormatError("metadata is not a JSON object", offset=meta_start)
     (count,) = r.unpack("<I")

@@ -115,8 +115,9 @@ def check_oracle_equivalence() -> str:
 def _finite_difference_errors(step_loss, batch, params) -> list[float]:
     """Relative error of one backward pass of the training step
     ``step_loss(batch, 0)`` against central differences, for every scalar
-    of ``params``."""
-    with Tape() as tape:
+    of ``params``.  The tape differentiates only ``params``, as training's
+    does, so the checked backward skips the same untracked operands."""
+    with Tape([p.value for p in params]) as tape:
         tape.backward(step_loss(batch, 0).total)
     collect_grads(tape, params)
     errors = []

@@ -608,17 +608,23 @@ def test_ablate_jobs_do_not_change_results(teacher_run, tmp_path, monkeypatch):
 
 
 def test_sweep_workers_split_blas_threads_and_lanes(monkeypatch):
-    """Each of two workers gets ``cpu_count // 2`` BLAS threads and as many
-    conv lanes; this process keeps its own.  A forked worker runs the
-    ``_ablation_run`` patched here, which reports them."""
+    """Each of two workers gets half the CPUs this process may run on as
+    BLAS threads and as many conv lanes; this process keeps its own.  A
+    forked worker runs the ``_ablation_run`` patched here, which reports
+    them.  Under an affinity mask narrower than the machine (``taskset``, a
+    cpuset) the mask is what is split, not ``cpu_count``."""
     if ad.blas_threads() is None:
         pytest.skip("numpy's OpenBLAS offers no thread control")
     before = (ad.blas_threads(), ad._LANES)
     monkeypatch.setattr(cli, "_ablation_run", lambda shared, task: (
         task[0], task[1], ad.blas_threads(), ad._LANES))
     tasks = [(cell, 0, None, DistillConfig(), None, None) for cell in range(4)]
-    want = max(1, (os.cpu_count() or 1) // 2)
+    want = max(1, len(os.sched_getaffinity(0)) // 2)
     assert cli._run_in_workers(None, tasks, 2) == [(cell, 0, want, want) for cell in range(4)]
+    assert (ad.blas_threads(), ad._LANES) == before
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli._run_in_workers(None, tasks, 2) == [(cell, 0, 1, 1) for cell in range(4)]
     assert (ad.blas_threads(), ad._LANES) == before
 
 

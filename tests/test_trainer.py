@@ -275,6 +275,26 @@ def test_checkpoint_repeating_a_tensor_name_is_rejected_at_the_name(tmp_path):
     assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
 
 
+@pytest.mark.parametrize("meta", [b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+                                  b'{"a": ' + b"9" * 5000 + b"}"],  # over 4300 digits
+                         ids=["nested", "long-integer"])
+def test_checkpoint_metadata_json_cannot_decode_is_rejected_at_its_start(meta, tmp_path,
+                                                                         capsys):
+    """Well-formed JSON that ``json.loads`` still refuses; ``json.dumps``
+    writes neither, so the checkpoint is built from raw bytes."""
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(train_mod.CHECKPOINT_MAGIC
+                     + struct.pack("<IQ", train_mod.CHECKPOINT_VERSION, len(meta)) + meta
+                     + struct.pack("<I", 0))
+    with pytest.raises(CheckpointFormatError, match="^metadata cannot be read: ") as err:
+        load_checkpoint(str(path))
+    assert err.value.offset == 16  # magic, version and length
+    assert main(["eval", "--ckpt", str(path)]) == EXIT_CHECKPOINT
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("checkpoint error: metadata cannot be read: ")
+    assert line.endswith("(byte offset 16)")
+
+
 def test_checkpoint_empty_tensor_with_a_huge_dim_round_trips(tmp_path):
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(Checkpoint({"w": np.zeros((0, 2**32 - 1))}, {}), path)
