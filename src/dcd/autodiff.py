@@ -20,23 +20,25 @@ made, so neither the full-size conv output nor its gradient is ever
 held.  It shares its chunk, patch, pool and scatter helpers with
 ``conv2d`` and ``maxpool2d``, so its bits equal the three-op composition.
 
-Each conv pass gives its chunks to lanes: the calling thread and the
-threads of a pool made at first use, one lane per thread that numpy's
-OpenBLAS reported at first use (one lane when no OpenBLAS thread control
-is found).  A pass pins OpenBLAS to one thread (:func:`single_blas_thread`),
-so every conv GEMM is single-threaded; each chunk writes only its own
-rows of the output and the input gradient, and the kernel gradient adds
-the chunks' terms in chunk order.  So the bits depend on neither the
-lane count nor the BLAS thread count.  Training and inference of a
-ConvNet hold the pin for the whole pass (``train._blas_pin``): after a
-multi-threaded GEMM, OpenBLAS's idle threads spin for a while and would
-take the cores from the lanes.
+Each conv pass gives its chunks to lanes, one lane per thread that
+numpy's OpenBLAS reported at first use (one lane when no OpenBLAS thread
+control is found): the calling thread and the threads of a pool.  A pass
+pins OpenBLAS to one thread (:func:`single_blas_thread`), so every conv
+GEMM is single-threaded; each chunk writes only its own rows of the
+output and the input gradient, and the kernel gradient adds the chunks'
+terms in chunk order.  So the bits depend on neither the lane count nor
+the BLAS thread count.  Training and inference of a ConvNet hold the pin
+for the whole pass (``train._blas_pin``): after a multi-threaded GEMM,
+OpenBLAS's idle threads spin for a while and would take the cores from
+the lanes.  The outermost pin starts the pool's threads and ends them,
+so no lane thread is alive outside a pin, and a process that forks
+outside one (``dcd ablate --jobs``) forks with no thread of this module.
 
 The ops take only the shapes the models send them.  Elementwise ops take
-equal shapes, with no broadcasting.  Convolutions run at stride 1 over a
-one-pixel zero border, ``maxpool2d`` and ``conv_block`` pool 2x2 windows
-at stride 2, and ``avgpool2d`` is the global average pool.  All math is
-64-bit.
+equal shapes, with no broadcasting.  Convolutions run a 3x3 kernel at
+stride 1 over a one-pixel zero border, ``maxpool2d`` and ``conv_block``
+pool 2x2 windows at stride 2, and ``avgpool2d`` is the global average
+pool.  All math is 64-bit.
 """
 
 from __future__ import annotations
@@ -497,32 +499,9 @@ _CONV_CHUNK_ELEMS = 2 ** 18
 _BLAS = None
 _LANES = 1
 _lane_lock = threading.Lock()
-_lane_pool = None  # the threads of lanes 1 and up, made at first use
+_lane_pool = None  # the threads of lanes 1 and up, alive only inside a pin
 _pins = 0
 _unpinned = 1  # the thread count the outermost pin restores
-
-
-def _after_fork() -> None:
-    """A forked child has none of the pool's threads, and no other thread
-    that could hold the lock."""
-    global _lane_lock, _lane_pool
-    _lane_lock, _lane_pool = threading.Lock(), None
-
-
-os.register_at_fork(after_in_child=_after_fork)
-
-
-def stop_lanes() -> None:
-    """End the lane pool's threads, after any lane still running; the next
-    pass on more than one lane makes the pool again.  Called before a
-    fork: a child forked while other threads run can inherit a lock one of
-    them held, and Python 3.12 warns of it (OpenBLAS ends its own threads
-    at fork)."""
-    global _lane_pool
-    with _lane_lock:
-        pool, _lane_pool = _lane_pool, None
-    if pool is not None:
-        pool.shutdown(wait=True)
 
 
 def _blas() -> tuple:
@@ -572,25 +551,37 @@ def set_blas_threads(count: int) -> None:
 def single_blas_thread():
     """Pin OpenBLAS to one thread inside the block, restoring the count it had
     when the outermost pin began on exit, also on error.  Pins nest and may
-    overlap across threads; without OpenBLAS thread control it does nothing."""
-    global _pins, _unpinned
+    overlap across threads; without OpenBLAS thread control nothing is pinned.
+
+    The outermost pin also holds the lane pool: on more than one lane it
+    starts the pool's ``_LANES - 1`` threads and on exit ends them, after
+    any lane still running.  So no lane thread outlives a pin, and a
+    process forked outside one forks with no thread of this module.
+    """
+    global _pins, _unpinned, _lane_pool
     control = _blas()
-    if not control:
-        yield
-        return
-    get, put = control
     with _lane_lock:
         if not _pins:
-            _unpinned = get()
-            put(1)
+            if control:
+                _unpinned = control[0]()
+                control[1](1)
+            if _LANES > 1:
+                import concurrent.futures
+                _lane_pool = concurrent.futures.ThreadPoolExecutor(
+                    _LANES - 1, thread_name_prefix="dcd-lane")
         _pins += 1
     try:
         yield
     finally:
+        pool = None
         with _lane_lock:
             _pins -= 1
             if not _pins:
-                put(_unpinned)
+                if control:
+                    control[1](_unpinned)
+                pool, _lane_pool = _lane_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
 
 def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
@@ -598,12 +589,12 @@ def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
     a free lane taking the next i, and, if given, ``in_order(i, result)`` in
     order of i, on the lane that ran task i, right after it.
 
-    Lane 0 is the calling thread, the others a lazily made pool's threads,
-    each lane in a copy of the caller's context (numpy's ``errstate`` is a
-    context variable).  Returns once every lane has stopped; the first error
-    a lane raises stops the others and is raised here.
+    Lane 0 is the calling thread, the others the threads of the pool that
+    the :func:`single_blas_thread` pin around the call holds, each lane in
+    a copy of the caller's context (numpy's ``errstate`` is a context
+    variable).  Returns once every lane has stopped; the first error a lane
+    raises stops the others and is raised here.
     """
-    global _lane_pool
     cond = threading.Condition()
     taken = ordered = 0  # items handed to a lane; items past in_order
     error = None
@@ -632,12 +623,7 @@ def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
 
     futures = []
     if lanes > 1:
-        import concurrent.futures
         import contextvars
-        with _lane_lock:
-            if _lane_pool is None:
-                _lane_pool = concurrent.futures.ThreadPoolExecutor(
-                    max(_LANES, lanes) - 1, thread_name_prefix="dcd-lane")
         futures = [_lane_pool.submit(contextvars.copy_context().run, lane_loop, lane)
                    for lane in range(1, lanes)]
     lane_loop(0)
@@ -648,10 +634,11 @@ def _in_lanes(task, count: int, lanes: int, in_order=None) -> None:
 
 
 class _ConvChunks:
-    """One cross-correlation of an [N,C,H,W] input with an [F,C,kh,kw] kernel
-    bank at stride 1 over a one-pixel zero border, worked one chunk of
-    samples at a time: the geometry, patches and backward that ``conv2d``
-    and ``conv_block`` share.
+    """One cross-correlation of an [N,C,H,W] input with an [F,C,3,3] kernel
+    bank at stride 1 over a one-pixel zero border, so an [N,F,H,W] output,
+    worked one chunk of samples at a time: the geometry, patches and
+    backward that ``conv2d`` and ``conv_block`` share.  Any other kernel
+    size raises :class:`ShapeMismatchError`.
 
     Each pass gives its chunks to ``lanes`` lanes (:func:`_in_lanes`) under
     :func:`single_blas_thread`.  The calling thread allocates every lane's
@@ -676,14 +663,13 @@ class _ConvChunks:
         f, ck, kh, kw = k.shape
         if ck != c:
             raise ShapeMismatchError(f"{op}: input channels {c} != kernel channels {ck}")
-        if kh > h + 2 or kw > w + 2:
-            raise ShapeMismatchError(f"{op}: kernel {kh}x{kw} exceeds padded input {h + 2}x{w + 2}")
-        self.ho = ho = h + 3 - kh
-        self.wo = wo = w + 3 - kw
+        if (kh, kw) != (3, 3):
+            raise ShapeMismatchError(f"{op}: the kernel must be 3x3, got {kh}x{kw}")
+        self.ho, self.wo = h, w
         self.x = x.data
         self.kshape = k.shape
-        self.k2 = k.data.reshape(f, c * kh * kw)
-        step = max(1, _CONV_CHUNK_ELEMS // (c * kh * kw * ho * wo))
+        self.k2 = k.data.reshape(f, c * 9)
+        step = max(1, _CONV_CHUNK_ELEMS // (c * 9 * h * w))
         self.spans = [slice(s, min(s + step, n)) for s in range(0, n, step)]
         _blas()
         self.lanes = min(_LANES, len(self.spans))
@@ -701,11 +687,10 @@ class _ConvChunks:
         return [np.zeros((c, self.spans[0].stop, h + 2, w + 2)) for _ in range(self.lanes)]
 
     def _taps(self, padded: np.ndarray) -> list[np.ndarray]:
-        """Each tap's [C, m, ho, wo] window of a chunk's padded input, in
+        """Each tap's [C, m, H, W] window of a chunk's padded input, in
         (kernel row, kernel column) scan order."""
-        kh, kw = self.kshape[2:]
         return [padded[:, :, di:di + self.ho, dj:dj + self.wo]
-                for di in range(kh) for dj in range(kw)]
+                for di in range(3) for dj in range(3)]
 
     @staticmethod
     def _interior(padded: np.ndarray) -> np.ndarray:
@@ -713,7 +698,7 @@ class _ConvChunks:
         return padded[:, :, 1:-1, 1:-1]
 
     def _patches(self, span: slice, buf: np.ndarray, padded: np.ndarray) -> np.ndarray:
-        """The chunk's contiguous [C*kh*kw, m*ho*wo] patch matrix, written into
+        """The chunk's contiguous [C*9, m*ho*wo] patch matrix, written into
         ``buf``: rows in (channel, kernel row, kernel column) order, columns
         sample-major.  The chunk is copied into the interior of ``padded``,
         whose zero border is its padding, and each tap copies its window."""
@@ -785,8 +770,8 @@ class _ConvChunks:
 
 
 def conv2d(x: Tensor, k: Tensor) -> Tensor:
-    """Cross-correlation of [N,C,H,W] input with an [F,C,kh,kw] kernel bank
-    at stride 1 over a one-pixel zero border.
+    """Cross-correlation of [N,C,H,W] input with an [F,C,3,3] kernel bank
+    at stride 1 over a one-pixel zero border: an [N,F,H,W] output.
 
     Works on chunks of samples (see :class:`_ConvChunks`), so no temporary
     spans the whole batch.  Saves only the input for backward, which
@@ -872,10 +857,12 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     Works on the chunks of samples ``conv2d`` uses: each chunk's conv
     output is pooled while it is fresh and only the pooled rows are kept,
     so the full-size conv output and its gradient exist one chunk at a
-    time.  Backward writes each chunk's pool gradient straight into the
-    conv backward's GEMM layout.  Saves the input, the pool's winning
-    positions (only on a tape that differentiates ``x`` or ``k``) and the
-    ReLU output.
+    time.  Each window's winner code is its winning position, or 4 where
+    the ReLU zeroed the window, so that no position wins there and the
+    code alone masks the gradient.  Backward writes each chunk's gradient
+    at the winning positions straight into the conv backward's GEMM
+    layout.  Saves the input and the winner codes (these only on a tape
+    that differentiates ``x`` or ``k``).
     """
     conv = _ConvChunks("conv_block", x, k)
     n, f = x.shape[0], k.shape[0]
@@ -888,27 +875,27 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     def pool(span, conv_out):
         _max_windows(conv_out, regions, y[span], None if arg is None else arg[span])
         _relu_into(y[span], y[span])
+        if arg is not None:
+            np.copyto(arg[span], len(regions), where=y[span] == 0.0)
 
     conv.forward(pool)
 
     def bwd(g):
-        # each lane's masked gradient and mask, [F, m, po, qo] like the GEMM layout
-        shape = (f, conv.spans[0].stop, po, qo)
-        scratch = [(np.empty(shape), np.empty(shape, dtype=bool)) for _ in range(conv.lanes)]
+        # each lane's winner mask, [F, m, po, qo] like the GEMM layout
+        masks = [np.empty((f, conv.spans[0].stop, po, qo), dtype=bool)
+                 for _ in range(conv.lanes)]
 
         def grad_into(span, g2, lane):
             m = span.stop - span.start
-            gm, mask = (buf[:, :m] for buf in scratch[lane])
-            np.greater(y[span].transpose(1, 0, 2, 3), 0.0, out=mask)
-            np.multiply(g[span].transpose(1, 0, 2, 3), mask, out=gm)
+            mask = masks[lane][:, :m]
             out = g2.reshape(f, m, ho, wo)
             if (2 * po, 2 * qo) != (ho, wo):  # the windows leave a last row or column
                 out.fill(0.0)
-            args = arg[span].transpose(1, 0, 2, 3)
+            gs, args = g[span].transpose(1, 0, 2, 3), arg[span].transpose(1, 0, 2, 3)
             # the windows do not overlap: each position is written once
             for pos, region in enumerate(regions):
                 np.equal(args, pos, out=mask)
-                np.multiply(gm, mask, out=out[region])
+                np.multiply(gs, mask, out=out[region])
         return conv.backward(grad_into, need_x, need_k)
 
     return _emit("conv_block", (x, k), y, bwd)

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import set_blas_threads, stop_lanes
+from .autodiff import set_blas_threads
 from .data import BatchPlan, Dataset, load_split, synth_blob_split
 from .errors import (CheckpointFormatError, ConfigError, DegenerateInputError, DivergenceError,
                      DomainError, FormatError, ShapeMismatchError)
@@ -388,28 +388,29 @@ def _run_in_workers(shared: tuple, tasks: list[tuple], jobs: int) -> list[tuple]
 
     Each worker is forked from this process, so it inherits the imports
     and ``shared``, the inputs :func:`_sweep_inputs` loaded and checked
-    here; only the tasks and their rows are pickled.  The lane pool's
-    threads are ended first, so that no thread of this process is alive
-    when the workers fork.  Where numpy's OpenBLAS thread control is found,
-    the CPUs this process may run on (its affinity mask, which ``taskset``
-    or a cpuset narrows) are split between the workers: each gets
-    ``cpus // workers`` BLAS threads and conv lanes (at least one), so the
-    workers do not oversubscribe them; this process keeps its own.  Without it
-    (MKL, or an OpenBLAS this module cannot reach) each worker keeps this
-    process's BLAS threads and one lane.  Under fork the pool starts every worker at the
-    first submit, before its manager thread hands out a task, so it cannot
-    lose track of a worker it is still starting when another one dies.  A
-    task whose worker died gets a failed row carrying the error text.
+    here; only the tasks and their rows are pickled.  No conv lane thread
+    is alive here to be forked: lanes live only inside a BLAS pin.  Under
+    fork the pool starts every worker at the first submit, before its
+    manager thread hands out a task, so it cannot lose track of a worker
+    it is still starting when another one dies; so there are at most as
+    many workers as tasks and as CPUs this process may run on (its
+    affinity mask, which ``taskset`` or a cpuset narrows).  Where numpy's
+    OpenBLAS thread control is found, those CPUs are split between the
+    workers: each gets ``cpus // workers`` BLAS threads and conv lanes, so
+    the workers do not oversubscribe them; this process keeps its own.
+    Without it (MKL, or an OpenBLAS this module cannot reach) each worker
+    keeps this process's BLAS threads and one lane.  A task whose worker
+    died gets a failed row carrying the error text.
     """
     # Imported here so that commands without worker processes do not pay for it.
     import multiprocessing
 
-    workers = min(jobs, len(tasks))
-    stop_lanes()
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(jobs, len(tasks), cpus)
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_ablation_worker,
-            initargs=(shared, max(1, len(os.sched_getaffinity(0)) // workers))) as pool:
+            initargs=(shared, cpus // workers)) as pool:
         futures: list = [None] * len(tasks)
         for index in sorted(range(len(tasks)), key=lambda i: tasks[i][3].beta == 0.0):
             futures[index] = _submit(pool, tasks[index])
@@ -427,11 +428,11 @@ def cmd_ablate(cfg: dict, args) -> int:
     """Distill every ``--grid`` cell at ``--seeds`` seeds and write ``summary.csv``.
 
     Every run's configuration is built and checked before any run starts.
-    With ``--jobs`` above 1 the runs go to up to that many worker processes
-    forked from this one, runs with ``beta != 0`` first (see
-    :func:`_run_in_workers`); each worker inherits the teacher and the
-    datasets this process loaded and checked, and reads no file of them
-    again.  Either way the rows of ``summary.csv`` stay in grid order, then
+    With ``--jobs`` above 1 the runs go to up to that many worker processes,
+    and no more than the CPUs this process may run on, forked from this
+    one, runs with ``beta != 0`` first (see :func:`_run_in_workers`); each
+    worker inherits the teacher and the datasets this process loaded and
+    checked, and reads no file of them again.  Either way the rows of ``summary.csv`` stay in grid order, then
     seed order.  Exit code 3 when every run failed.
     """
     if args.seeds < 1:

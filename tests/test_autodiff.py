@@ -23,7 +23,8 @@ from dcd.errors import (DegenerateInputError, DomainError, IndexOutOfRangeError,
                         ShapeMismatchError)
 from dcd.losses import DistillConfig, cross_entropy_loss
 from dcd.models import ConvNet, ModelSpec, convnet_pair, init_weights
-from dcd.train import OptimSpec, distill, train_teacher
+from dcd.train import (OptimSpec, distill, evaluate, restore_model, stats_from_metadata,
+                       train_teacher)
 
 STEP = 1e-5
 
@@ -238,17 +239,6 @@ def test_add_rowvec_gradient(rng):
     check_gradients(lambda a, b: ad.tsum(ad.mul(ad.add_rowvec(a, b), w)), [x, v])
 
 
-def test_conv2d_one_by_one_identity(rng):
-    x = rng.uniform(-1, 1, (2, 3, 4, 4))
-    k = np.zeros((3, 3, 1, 1))
-    for c in range(3):
-        k[c, c, 0, 0] = 1.0
-    out = ad.conv2d(Tensor(x), Tensor(k))
-    assert np.allclose(out.data[:, :, 1:-1, 1:-1], x, atol=1e-15)
-    # on the border the kernel sees only the zero padding
-    assert not out.data[:, :, [0, -1]].any() and not out.data[..., [0, -1]].any()
-
-
 def test_conv2d_box_kernel_interior():
     x = np.full((1, 1, 6, 6), 2.5)
     k = np.ones((1, 1, 3, 3))
@@ -294,8 +284,10 @@ def test_conv2d_gradient(rng):
 
 
 def test_conv2d_geometry_error():
-    with pytest.raises(ShapeMismatchError):
-        ad.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+    for op in (ad.conv2d, ad.conv_block):  # the ConvNet's 3x3 kernel only
+        for kshape in ((1, 1, 1, 1), (1, 1, 2, 3), (1, 1, 5, 5)):
+            with pytest.raises(ShapeMismatchError, match="kernel must be 3x3"):
+                op(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones(kshape)))
     with pytest.raises(ShapeMismatchError):
         ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
@@ -576,7 +568,7 @@ def test_relu_matches_reference_bitwise(rng):
     assert_same_bits(grads[0], ref_grads[0])
 
 
-@pytest.mark.parametrize("kshape", [(4, 3, 3, 3), (2, 3, 2, 3), (5, 3, 1, 1)])
+@pytest.mark.parametrize("kshape", [(4, 3, 3, 3)])
 def test_conv2d_matches_reference_bitwise(kshape, rng, monkeypatch):
     x = rng.uniform(-1, 1, (2, 3, 7, 6))
     k = rng.uniform(-1, 1, kshape)
@@ -757,13 +749,55 @@ def os_threads():
         return int(fh.read().rsplit(")", 1)[1].split()[17])
 
 
+def lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("dcd-lane")]
+
+
+def test_lane_threads_live_only_inside_a_pin(rng, monkeypatch):
+    """Every conv pass runs its lanes inside a pin that holds the pool, and
+    the pool's threads end with the pin: after a ConvNet fit, after an
+    evaluation and after a pass one of whose lanes raised."""
+    ad._blas()
+    monkeypatch.setattr(ad, "_LANES", 2)
+    monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", 3 * 9 * 8 * 8)  # a chunk per sample
+    passes, in_lanes = [], ad._in_lanes
+
+    def spy(task, count, lanes, in_order=None):
+        passes.append((lanes, ad._pins > 0, ad._lane_pool is not None))
+        in_lanes(task, count, lanes, in_order)
+
+    monkeypatch.setattr(ad, "_in_lanes", spy)
+    images = rng.uniform(0, 1, (12, 3, 8, 8)).astype(np.float32)
+    labels = np.arange(12) % 2
+    train = Dataset(images[:8], labels[:8], 2, "train")
+    test = Dataset(images[8:], labels[8:], 2, "test")
+    assert ad._lane_pool is None
+    ckpt, _ = train_teacher(ModelSpec("convnet", (4, 4), 2, (3, 8, 8)), train, test,
+                            OptimSpec(lr=0.01, epochs=1, seed=3), BatchPlan(4, 3))
+    assert passes and set(passes) == {(2, True, True)}
+    assert ad._lane_pool is None and not lane_threads()
+    passes.clear()
+    evaluate(restore_model(ckpt), test, stats_from_metadata(ckpt.metadata))
+    assert passes and set(passes) == {(2, True, True)}
+    assert ad._lane_pool is None and not lane_threads()
+
+    def failing_pool(*args):
+        raise ValueError("pool failed")
+
+    monkeypatch.setattr(ad, "_max_windows", failing_pool)
+    with pytest.raises(ValueError, match="pool failed"):
+        ad.conv_block(Tensor(images[:4]), Tensor(rng.uniform(-1, 1, (4, 3, 3, 3))))
+    assert ad._lane_pool is None and not lane_threads()
+
+
 def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path, monkeypatch):
-    """``ablate --jobs`` workers fork from a process whose lane pool is alive.
-    The pool's threads are ended first, so the process forks with no thread
-    but its own (Python 3.12 warns on a fork with others alive; OpenBLAS
-    ends its threads itself), and the next lane pass makes the pool again.
-    One worker gets every CPU, so on more than one it runs its conv passes
-    on lanes too.  Each cell matches its run in this process bitwise."""
+    """``ablate --jobs`` workers fork from a process that ran its teacher on
+    lanes.  The lane threads ended with the BLAS pin of that run, so the
+    process forks with no thread but its own (Python 3.12 warns on a fork
+    with others alive; OpenBLAS ends its threads itself), and the next pin
+    makes the pool again.  One worker gets every CPU, so on more than one
+    it runs its conv passes on lanes too.  Each cell matches its run in
+    this process bitwise."""
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, (48, 3, 24, 24)).astype(np.float32)
     labels = np.arange(48, dtype=np.int64) % 4
@@ -774,7 +808,8 @@ def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path, monke
     plan = BatchPlan(batch_size=32, shuffle_seed=3)  # two chunks per block-1 pass
     with lanes_pinned(2):
         teacher, _ = train_teacher(spec, train, test, optim, plan)
-    assert ad._lane_pool is not None
+        assert ad._lane_pool is not None
+    assert ad._lane_pool is None and not lane_threads()
     threads_at_fork = []
     fork = os.fork
 
@@ -790,11 +825,9 @@ def test_sweep_worker_forked_after_lanes_matches_in_process_runs(tmp_path, monke
     forked, inline = tmp_path / "forked", tmp_path / "inline"
     rows = cli._run_in_workers((teacher, spec, train, test, str(forked)), tasks, 1)
     assert threads_at_fork == [1]
-    assert ad._lane_pool is None
     with lanes_pinned(2):
         assert rows == [cli._ablation_run((teacher, spec, train, test, str(inline)), task)
                         for task in tasks]
-    assert ad._lane_pool is not None
     for cell in range(len(tasks)):
         for name in ("student.ckpt", "epochs.csv", "config.txt"):
             run = f"cell{cell}-seed0"
@@ -880,19 +913,46 @@ def test_conv_backward_keeps_no_patch_buffer(op, rng, monkeypatch):
     for _ in range(2):  # after the forward pass, then after a backward pass
         saved = _saved_arrays(node.backward)
         assert any(a is x.data for a in saved)
+        assert not any(np.shares_memory(a, out.data) for a in saved)
         assert not [a for a in saved if a.dtype.kind == "f" and a.size >= ad._CONV_CHUNK_ELEMS]
         node.backward(np.ones(out.shape))
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 7, 9)])
+def test_conv_block_winner_code_is_4_where_the_relu_zeroed(shape, rng):
+    """The code is the pool's winning position, and 4 exactly where the
+    ReLU zeroed the window: all-NaN and -inf windows (a positive kernel
+    keeps -inf), negative maxima, and the odd size that drops a row and a
+    column."""
+    x = rng.uniform(-1, 1, shape)
+    x[0, 0, :2, :2] = np.nan
+    x[1, 0, :2, :2] = -np.inf
+    x[1, :, 3:, 3:] = rng.uniform(-1, -0.5, (3, shape[2] - 3, shape[3] - 3))
+    k = rng.uniform(0.5, 1.5, (4, 3, 3, 3))
+    with Tape() as tape:
+        y = ad.conv_block(Tensor(x), Tensor(k))
+    (node,) = tape.nodes
+    (code,) = [a for a in _saved_arrays(node.backward) if a.dtype == np.uint8]
+    conv = ad.conv2d(Tensor(x), Tensor(k)).data
+    _, _, regions = ad._pool_regions("ref", *conv.shape[2:])
+    best, arg = np.empty(y.shape), np.empty(y.shape, dtype=np.uint8)
+    ad._max_windows(conv, regions, best, arg)
+    assert np.array_equal(code, np.where(y.data == 0.0, 4, arg))
+    windows = np.stack([conv[region] for region in regions])
+    zeroed = code == 4
+    assert (zeroed & np.isnan(windows).all(axis=0)).any()
+    assert (zeroed & (best == -np.inf) & ~np.isnan(windows).all(axis=0)).any()
+    assert (zeroed & np.isfinite(best)).any() and (code < 4).any()
+
+
 def test_lanes_keep_the_order_the_context_and_the_first_error():
-    ad._blas()
     lanes_used, ordered = set(), []
 
     def task(i, lane):
         lanes_used.add(lane)
         time.sleep(0.005)  # so that the second lane takes items too
         return np.sqrt(np.array([-1.0]))  # invalid: a warning unless muted
-    with np.errstate(invalid="ignore"):  # must reach the pool's thread
+    with lanes_pinned(2), np.errstate(invalid="ignore"):  # must reach the pool's thread
         ad._in_lanes(task, 8, 2, lambda i, result: ordered.append(i))
     assert ordered == list(range(8)) and lanes_used == {0, 1}
 
@@ -900,16 +960,17 @@ def test_lanes_keep_the_order_the_context_and_the_first_error():
         if i == 3:
             raise ValueError("item 3")
         time.sleep(0.001)
-    with pytest.raises(ValueError, match="item 3"):  # no lane waits for item 3 forever
-        ad._in_lanes(failing, 40, 2, lambda i, result: None)
+    with lanes_pinned(2), pytest.raises(ValueError, match="item 3"):
+        ad._in_lanes(failing, 40, 2, lambda i, result: None)  # no lane waits for item 3
+    assert ad._lane_pool is None and not lane_threads()
 
 
-def test_lanes_and_pins_hold_under_stress(monkeypatch):
+def test_lanes_and_pins_hold_under_stress():
     """More lanes than cores and a short switch interval: every item runs
     once and reaches ``in_order`` in order, and pins overlapping across
-    threads keep OpenBLAS at one thread until the last one ends."""
+    threads keep OpenBLAS at one thread until the last one ends, and end
+    the lane pool with it."""
     ad._blas()
-    monkeypatch.setattr(ad, "_lane_pool", None)  # three threads for four lanes
     start = ad.blas_threads()
     runs, ordered, inside = [], [], []
 
@@ -921,8 +982,9 @@ def test_lanes_and_pins_hold_under_stress(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ad._in_lanes(lambda i, lane: runs.append(i) or i, 300, 4,
-                     lambda i, result: ordered.append(result))
+        with lanes_pinned(4):  # three pool threads for four lanes
+            ad._in_lanes(lambda i, lane: runs.append(i) or i, 300, 4,
+                         lambda i, result: ordered.append(result))
         threads = [threading.Thread(target=pin_often) for _ in range(6)]
         for t in threads:
             t.start()
@@ -930,11 +992,11 @@ def test_lanes_and_pins_hold_under_stress(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        ad._lane_pool.shutdown()
     assert not any(t.is_alive() for t in threads)
     assert sorted(runs) == ordered == list(range(300))
     assert len(inside) == 1200 and set(inside) <= {1, None}
     assert ad._pins == 0 and ad.blas_threads() == start
+    assert ad._lane_pool is None and not lane_threads()
 
 
 def test_convnet_step_peak_memory(rng):
@@ -952,7 +1014,8 @@ def test_convnet_step_peak_memory(rng):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # 13.3 and 18.5 MB on one and two lanes; 31.1 MB with chunks of 4 MB of
+        # 12.4 and 17.1 MB on one and two lanes (13.5 and 18.8 MB when the
+        # block kept its ReLU output for a mask); 31.1 MB with chunks of 4 MB of
         # patches, each pool gradient zeroed and copied (32.3 MB with
         # per-sample GEMMs, 33.6 MB as three ops); 47.9 MB when the tape kept
         # the full-size ReLU output
@@ -1033,7 +1096,8 @@ def test_convnet_step_peak_memory_at_128_rows(rng):
                 step_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # 33.1 and 14.8 MB on one lane, 36.6 and 17.2 MB on two; 47.0 and
+        # 31.2 and 15.1 MB on one lane, 33.9 and 17.7 MB on two (a 33.4 and
+        # 37.1 MB step when the block kept its ReLU output); 47.0 and
         # 17.7 MB with chunks of 4 MB of patches, each pool gradient zeroed
         # and copied; 69.4 and 42.0 MB when the full-size conv output and its
         # pool gradient were held

@@ -706,6 +706,31 @@ def test_sweep_submits_runs_with_projections_first(teacher_run, tmp_path, monkey
         ("1", "1.0", "1", ""), ("2", "0.5", "0", ""), ("2", "0.5", "1", "")]
 
 
+class _SizedPool(_BreakingPool):
+    """Runs every task in this process and records each pool's worker count
+    and the BLAS threads each worker would get."""
+
+    ok = 100
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        super().__init__(max_workers, mp_context, initializer, initargs)
+        self.sizes.append((max_workers, initargs[1]))
+
+
+def test_sweep_forks_no_more_workers_than_cpus(teacher_run, tmp_path, monkeypatch):
+    """The pool forks every worker at its first submit, so ``--jobs`` is
+    capped at the CPUs of the affinity mask, as well as at the run count."""
+    monkeypatch.setattr(_SizedPool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SizedPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    teacher_ckpt = os.path.join(teacher_run, "teacher.ckpt")
+    for grid, seeds in (("beta=0,1", "2"), ("beta=1", "1")):
+        assert main(["ablate", "--teacher", teacher_ckpt, "--out", str(tmp_path / grid),
+                     "--grid", grid, "--seeds", seeds, "--jobs", "64"] + FAST) == EXIT_OK
+    assert _SizedPool.sizes == [(2, 1), (1, 2)]
+
+
 # A script calling the CLI with the beta != 0 runs' batch plans replaced by an
 # object that kills the worker process unpickling it; those runs are submitted
 # first, so the first worker dies on its first task: the tasks are pickled to

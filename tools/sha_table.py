@@ -36,18 +36,25 @@ one tree's ``src`` compares with another's even where the loaders differ.
 
 A change that keeps every run's bits prints the same table as its parent:
 
-    python tools/sha_table.py > after.txt   # likewise in the parent's checkout
-    diff before.txt after.txt
+    python tools/sha_table.py --against HEAD~1
 
-The table takes about 20 s on 2 vCPUs.  It is not part of the test
-suite.
+extracts that revision with ``git archive`` into a temporary directory,
+makes this table from its ``src`` and from the working tree's, each in
+its own process, prints only the rows that differ (``-`` the
+revision's, ``+`` the working tree's) and exits 1 if any do.
+
+The table takes about 20 s on 2 vCPUs, so ``--against`` about 40 s.  It
+is not part of the test suite.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -211,14 +218,51 @@ def load_rows(work: str) -> list[tuple[str, str]]:
     return rows
 
 
-def main() -> int:
+def table_rows() -> list[tuple[str, str]]:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="sha-table-") as work:
         os.chdir(work)
         try:
-            rows = cli_rows() + blob_rows(work) + convnet_rows(work) + load_rows(work)
+            return cli_rows() + blob_rows(work) + convnet_rows(work) + load_rows(work)
         finally:
             os.chdir(cwd)
+
+
+def script_rows(script: str) -> dict[str, str]:
+    """The rows that ``python script`` prints, by name."""
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{script} failed:\n{proc.stderr}")
+    rows = (line.rsplit("  ", 1) for line in proc.stdout.splitlines())
+    return {name.rstrip(): digests for name, digests in rows}
+
+
+def against(rev: str) -> int:
+    """Print the rows of ``rev``'s ``src`` and of the working tree that differ;
+    1 if any do."""
+    import ab  # the committed-tree extraction that tools/ab.py runs its sides from
+    with tempfile.TemporaryDirectory(prefix="sha-table-rev-") as tree:
+        ab.extract(rev, tree)
+        script = os.path.join(tree, "tools", os.path.basename(__file__))
+        os.makedirs(os.path.dirname(script), exist_ok=True)
+        shutil.copyfile(os.path.abspath(__file__), script)
+        before = script_rows(script)
+    after = script_rows(os.path.abspath(__file__))
+    moved = [name for name in {**before, **after} if before.get(name) != after.get(name)]
+    for name in moved:
+        print(f"-{name}  {before.get(name)}")
+        print(f"+{name}  {after.get(name)}")
+    return int(bool(moved))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="print only the rows that differ from REV's src")
+    args = parser.parse_args()
+    if args.against:
+        return against(args.against)
+    rows = table_rows()
     width = max(len(name) for name, _ in rows)
     for name, digests in rows:
         print(f"{name:<{width}}  {digests}")
