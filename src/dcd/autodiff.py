@@ -638,7 +638,8 @@ class _ConvChunks:
     bank at stride 1 over a one-pixel zero border, so an [N,F,H,W] output,
     worked one chunk of samples at a time: the geometry, patches and
     backward that ``conv2d`` and ``conv_block`` share.  Any other kernel
-    size raises :class:`ShapeMismatchError`.
+    size, and an input with no channels or no pixels, raises
+    :class:`ShapeMismatchError`.
 
     Each pass gives its chunks to ``lanes`` lanes (:func:`_in_lanes`) under
     :func:`single_blas_thread`.  The calling thread allocates every lane's
@@ -665,6 +666,8 @@ class _ConvChunks:
             raise ShapeMismatchError(f"{op}: input channels {c} != kernel channels {ck}")
         if (kh, kw) != (3, 3):
             raise ShapeMismatchError(f"{op}: the kernel must be 3x3, got {kh}x{kw}")
+        if 0 in (c, h, w):
+            raise ShapeMismatchError(f"{op}: input {x.shape} has an empty channel or spatial axis")
         self.ho, self.wo = h, w
         self.x = x.data
         self.kshape = k.shape

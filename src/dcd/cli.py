@@ -274,10 +274,6 @@ def cmd_eval(cfg: dict, args) -> int:
 def cmd_transfer(cfg: dict, args) -> int:
     with _restored(args.ckpt) as (_, model, stats):
         train, test = load_datasets(cfg)
-        got = tuple(int(v) for v in train.images.shape[1:])
-        if got != model.spec.in_shape:
-            raise ConfigError(f"transfer data shape {got} does not match "
-                              f"the checkpoint's input shape {model.spec.in_shape}")
         acc = linear_probe(model, train, test, stats, lr=cfg["probe_lr"],
                            epochs=cfg["probe_epochs"], batch_size=cfg["batch_size"],
                            seed=cfg["seed"])

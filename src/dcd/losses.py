@@ -2,10 +2,10 @@
 
 The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over student and
 teacher projections, with a learnable temperature ``tau`` (clamped to
-``[0, tau_max]`` by the optimizer) and a bias ``b``, which shifts every
-logit of a row alike and so leaves each softmax unchanged: its gradient
-is only roundoff, so training holds it at the constant 0 and only the
-public loss functions take it as an argument.  The contrastive term is
+``[0, tau_max]`` by the optimizer) and a bias ``b``, a number that
+shifts every logit of a row alike and so leaves each softmax unchanged:
+no loss differentiates it, training holds it at 0, and only the public
+functions take it as an argument.  The contrastive term is
 cross-entropy of the student-anchored similarity rows against the
 diagonal; the consistency term is the mean KL divergence between
 student-anchored and teacher-anchored similarity distributions.  The
@@ -101,62 +101,55 @@ class EmbeddingPair:
         return self.zs.shape[0]
 
 
-def _scalar(x) -> Tensor:
-    if isinstance(x, Parameter):
-        return x.value
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.float64(x))
-
-
 def _check_tau(tau) -> Tensor:
-    if isinstance(tau, Parameter) and tau.bounds is not None:
+    """``tau`` as a tensor: a number, a tensor, or a parameter inside its clamp interval."""
+    if not isinstance(tau, Parameter):
+        return tau if isinstance(tau, Tensor) else Tensor(np.float64(tau))
+    if tau.bounds is not None:
         lo, hi = tau.bounds
         val = float(tau.value.data)
         if not lo <= val <= hi:
             raise ConfigError(f"temperature {val} outside clamp interval [{lo}, {hi}]")
-    return _scalar(tau)
+    return tau.value
 
 
-def _similarity_laws(pair: EmbeddingPair, tau, b) -> tuple:
-    """The forward half of :func:`_embedding_terms`: tau and b as tensors, each
+def _similarity_laws(pair: EmbeddingPair, tau, b: float) -> tuple:
+    """The forward half of :func:`_embedding_terms`: tau as a tensor, each
     side's ``unit_rows``, ``exp(tau)``, ``cos``, ``L = cos * exp(tau) + b`` and
     the :func:`dcd.autodiff.softmax_rows` of ``L`` and of ``L.T``."""
-    tau_t, b_t = _check_tau(tau), _scalar(b)
+    tau_t = _check_tau(tau)
     student = ad.unit_rows(pair.zs.data, clamp=True)
     teacher = ad.unit_rows(pair.zt.data, clamp=False)
     e = np.exp(tau_t.data)
     cos = student[0] @ teacher[0].T
     logits = cos * e
-    logits += b_t.data
+    logits += b
     if not np.isfinite(logits).all():
         raise DomainError("embedding similarity logits must be finite")
-    return (tau_t, b_t, student, teacher, e, cos, logits, ad.softmax_rows(logits),
+    return (tau_t, student, teacher, e, cos, logits, ad.softmax_rows(logits),
             ad.softmax_rows(logits.T))
 
 
-def similarity_logits(pair: EmbeddingPair, tau, b, anchor: str = "student") -> Tensor:
-    """[N, N] constant logit matrix cos(anchor_i, other_j) * exp(tau) + b."""
-    if anchor not in ("student", "teacher"):
-        raise ConfigError(f"anchor must be 'student' or 'teacher', got {anchor!r}")
-    logits = _similarity_laws(pair, tau, b)[6]
-    return Tensor(logits if anchor == "student" else logits.T)
+def similarity_logits(pair: EmbeddingPair, tau, b: float) -> Tensor:
+    """[N, N] constant student-anchored logit matrix cos(zs_i, zt_j) * exp(tau) + b;
+    its transpose is the teacher-anchored one."""
+    return Tensor(_similarity_laws(pair, tau, b)[5])
 
 
-def student_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
+def student_distribution(pair: EmbeddingPair, tau, b: float) -> Tensor:
     """Constant row-stochastic matrix: softmax over student-anchored similarity rows."""
+    return Tensor(_similarity_laws(pair, tau, b)[6][1])
+
+
+def teacher_distribution(pair: EmbeddingPair, tau, b: float) -> Tensor:
+    """Constant row-stochastic matrix: softmax over teacher-anchored similarity rows."""
     return Tensor(_similarity_laws(pair, tau, b)[7][1])
 
 
-def teacher_distribution(pair: EmbeddingPair, tau, b) -> Tensor:
-    """Constant row-stochastic matrix: softmax over teacher-anchored similarity rows."""
-    return Tensor(_similarity_laws(pair, tau, b)[8][1])
-
-
-def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
+def _embedding_terms(pair: EmbeddingPair, tau, b: float, weights: tuple[float, float],
                      detach_target: bool = False) -> tuple[Tensor, float, float]:
     """``(weights[0] * contrast + weights[1] * consist, contrast, consist)``,
-    the first as one tape node over ``zs``, ``zt``, ``tau`` and ``b``.
+    the first as one tape node over ``zs``, ``zt`` and ``tau``.
 
     ``L = cos(zs, zt) * exp(tau) + b`` holds the student-anchored logits and
     ``L.T`` the teacher-anchored ones (:func:`_similarity_laws`).  With
@@ -167,7 +160,7 @@ def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
     comes through the teacher-anchored side.
     """
     w_contrast, w_consist = weights
-    tau_t, b_t, (zs, s_norms, s_clamped), (zt, t_norms, _), e, cos, _, (ls, p), (lt, q) = \
+    tau_t, (zs, s_norms, s_clamped), (zt, t_norms, _), e, cos, _, (ls, p), (lt, q) = \
         _similarity_laws(pair, tau, b)
     n = pair.n
     gap = ls - lt
@@ -189,19 +182,19 @@ def _embedding_terms(pair: EmbeddingPair, tau, b, weights: tuple[float, float],
         g_cos = g_logits * e
         return (ad.unit_rows_backward(g_cos @ zt, zs, s_norms, s_clamped),
                 ad.unit_rows_backward(g_cos.T @ zs, zt, t_norms, None),
-                np.asarray((g_cos * cos).sum()), np.asarray(g_logits.sum()))
+                np.asarray((g_cos * cos).sum()))
 
     value = np.asarray(w_contrast * contrast + w_consist * consist)
-    return ad._emit("embedding_terms", (pair.zs, pair.zt, tau_t, b_t), value, bwd), \
+    return ad._emit("embedding_terms", (pair.zs, pair.zt, tau_t), value, bwd), \
         contrast, consist
 
 
-def contrastive_loss(pair: EmbeddingPair, tau, b) -> Tensor:
+def contrastive_loss(pair: EmbeddingPair, tau, b: float) -> Tensor:
     """Each student row must select its own teacher row among the batch."""
     return _embedding_terms(pair, tau, b, (1.0, 0.0))[0]
 
 
-def consistency_loss(pair: EmbeddingPair, tau, b, detach_target: bool = False) -> Tensor:
+def consistency_loss(pair: EmbeddingPair, tau, b: float, detach_target: bool = False) -> Tensor:
     """Mean KL between student-anchored and teacher-anchored distributions.
 
     With ``detach_target`` the teacher-anchored distribution is treated
@@ -210,18 +203,16 @@ def consistency_loss(pair: EmbeddingPair, tau, b, detach_target: bool = False) -
     return _embedding_terms(pair, tau, b, (0.0, 1.0), detach_target)[0]
 
 
-def kd_kl_loss(student_logits: Tensor, teacher_logits, temperature: float) -> Tensor:
+def kd_kl_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
     """T^2-scaled mean KL(teacher_T || student_T); the teacher side is constant."""
     t = float(temperature)
     if t <= 0:
         raise ConfigError("kd temperature must be positive")
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(
-        teacher_logits, dtype=np.float64)
-    if student_logits.data.ndim != 2 or t_data.shape != student_logits.shape:
+    if student_logits.data.ndim != 2 or teacher_logits.shape != student_logits.shape:
         raise ShapeMismatchError(
-            f"logit shapes differ: {student_logits.shape} vs {t_data.shape}")
+            f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}")
     n = student_logits.shape[0]
-    t_log_p, t_p = ad.softmax_rows(t_data / t)
+    t_log_p, t_p = ad.softmax_rows(teacher_logits.data / t)
     s_lsm = ad.log_softmax_rows(ad.scale(student_logits, 1.0 / t))
     per = ad.mul(Tensor(t_p), ad.sub(Tensor(t_log_p), s_lsm))
     return ad.scale(ad.tsum(per), t * t / n)
@@ -265,7 +256,7 @@ class LossBreakdown:
         }
 
 
-def total_loss(student_logits: Tensor, teacher_logits, labels, pair: EmbeddingPair | None,
+def total_loss(student_logits: Tensor, teacher_logits: Tensor, labels, pair: EmbeddingPair | None,
                tau, cfg: DistillConfig) -> LossBreakdown:
     """Supervised CE + lambda * plain KD KL + beta * (contrast + alpha * consist),
     the embedding terms at ``b = 0``.

@@ -88,11 +88,10 @@ class Mlp:
         return out
 
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
-        n = images.shape[0]
-        if int(np.prod(images.shape[1:])) != self.spec.in_dim:
+        if images.shape[1:] != self.spec.in_shape:
             raise ShapeMismatchError(
-                f"expects inputs of {self.spec.in_shape}, got {images.shape[1:]}")
-        h = ad.reshape(images, (n, self.spec.in_dim))
+                f"expects inputs of shape {self.spec.in_shape}, got {images.shape[1:]}")
+        h = ad.reshape(images, (images.shape[0], self.spec.in_dim))
         for w, b in self.layers:
             h = ad.relu(ad.add_rowvec(ad.matmul(h, w.value), b.value))
         logits = ad.add_rowvec(ad.matmul(h, self.cls_w.value), self.cls_b.value)
@@ -116,7 +115,7 @@ class ConvNet:
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
         if images.shape[1:] != self.spec.in_shape:
             raise ShapeMismatchError(
-                f"expects inputs of {self.spec.in_shape}, got {images.shape[1:]}")
+                f"expects inputs of shape {self.spec.in_shape}, got {images.shape[1:]}")
         h = images
         for k in self.kernels:
             h = ad.conv_block(h, k.value)

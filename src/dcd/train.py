@@ -407,9 +407,8 @@ def _distill_step(student: Model, teacher_targets, s_head: ProjectionHead,
 
 
 def train_teacher(spec: ModelSpec, train: Dataset, test: Dataset, optim: OptimSpec,
-                  plan: BatchPlan | None = None) -> tuple[Checkpoint, list[EpochLog]]:
+                  plan: BatchPlan) -> tuple[Checkpoint, list[EpochLog]]:
     """Supervised cross-entropy training; deterministic per (seed, config, data)."""
-    plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     model = init_weights(spec, optim.seed)
     stats = channel_stats(train)
     params = model.parameters()
@@ -441,7 +440,7 @@ def _teacher_forward(teacher: Model, images: Tensor, step: int) -> tuple[Tensor,
 
 
 def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, test: Dataset,
-            cfg: DistillConfig, optim: OptimSpec, plan: BatchPlan | None = None,
+            cfg: DistillConfig, optim: OptimSpec, plan: BatchPlan
             ) -> tuple[Checkpoint, list[EpochLog]]:
     """Optimize the student, both projection heads and tau under the
     combined objective; the teacher backbone stays frozen.  The checkpoint
@@ -462,7 +461,6 @@ def distill(teacher_ckpt: Checkpoint, student_spec: ModelSpec, train: Dataset, t
     gradient, and the ReLU passes none back.  A zero teacher row ends the
     run in a :class:`DivergenceError` naming the teacher projection head.
     """
-    plan = plan or BatchPlan(batch_size=128, shuffle_seed=optim.seed)
     teacher = restore_model(teacher_ckpt)
     check_class_count(teacher.spec, train, "the teacher checkpoint")
     stats = stats_from_metadata(teacher_ckpt.metadata)

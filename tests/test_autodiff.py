@@ -292,6 +292,25 @@ def test_conv2d_geometry_error():
         ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
 
+@pytest.mark.parametrize("op", [ad.conv2d, ad.conv_block])
+@pytest.mark.parametrize("shape", [(2, 0, 8, 8), (2, 3, 0, 8), (2, 3, 8, 0)])
+def test_conv_of_an_empty_channel_or_spatial_axis_names_op_and_shape(op, shape):
+    with pytest.raises(ShapeMismatchError, match=rf"{op.__name__}: input \({shape[0]}, "
+                                                 rf"{shape[1]}, {shape[2]}, {shape[3]}\)"):
+        op(Tensor(np.ones(shape)), Tensor(np.ones((4, shape[1], 3, 3))))
+
+
+@pytest.mark.parametrize("op", [ad.conv2d, ad.conv_block])
+def test_conv_of_no_samples_gives_empty_output_and_gradients(op):
+    x, k = Tensor(np.ones((0, 3, 8, 8))), Tensor(np.ones((4, 3, 3, 3)))
+    with Tape() as tape:
+        y = op(x, k)
+        tape.backward(ad.tsum(y))
+    assert y.shape == ((0, 4, 8, 8) if op is ad.conv2d else (0, 4, 4, 4))
+    assert tape.grads[x.id].shape == (0, 3, 8, 8)
+    assert np.array_equal(tape.grads[k.id], np.zeros((4, 3, 3, 3)))
+
+
 def test_maxpool_forward_and_gradient(rng):
     x = rng.uniform(-1, 1, (2, 2, 4, 6))
     x += np.arange(x.size).reshape(x.shape) * 1e-3  # break ties

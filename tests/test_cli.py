@@ -399,6 +399,43 @@ def test_transfer_dimension_mismatch_message(teacher_run, tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def flat_student_and_mnist(tmp_path_factory):
+    """A 10-class MLP student trained on (1, 1, 784) blobs, and an MNIST
+    directory of (1, 28, 28) images: as many pixels, another shape."""
+    from dcd.data import Dataset, serialize_mnist_idx
+    root = tmp_path_factory.mktemp("flat")
+    blobs = FAST + ["--set", "blob_classes=10", "--set", "blob_dim=784", "--set", "lr=0.01"]
+    assert main(["train-teacher", "--out", str(root / "teacher")] + blobs) == EXIT_OK
+    assert main(["distill", "--teacher", str(root / "teacher" / "teacher.ckpt"),
+                 "--out", str(root / "student")] + blobs) == EXIT_OK
+    rng = np.random.default_rng(6)
+    for prefix, rows in (("train", 20), ("t10k", 10)):
+        images = (rng.integers(0, 256, (rows, 1, 28, 28)) / 255.0).astype(np.float32)
+        files = serialize_mnist_idx(Dataset(images, rng.integers(0, 10, rows), 10, "x"))
+        (root / f"{prefix}-images-idx3-ubyte").write_bytes(files[0])
+        (root / f"{prefix}-labels-idx1-ubyte").write_bytes(files[1])
+    return str(root / "student" / "student.ckpt"), root
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer", "export-embeddings"])
+def test_mlp_on_images_of_another_shape_exits_config_naming_both(
+        command, flat_student_and_mnist, tmp_path, capsys):
+    """Every command that runs a checkpoint checks the input shape alike,
+    also where the pixel counts agree."""
+    ckpt, mnist = flat_student_and_mnist
+    csv_path = tmp_path / "emb.csv"
+    argv = [command, "--ckpt", ckpt, "--set", "dataset=mnist", "--data", str(mnist)]
+    if command == "export-embeddings":
+        argv += ["--csv", str(csv_path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert "(1, 1, 784)" in lines[0] and "(1, 28, 28)" in lines[0], lines
+    assert not csv_path.exists()
+
+
 def test_parse_grid():
     cells = parse_grid("alpha=0.1,0.5|beta=1,100")
     assert len(cells) == 4

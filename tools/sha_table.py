@@ -15,6 +15,9 @@ so that the echoed ``out_dir`` is the same on every call:
 - ``dcd ablate --grid "alpha=0.1,0.5|beta=0,1" --seeds 1 --seed 0 --set
   data_seed=0`` from that teacher, at ``--jobs 1`` and at ``--jobs 2``, each
   with a row for its ``summary.csv`` and one for its own ``config.txt``;
+- ``dcd eval`` and ``dcd transfer`` of that teacher and of the ``--jobs 1``
+  sweep's cell-0 student, each row the line the command prints, and the
+  digest of the CSV that ``dcd export-embeddings`` writes for that student;
 - the blob-recipe teacher and its vanilla, kd, dcd_kd and beta_100 student
   arms at seeds 0 and 1, with the overrides of ``recipes.TREND_ARMS`` and
   ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too;
@@ -52,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import os
 import shutil
 import subprocess
@@ -102,12 +106,14 @@ def run_digests(run_dir: str, ckpt_name: str) -> str:
     return f"{digest(ckpt)} {tensor_digest(ckpt)} {digest(os.path.join(run_dir, 'epochs.csv'))}"
 
 
-def dcd(argv: list[str]) -> None:
-    """``dcd argv`` in this process, its stdout sent to stderr."""
-    with contextlib.redirect_stdout(sys.stderr):
+def dcd(argv: list[str]) -> str:
+    """``dcd argv`` in this process; returns what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv + CLI_COMMON)
     if code != cli.EXIT_OK:
         raise SystemExit(f"dcd {argv[0]} exited with code {code}")
+    return out.getvalue().strip()
 
 
 def cli_rows() -> list[tuple[str, str]]:
@@ -128,6 +134,13 @@ def cli_rows() -> list[tuple[str, str]]:
         rows.append((f"ablate --jobs {jobs} summary.csv",
                      digest(os.path.join(out, "summary.csv"))))
         rows.append((f"ablate --jobs {jobs} config.txt", digest(os.path.join(out, "config.txt"))))
+    student = os.path.join("ablate-jobs1", "cell0-seed0", "student.ckpt")
+    for name, ckpt in (("teacher", os.path.join("teacher", "teacher.ckpt")),
+                       ("ablate cell0 student", student)):
+        rows += [(f"{command} {name}", dcd([command, "--ckpt", ckpt]))
+                 for command in ("eval", "transfer")]
+    dcd(["export-embeddings", "--ckpt", student, "--csv", "embeddings.csv"])
+    rows.append(("export-embeddings ablate cell0 student csv", digest("embeddings.csv")))
     return rows
 
 
