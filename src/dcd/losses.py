@@ -4,11 +4,11 @@ The logit map is ``cos(z_i, z_j) * exp(tau) + b`` over student and
 teacher projections, with a learnable temperature ``tau`` (clamped to
 ``[0, tau_max]`` by the optimizer) and a bias ``b``, a number that
 shifts every logit of a row alike and so leaves each softmax unchanged:
-no loss differentiates it, training holds it at 0, and only the public
-functions take it as an argument.  The contrastive term is
-cross-entropy of the student-anchored similarity rows against the
-diagonal; the consistency term is the mean KL divergence between
-student-anchored and teacher-anchored similarity distributions.  The
+no tape records it, no loss differentiates it, and training passes 0.
+The contrastive term is cross-entropy of the student-anchored similarity
+rows against the diagonal; the consistency term is the mean KL
+divergence between student-anchored and teacher-anchored similarity
+distributions.  The
 loss functions return tape-tracked scalar tensors, so a single backward
 pass reaches the student network, both projection heads and ``tau``.
 

@@ -428,7 +428,6 @@ def test_mlp_on_images_of_another_shape_exits_config_naming_both(
     argv = [command, "--ckpt", ckpt, "--set", "dataset=mnist", "--data", str(mnist)]
     if command == "export-embeddings":
         argv += ["--csv", str(csv_path)]
-    capsys.readouterr()
     assert main(argv) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), lines
