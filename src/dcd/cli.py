@@ -132,18 +132,16 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(file_path: str | None, overrides: dict[str, str]) -> dict:
+    """The defaults, then the config file's pairs, then ``overrides``; each
+    value is a string that its key's parser reads."""
     resolved = {key: default for key, (_, default) in CONFIG_KEYS.items()}
-    layers = []
-    if file_path:
-        layers.append(parse_config_file(file_path))
-    layers.append(overrides)
-    for layer in layers:
+    for layer in ([parse_config_file(file_path)] if file_path else []) + [overrides]:
         for key, raw in layer.items():
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             parser, _ = CONFIG_KEYS[key]
             try:
-                resolved[key] = parser(raw) if isinstance(raw, str) else raw
+                resolved[key] = parser(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value {raw!r} for {key!r}: {exc}") from exc
     return resolved

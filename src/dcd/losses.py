@@ -236,24 +236,14 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 @dataclass
 class LossBreakdown:
-    """Per-term scalar tensors of the combined objective."""
+    """Per-term scalar tensors of the combined objective, the loss columns of
+    the epoch log."""
 
     sup: Tensor
     distill_kl: Tensor
     contrast: Tensor
     consist: Tensor
-    kd: Tensor
     total: Tensor
-
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "sup": self.sup.item(),
-            "distill_kl": self.distill_kl.item(),
-            "contrast": self.contrast.item(),
-            "consist": self.consist.item(),
-            "kd": self.kd.item(),
-            "total": self.total.item(),
-        }
 
 
 def total_loss(student_logits: Tensor, teacher_logits: Tensor, labels, pair: EmbeddingPair | None,
@@ -271,14 +261,14 @@ def total_loss(student_logits: Tensor, teacher_logits: Tensor, labels, pair: Emb
     if pair is None:
         if cfg.beta != 0.0:
             raise ConfigError(f"beta={cfg.beta} needs an embedding pair")
-        contrast = consist = kd = Tensor(0.0)
+        contrast = consist = Tensor(0.0)
     else:
-        kd, contrast, consist = _embedding_terms(pair, tau, 0.0, (1.0, cfg.alpha),
-                                                 cfg.detach_consistency)
+        embedding, contrast, consist = _embedding_terms(pair, tau, 0.0, (1.0, cfg.alpha),
+                                                        cfg.detach_consistency)
         contrast, consist = Tensor(contrast), Tensor(consist)
     total = sup
     if cfg.lambda_kl != 0.0:
         total = ad.add(total, ad.scale(distill_kl, cfg.lambda_kl))
     if cfg.beta != 0.0:
-        total = ad.add(total, ad.scale(kd, cfg.beta))
-    return LossBreakdown(sup, distill_kl, contrast, consist, kd, total)
+        total = ad.add(total, ad.scale(embedding, cfg.beta))
+    return LossBreakdown(sup, distill_kl, contrast, consist, total)

@@ -37,15 +37,6 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return 100.0 * float((np.argmax(logits, axis=1) == labels).mean())
 
 
-def extract_features(model: Model, dataset: Dataset, stats, batch_size: int = 256,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate features and labels over :func:`inference`."""
-    labels, feats = zip(*((batch.labels, f) for batch, f in inference(
-        model, dataset, stats, batch_size, lambda f, _: f,
-        "extract_features: the model's features")))
-    return np.concatenate(feats), np.concatenate(labels)
-
-
 class _LinearProbe:
     """A linear classifier over feature rows, shaped like a model for ``_fit``."""
 
@@ -72,9 +63,14 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
         raise ConfigError(f"probe lr must be finite and positive, got {lr}")
     if epochs < 0:
         raise ConfigError(f"probe epochs must be non-negative, got {epochs}")
-    # feature rows stand in for the images of the probe's datasets
-    splits = [Dataset(*extract_features(frozen_model, split, stats, batch_size),
-                      split.class_count, f"{split.name} features") for split in (train, test)]
+    # penultimate feature rows stand in for the images of the probe's datasets
+    splits = []
+    for split in (train, test):
+        labels, feats = zip(*((batch.labels, f) for batch, f in inference(
+            frozen_model, split, stats, batch_size, lambda f, _: f,
+            "extract_features: the model's features")))
+        splits.append(Dataset(np.concatenate(feats), np.concatenate(labels),
+                              split.class_count, f"{split.name} features"))
     probe = _LinearProbe(splits[0].images.shape[1],
                          max(train.class_count, test.class_count), seed)
     _, final = _fit(probe, [probe.weight, probe.bias], _supervised_step(probe), *splits, None,

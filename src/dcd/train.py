@@ -253,7 +253,7 @@ class EpochLog:
 
 EPOCH_CSV_COLUMNS = tuple(f.name for f in fields(EpochLog))
 # the epoch columns that average a LossBreakdown term over the epoch
-_LOSS_COLUMNS = tuple(c for c in EPOCH_CSV_COLUMNS if c in {f.name for f in fields(LossBreakdown)})
+_LOSS_COLUMNS = tuple(f.name for f in fields(LossBreakdown))
 
 
 def write_epoch_csv(logs: list[EpochLog], path: str) -> None:
@@ -281,10 +281,12 @@ def _blas_pin(model):
 
 
 def inference(model: Model, dataset: Dataset, stats, batch_size: int, output, what: str):
-    """The one inference pass: each batch of an in-order, unaugmented, untaped
-    pass with ``output(features, logits)`` as an array, computed with numpy's
-    warnings muted and under :func:`_blas_pin`; a non-finite output raises
-    :class:`DomainError` naming ``what``.
+    """The inference pass that :func:`evaluate`, the linear probe and the
+    embedding export share (the frozen teacher's pass is its own loop, in
+    :func:`_frozen_teacher_outputs`): each batch of an in-order, unaugmented,
+    untaped pass with ``output(features, logits)`` as an array, computed with
+    numpy's warnings muted and under :func:`_blas_pin`; a non-finite output
+    raises :class:`DomainError` naming ``what``.
     """
     with _blas_pin(model):
         for batch in eval_batches(dataset, stats, batch_size):
@@ -356,8 +358,7 @@ def _fit(model: Model, params: list[Parameter], step_loss, train: Dataset, test:
                     assert tau.bounds[0] <= float(tau.value.data) <= tau.bounds[1], \
                         "temperature escaped its clamp interval"
                 n = len(batch.labels)
-                f = bd.as_floats()
-                sums += n * np.array([f[c] for c in _LOSS_COLUMNS])
+                sums += n * np.array([getattr(bd, c).item() for c in _LOSS_COLUMNS])
                 seen += n
                 step += 1
             if epoch_logs:
@@ -385,7 +386,7 @@ def _supervised_step(model):
         _, logits = model.forward(batch.images)
         ce = cross_entropy_loss(logits, batch.labels)
         zero = Tensor(0.0)
-        return LossBreakdown(ce, zero, zero, zero, zero, ce)
+        return LossBreakdown(ce, zero, zero, zero, ce)
     return step_loss
 
 

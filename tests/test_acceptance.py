@@ -106,7 +106,7 @@ def test_criterion_6_cifar_distillation_trend():
     started = time.time()
     train, test = cli.load_datasets(cli.resolve_config(None, {
         "dataset": "cifar10", "data_dir": _cifar10_dir(),
-        "train_limit": recipes.CIFAR_TRAIN_LIMIT}))
+        "train_limit": str(recipes.CIFAR_TRAIN_LIMIT)}))
     teacher_spec, student_spec = convnet_pair((3, 32, 32), 10)
     plan = BatchPlan(batch_size=recipes.CIFAR_BATCH, shuffle_seed=7, augment="flip+crop")
     t_ckpt, _ = train_teacher(teacher_spec, train, test, recipes.CIFAR_TEACHER_OPTIM, plan)

@@ -25,18 +25,21 @@ def test_tracer_installs_on_the_current_package():
 def test_gate_reads_training_outputs():
     """``perfbench/gate.py`` reads ``EPOCH_CSV_COLUMNS``, ``EpochLog.row()``,
     checkpoint metadata and ``restore_model``/``stats_from_metadata``; a tiny
-    blob teacher and student must pass its epoch, student and round-trip checks."""
+    blob teacher and student must pass its epoch, student and round-trip checks.
+    Its ``LOSS_COLUMNS`` are the terms of a ``LossBreakdown``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dcd.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"""
 import os, sys, tempfile
 sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})
 import gate
+from dataclasses import fields
 from dcd.data import BatchPlan, synth_blob_split
-from dcd.losses import DistillConfig
+from dcd.losses import DistillConfig, LossBreakdown
 from dcd.models import ModelSpec
 from dcd.train import OptimSpec, distill, train_teacher
 
+assert tuple(f.name for f in fields(LossBreakdown)) == gate.LOSS_COLUMNS
 train, test = synth_blob_split(2, 20, 10, 8, seed=3, std=0.05)
 teacher, logs = train_teacher(ModelSpec("mlp", (16,), 2, (1, 1, 8)), train, test,
                               OptimSpec(lr=0.1, epochs=2, seed=1), BatchPlan(16, 1))

@@ -897,13 +897,17 @@ def student_run(teacher_run, tmp_path_factory):
 
 def _broken_copy(src, dst, how):
     """A copy of a checkpoint whose model gives non-finite features
-    (``huge``: every model tensor times 1e200) or all-zero features
-    (``dead``: the last hidden layer outputs relu(-1) for every row)."""
+    (``huge``: every model tensor times 1e200), all-zero features
+    (``dead``: the last hidden layer outputs relu(-1) for every row) or, with
+    a finite model, non-finite projections (``nan-head``: a NaN in the
+    student projection head)."""
     ckpt = load_checkpoint(src)
     if how == "huge":
         for name, arr in ckpt.tensors.items():
             if name.startswith("model."):
                 arr *= 1e200
+    elif how == "nan-head":
+        ckpt.tensors["head.student.weight"][0, 0] = np.nan
     else:
         ckpt.tensors["model.layer1.weight"][...] = 0.0
         ckpt.tensors["model.layer1.bias"][...] = -1.0
@@ -926,7 +930,8 @@ def _only_error_line(argv, code=EXIT_DIVERGENCE, prefix="divergence: "):
 
 
 @pytest.mark.parametrize("how,command", [("huge", "transfer"), ("huge", "export-embeddings"),
-                                         ("dead", "export-embeddings")])
+                                         ("dead", "export-embeddings"),
+                                         ("nan-head", "export-embeddings")])
 def test_pass_over_broken_checkpoint_exits_divergence(how, command, student_run, tmp_path):
     ckpt = _broken_copy(os.path.join(student_run, "student.ckpt"), tmp_path / "s.ckpt", how)
     csv_path = tmp_path / "emb.csv"

@@ -361,10 +361,8 @@ def test_embedding_terms_reject_zero_teacher_row_and_non_finite_logits(rng):
 # -- combined kd loss ----------------------------------------------------------
 
 def dcd_term(pair, tau, cfg):
-    """The embedding term contrast + alpha * consist of total_loss."""
-    logits = Tensor(np.zeros((pair.n, 3)))
-    labels = np.zeros(pair.n, dtype=np.int64)
-    return total_loss(logits, logits, labels, pair, tau, cfg).kd.item()
+    """The embedding term contrast + alpha * consist, as total_loss computes it."""
+    return _embedding_terms(pair, tau, 0.0, (1.0, cfg.alpha), cfg.detach_consistency)[0].item()
 
 
 def test_dcd_loss_alpha_zero_is_contrastive(rng):
@@ -395,7 +393,7 @@ def test_total_loss_without_pair_has_zero_embedding_terms(rng):
     labels = np.array([0, 1, 2, 0])
     bd = total_loss(s_logits, t_logits, labels, None, 1.0,
                     DistillConfig(beta=0.0, lambda_kl=0.5))
-    assert bd.contrast.item() == bd.consist.item() == bd.kd.item() == 0.0
+    assert bd.contrast.item() == bd.consist.item() == 0.0
     assert bd.total.item() == bd.sup.item() + 0.5 * bd.distill_kl.item()
     with pytest.raises(ConfigError):
         total_loss(s_logits, t_logits, labels, None, 1.0, DistillConfig(beta=1.0))
@@ -486,14 +484,14 @@ def test_total_reduces_to_supervised(rng):
 def test_total_recomposition_identity(rng):
     cfg = DistillConfig()  # alpha 0.5, beta 1, lambda 1
     for _ in range(10):
-        bd, _ = build_total(rng, cfg)
-        f = bd.as_floats()
-        recomposed = f["sup"] + cfg.lambda_kl * f["distill_kl"] \
-            + cfg.beta * (f["contrast"] + cfg.alpha * f["consist"])
-        assert abs(f["total"] - recomposed) < 1e-10
-        assert abs(f["kd"] - (f["contrast"] + cfg.alpha * f["consist"])) < 1e-12
-        assert f["contrast"] >= 0.0
-        assert f["consist"] >= -1e-12
+        bd, pair = build_total(rng, cfg)
+        contrast, consist = bd.contrast.item(), bd.consist.item()
+        recomposed = bd.sup.item() + cfg.lambda_kl * bd.distill_kl.item() \
+            + cfg.beta * (contrast + cfg.alpha * consist)
+        assert abs(bd.total.item() - recomposed) < 1e-10
+        assert abs(dcd_term(pair, cfg.tau_init, cfg) - (contrast + cfg.alpha * consist)) < 1e-12
+        assert contrast >= 0.0
+        assert consist >= -1e-12
 
 
 def test_total_default_config_matches_shipped_defaults():
@@ -524,7 +522,7 @@ def test_permutation_equivariance(rng):
         bd2 = total_loss(Tensor(s_logits[perm]), Tensor(t_logits[perm]), labels[perm],
                          EmbeddingPair(Tensor(zs[perm]), Tensor(zt[perm])), tau, cfg)
         for key in ("sup", "distill_kl", "contrast", "consist", "total"):
-            assert abs(bd1.as_floats()[key] - bd2.as_floats()[key]) < 1e-10
+            assert abs(getattr(bd1, key).item() - getattr(bd2, key).item()) < 1e-10
 
 
 def test_contrastive_bias_shift_invariance(rng):

@@ -18,6 +18,8 @@ so that the echoed ``out_dir`` is the same on every call:
 - ``dcd eval`` and ``dcd transfer`` of that teacher and of the ``--jobs 1``
   sweep's cell-0 student, each row the line the command prints, and the
   digest of the CSV that ``dcd export-embeddings`` writes for that student;
+- ``dcd verify``, a row for each line it prints, so the table covers the
+  gradient check of a distillation step;
 - the blob-recipe teacher and its vanilla, kd, dcd_kd and beta_100 student
   arms at seeds 0 and 1, with the overrides of ``recipes.TREND_ARMS`` and
   ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too;
@@ -106,11 +108,11 @@ def run_digests(run_dir: str, ckpt_name: str) -> str:
     return f"{digest(ckpt)} {tensor_digest(ckpt)} {digest(os.path.join(run_dir, 'epochs.csv'))}"
 
 
-def dcd(argv: list[str]) -> str:
-    """``dcd argv`` in this process; returns what it printed."""
+def dcd(argv: list[str], common: list[str] = CLI_COMMON) -> str:
+    """``dcd argv common`` in this process; returns what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(argv + CLI_COMMON)
+        code = cli.main(argv + common)
     if code != cli.EXIT_OK:
         raise SystemExit(f"dcd {argv[0]} exited with code {code}")
     return out.getvalue().strip()
@@ -141,6 +143,9 @@ def cli_rows() -> list[tuple[str, str]]:
                  for command in ("eval", "transfer")]
     dcd(["export-embeddings", "--ckpt", student, "--csv", "embeddings.csv"])
     rows.append(("export-embeddings ablate cell0 student csv", digest("embeddings.csv")))
+    # verify takes neither --seed nor --set
+    rows += [(f"verify line{i}", line)
+             for i, line in enumerate(dcd(["verify"], common=[]).splitlines())]
     return rows
 
 
