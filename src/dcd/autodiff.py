@@ -292,23 +292,17 @@ def log(x: Tensor) -> Tensor:
     return _emit("log", (x,), np.log(x.data), bwd)
 
 
-def _relu_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``max(a, 0)`` into ``out``, with NaN -> 0 and -0.0 -> +0.0."""
-    np.fmax(a, 0.0, out=out)
-    # fmax's pick between -0.0 and +0.0 differs between numpy's vector and
-    # scalar loops, so it depends on the array's length; adding +0.0 turns
-    # any -0.0 into +0.0
-    out += 0.0
-    return out
-
-
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) with NaN -> 0 and -0.0 -> +0.0; saves only its output.
 
     The backward mask is ``y > 0`` on the saved output, which equals
     ``x > 0`` on the input.
     """
-    y = _relu_into(x.data, np.empty(x.shape, dtype=np.float64))
+    y = np.fmax(x.data, 0.0)
+    # fmax's pick between -0.0 and +0.0 differs between numpy's vector and
+    # scalar loops, so it depends on the array's length; adding +0.0 turns
+    # any -0.0 into +0.0
+    y += 0.0
 
     def bwd(g, yd=y):
         return (g * (yd > 0.0),)
@@ -795,24 +789,25 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
 
 
 def _max_windows(x: np.ndarray, regions: list[tuple], best: np.ndarray,
-                 arg: np.ndarray | None) -> None:
-    """Write each window's maximum of ``x`` into ``best`` and, unless ``arg``
-    is None, the first position in scan order that holds it into ``arg``.
+                 arg: np.ndarray | None, floor: float = -np.inf) -> None:
+    """Write each window's maximum of ``x`` and ``floor`` into ``best`` and,
+    unless ``arg`` is None, a code into ``arg``: 1 + the first position in
+    scan order holding a maximum above ``floor``, or 0 where no position
+    beats it.
 
-    NaN never wins; a window with nothing above -inf gets -inf and position
-    0.  A zero maximum is always +0.0.
+    NaN never wins.  A zero maximum is always +0.0.
     """
-    best.fill(-np.inf)
+    best.fill(floor)
     if arg is not None:
         arg.fill(0)
         won = np.empty_like(arg)
-    for pos, region in enumerate(regions):
+    for code, region in enumerate(regions, 1):
         patch = x[region]
-        if arg is not None and pos:
-            # pos exceeds every earlier position, so arg keeps the latest strict
+        if arg is not None:
+            # the codes rise in scan order, so arg keeps the latest strict
             # winner: the first position holding the maximum
             np.greater(patch, best, out=won)
-            won *= pos
+            won *= code
             np.maximum(arg, won, out=arg)
         np.fmax(patch, best, out=best)  # fmax returns best where the patch holds NaN
     best += 0.0  # as in relu: fmax's pick between -0.0 and +0.0 is not fixed
@@ -820,21 +815,23 @@ def _max_windows(x: np.ndarray, regions: list[tuple], best: np.ndarray,
 
 def _max_windows_backward(g: np.ndarray, arg: np.ndarray, regions: list[tuple],
                           dx: np.ndarray) -> None:
-    """Add each window's gradient ``g`` at its winning position ``arg`` of
-    ``dx``, a zeroed array of the pooled input's shape."""
-    for pos, region in enumerate(regions):
-        dx[region] += g * (arg == pos)
+    """Add each window's gradient ``g`` at the position its code ``arg``
+    names, the first position for code 0, into ``dx``, a zeroed array of the
+    pooled input's shape."""
+    arg = np.maximum(arg, 1)
+    for code, region in enumerate(regions, 1):
+        dx[region] += g * (arg == code)
 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """Max pooling over 2x2 windows at stride 2 (:func:`_pool_regions`) that
     ignores NaN; ties resolve to the first window position in scan order.
 
-    On a tape that differentiates ``x`` it saves only each window's winning
-    position, one byte per output, and backward sends each window's
-    gradient there.  A window with nothing above -inf (all -inf or NaN)
-    outputs -inf and sends its gradient to its first position.  A zero
-    maximum is always +0.0.  Otherwise (evaluation, a frozen teacher) no
+    On a tape that differentiates ``x`` it saves only each window's winner
+    code (:func:`_max_windows`), one byte per output, and backward sends
+    each window's gradient to the position the code names.  A window with
+    nothing above -inf (all -inf or NaN) outputs -inf and sends its
+    gradient to its first position.  A zero maximum is always +0.0.  Otherwise (evaluation, a frozen teacher) no
     positions are kept.
     """
     if x.data.ndim != 4:
@@ -860,12 +857,13 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     Works on the chunks of samples ``conv2d`` uses: each chunk's conv
     output is pooled while it is fresh and only the pooled rows are kept,
     so the full-size conv output and its gradient exist one chunk at a
-    time.  Each window's winner code is its winning position, or 4 where
-    the ReLU zeroed the window, so that no position wins there and the
-    code alone masks the gradient.  Backward writes each chunk's gradient
-    at the winning positions straight into the conv backward's GEMM
-    layout.  Saves the input and the winner codes (these only on a tape
-    that differentiates ``x`` or ``k``).
+    time.  The pool starts every window at zero, so it is the ReLU, and
+    each window's winner code is 1 + its winning position, or 0 where the
+    ReLU zeroed the window, so that the code alone masks the gradient.
+    Backward writes each chunk's gradient at the winning positions
+    straight into the conv backward's GEMM layout.  Saves the input and
+    the winner codes (these only on a tape that differentiates ``x`` or
+    ``k``).
     """
     conv = _ConvChunks("conv_block", x, k)
     n, f = x.shape[0], k.shape[0]
@@ -875,13 +873,8 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
     y = np.empty((n, f, po, qo), dtype=np.float64)
     arg = np.empty(y.shape, dtype=np.uint8) if need_x or need_k else None
 
-    def pool(span, conv_out):
-        _max_windows(conv_out, regions, y[span], None if arg is None else arg[span])
-        _relu_into(y[span], y[span])
-        if arg is not None:
-            np.copyto(arg[span], len(regions), where=y[span] == 0.0)
-
-    conv.forward(pool)
+    conv.forward(lambda span, conv_out: _max_windows(
+        conv_out, regions, y[span], None if arg is None else arg[span], floor=0.0))
 
     def bwd(g):
         # each lane's winner mask, [F, m, po, qo] like the GEMM layout
@@ -896,8 +889,8 @@ def conv_block(x: Tensor, k: Tensor) -> Tensor:
                 out.fill(0.0)
             gs, args = g[span].transpose(1, 0, 2, 3), arg[span].transpose(1, 0, 2, 3)
             # the windows do not overlap: each position is written once
-            for pos, region in enumerate(regions):
-                np.equal(args, pos, out=mask)
+            for code, region in enumerate(regions, 1):
+                np.equal(args, code, out=mask)
                 np.multiply(gs, mask, out=out[region])
         return conv.backward(grad_into, need_x, need_k)
 

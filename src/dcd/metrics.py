@@ -68,7 +68,7 @@ def linear_probe(frozen_model: Model, train: Dataset, test: Dataset, stats,
     for split in (train, test):
         labels, feats = zip(*((batch.labels, f) for batch, f in inference(
             frozen_model, split, stats, batch_size, lambda f, _: f,
-            "extract_features: the model's features")))
+            "linear_probe: the model's features")))
         splits.append(Dataset(np.concatenate(feats), np.concatenate(labels),
                               split.class_count, f"{split.name} features"))
     probe = _LinearProbe(splits[0].images.shape[1],

@@ -1,4 +1,5 @@
-"""The verdicts of ``tools/ab.py``'s ``summarize`` on synthetic pairs."""
+"""The verdicts of ``tools/ab.py``'s ``summarize`` on synthetic pairs, and
+its ``environment`` map."""
 
 import importlib.util
 import os
@@ -62,3 +63,13 @@ def test_every_change_run_beating_every_parent_run_is_resolved():
     change = [0.9, 0.8, 0.7, 0.6, 0.5] + [0.95] * 5
     assert _verdict(parent, change) == "unchanged"
     assert _verdict(parent, [v + 1.0 for v in parent]) == "worse"
+
+
+def test_the_environment_names_each_variable_set_or_unset(monkeypatch):
+    for name in ab.ENVIRONMENT:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert ab.environment() == {
+        "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "unset",
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "unset", "MKL_NUM_THREADS": "unset"}

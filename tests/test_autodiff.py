@@ -800,7 +800,7 @@ def test_lane_threads_live_only_inside_a_pin(rng, monkeypatch):
     assert passes and set(passes) == {(2, True, True)}
     assert ad._lane_pool is None and not lane_threads()
 
-    def failing_pool(*args):
+    def failing_pool(*args, **kwargs):
         raise ValueError("pool failed")
 
     monkeypatch.setattr(ad, "_max_windows", failing_pool)
@@ -938,8 +938,8 @@ def test_conv_backward_keeps_no_patch_buffer(op, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 7, 9)])
-def test_conv_block_winner_code_is_4_where_the_relu_zeroed(shape, rng):
-    """The code is the pool's winning position, and 4 exactly where the
+def test_conv_block_winner_code_is_0_where_the_relu_zeroed(shape, rng):
+    """The code is 1 + the pool's winning position, and 0 exactly where the
     ReLU zeroed the window: all-NaN and -inf windows (a positive kernel
     keeps -inf), negative maxima, and the odd size that drops a row and a
     column."""
@@ -955,13 +955,15 @@ def test_conv_block_winner_code_is_4_where_the_relu_zeroed(shape, rng):
     conv = ad.conv2d(Tensor(x), Tensor(k)).data
     _, _, regions = ad._pool_regions("ref", *conv.shape[2:])
     best, arg = np.empty(y.shape), np.empty(y.shape, dtype=np.uint8)
-    ad._max_windows(conv, regions, best, arg)
-    assert np.array_equal(code, np.where(y.data == 0.0, 4, arg))
+    ad._max_windows(conv, regions, best, arg)  # the pool alone, from -inf
     windows = np.stack([conv[region] for region in regions])
-    zeroed = code == 4
+    first_max = np.argmax(np.where(np.isnan(windows), -np.inf, windows) == best, axis=0)
+    assert np.array_equal(arg[best > -np.inf], 1 + first_max[best > -np.inf])
+    assert np.array_equal(code, np.where(y.data == 0.0, 0, arg))
+    zeroed = code == 0
     assert (zeroed & np.isnan(windows).all(axis=0)).any()
     assert (zeroed & (best == -np.inf) & ~np.isnan(windows).all(axis=0)).any()
-    assert (zeroed & np.isfinite(best)).any() and (code < 4).any()
+    assert (zeroed & np.isfinite(best)).any() and (code > 0).any()
 
 
 def test_lanes_keep_the_order_the_context_and_the_first_error():
@@ -1055,14 +1057,15 @@ def block_value_and_grads(fn, x, k, w, track_x):
     return out.data, tape.grads.get(xt.id), tape.grads.get(kt.id)
 
 
-@pytest.mark.parametrize("case", ["random", "awkward", "odd_size", "chunks", "untracked_x"])
+@pytest.mark.parametrize("case", ["random", "awkward", "odd_size", "chunks", "untracked_x",
+                                  "untaped"])
 def test_conv_block_matches_composition_bitwise(case, rng, monkeypatch):
     shape, kshape = (5, 3, 8, 8), (4, 3, 3, 3)
     if case == "odd_size":  # the pool drops the last row and column
         shape = (2, 3, 7, 9)
     x = rng.uniform(-1, 1, shape)
     k = rng.uniform(-1, 1, kshape)
-    if case == "awkward":  # NaN, +-inf, exact ties and signed zeros
+    if case in ("awkward", "untaped"):  # NaN, +-inf, exact ties and signed zeros
         x = awkward_values(rng, shape)
         x[2] = rng.choice([np.inf, -np.inf, -0.0, 0.0, 1.0], size=shape[1:])
         x[3] = rng.choice([-0.0, 0.0, 1.0], size=shape[1:])
@@ -1075,6 +1078,11 @@ def test_conv_block_matches_composition_bitwise(case, rng, monkeypatch):
     for lanes in LANE_COUNTS:
         if lanes > 1 and case != "chunks":  # a chunk per sample, so that each lane gets one
             monkeypatch.setattr(ad, "_CONV_CHUNK_ELEMS", 3 * 9 * shape[2] * shape[3])
+        if case == "untaped":  # the pool keeps no codes, as in evaluation
+            with lanes_pinned(lanes), np.errstate(invalid="ignore"):
+                assert_same_bits(ad.conv_block(Tensor(x), Tensor(k)).data,
+                                 block_composition(Tensor(x), Tensor(k)).data)
+            continue
         with lanes_pinned(lanes):
             got = block_value_and_grads(ad.conv_block, x, k, w, track_x)
             ref = block_value_and_grads(block_composition, x, k, w, track_x)

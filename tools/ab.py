@@ -17,8 +17,13 @@ metric in the change's BENCHMARK.json (plus ``error_rate``), each side's
 median and quartiles, and for each metric the count of pairs the change
 wins, loses and ties by the metric's ``better`` direction.  It also
 holds the revisions and their ``src`` trees, the seeds, each run's
-repetition count and failed operations, and the machine, Python, numpy
-and BLAS versions that ``perfbench/worker.py`` reports.
+repetition count and failed operations, the machine, Python, numpy
+and BLAS versions that ``perfbench/worker.py`` reports, and the
+``environment`` both sides inherit from this process: each variable of
+``ENVIRONMENT`` with its value, or ``unset``.  With
+``PYTHONDONTWRITEBYTECODE`` set, a freshly extracted tree has no cached
+bytecode, so every worker compiles ``dcd`` and ``perfbench`` from source
+and ``setup_s`` includes that.
 
 Each metric also gets a verdict, printed at the end, by its relative
 ``bound`` in BENCHMARK.json:
@@ -51,6 +56,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the variables that move readings without a change to the code
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED", "OPENBLAS_NUM_THREADS",
+               "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git(*args: str) -> bytes:
@@ -88,6 +96,11 @@ def run_side(sha: str, tree: str, workload: str, seed: int) -> dict:
     values["error_rate"] = record["all_metrics"]["error_rate"]
     return {"values": values, "repeat_count": record["repeat_count"],
             "attempted": final["attempted"], "failed": final["failed"], "meta": record["meta"]}
+
+
+def environment() -> dict[str, str]:
+    """Each variable of ``ENVIRONMENT`` with its value here, or ``unset``."""
+    return {name: os.environ.get(name, "unset") for name in ENVIRONMENT}
 
 
 def spread(values: list[float]) -> dict:
@@ -174,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {key: meta.get(key) for key in ("cpu_model", "nproc", "cpu_affinity",
                                                    "python", "numpy", "blas_vendor",
                                                    "blas_threads")},
+        "environment": environment(),
         "metrics": summarize(pairs, better, bounds),
         "pairs": [{"seed": pair["seed"], "first": pair["first"],
                    **{side: {key: pair[side][key] for key in

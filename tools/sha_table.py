@@ -25,7 +25,9 @@ so that the echoed ``out_dir`` is the same on every call:
   ``recipes.BETA_ARMS`` that ``tests/test_acceptance.py`` uses too;
 - a ConvNet teacher and a DCD+KD ConvNet student trained with
   ``augment=flip+crop`` on small seeded 3x8x8 images, so the table covers
-  ``autodiff.conv_block`` and the frozen teacher's per-batch forward pass;
+  ``autodiff.conv_block`` and the frozen teacher's per-batch forward pass,
+  each with a row for the logits ``train.inference`` returns on the test
+  images, which shows the untaped pool's bits at full precision;
 - a narrow ConvNet teacher, widths (16, 8), on 64 seeded 3x24x24 images
   in one batch: its blocks run over several chunks of samples, and
   OpenBLAS would split its second block's kernel-gradient GEMM across
@@ -74,8 +76,9 @@ from dcd.data import (BatchPlan, Dataset, serialize_cifar10, serialize_cifar100,
                       serialize_mnist_idx)
 from dcd.losses import DistillConfig  # noqa: E402
 from dcd.models import ModelSpec  # noqa: E402
-from dcd.train import (OptimSpec, distill, load_checkpoint, save_checkpoint,  # noqa: E402
-                       train_teacher, write_epoch_csv)
+from dcd.train import (OptimSpec, distill, inference, load_checkpoint,  # noqa: E402
+                       restore_model, save_checkpoint, stats_from_metadata, train_teacher,
+                       write_epoch_csv)
 
 CLI_COMMON = ["--seed", "0", "--set", "data_seed=0"]
 GRID = "alpha=0.1,0.5|beta=0,1"
@@ -185,11 +188,16 @@ def convnet_rows(work: str) -> list[tuple[str, str]]:
     t_ckpt, t_logs = train_teacher(ModelSpec("convnet", (4, 8), 2, (3, 8, 8)), train, test,
                                    OptimSpec(lr=0.05, epochs=2, seed=3),
                                    BatchPlan(16, 3, "flip+crop"))
+    s_ckpt, s_logs = distill(t_ckpt, ModelSpec("convnet", (2, 4), 2, (3, 8, 8)), train, test,
+                             DistillConfig(proj_dim=4), OptimSpec(lr=0.05, epochs=3, seed=4),
+                             BatchPlan(16, 4, "flip+crop"))
     rows = [saved(work, "convnet teacher", t_ckpt, t_logs),
-            saved(work, "convnet dcd_kd", *distill(
-                t_ckpt, ModelSpec("convnet", (2, 4), 2, (3, 8, 8)), train, test,
-                DistillConfig(proj_dim=4), OptimSpec(lr=0.05, epochs=3, seed=4),
-                BatchPlan(16, 4, "flip+crop")))]
+            saved(work, "convnet dcd_kd", s_ckpt, s_logs)]
+    for name, ckpt in (("convnet teacher", t_ckpt), ("convnet dcd_kd", s_ckpt)):
+        logits = [z for _, z in inference(restore_model(ckpt), test,
+                                          stats_from_metadata(ckpt.metadata), 16,
+                                          lambda _, z: z, "the logits")]
+        rows.append((f"{name} inference logits", array_digest(np.concatenate(logits))))
     images = rng.uniform(0.0, 1.0, (80, 3, 24, 24)).astype(np.float32)
     labels = np.arange(80) % 10
     train = Dataset(images[:64], labels[:64], 10, "images24-train")
