@@ -831,8 +831,8 @@ def maxpool2d(x: Tensor) -> Tensor:
     code (:func:`_max_windows`), one byte per output, and backward sends
     each window's gradient to the position the code names.  A window with
     nothing above -inf (all -inf or NaN) outputs -inf and sends its
-    gradient to its first position.  A zero maximum is always +0.0.  Otherwise (evaluation, a frozen teacher) no
-    positions are kept.
+    gradient to its first position.  A zero maximum is always +0.0.
+    Otherwise (evaluation, a frozen teacher) no codes are kept.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"maxpool2d expects 4-D input, got shape {x.shape}")
